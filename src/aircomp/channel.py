@@ -116,6 +116,12 @@ def _phase_table(num_subcarriers: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(l, l) / num_subcarriers)
 
 
+# Byte budget for the gathered phase tensor W[delays] of one chunk of trials.
+# The chunk size depends on (K, M, L) only, so it bounds memory at large K
+# without touching the random stream, which is drawn for the whole batch.
+_GATHER_BYTES = 8 << 20
+
+
 def draw_channel_batch(
     params: ChannelParams,
     n_trials: int,
@@ -129,6 +135,12 @@ def draw_channel_batch(
     consume identical randomness and stay trial-paired.  For antenna arrays
     the per-subcarrier matrix channel is scalarized with a matched receive/
     transmit beamformer pair before CSI error is applied.
+
+    The tap sum runs over chunks of trials sized so that the gathered phases
+    W[delays] stay within about 8 MiB.  With csi_error_radius = 0 the CSI
+    error is exactly zero: h_est is h itself, returned read-only so neither
+    can be changed through the other, and the disk draw is still consumed,
+    so whatever is drawn next from `rng` is the same as at any other radius.
     """
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
@@ -141,19 +153,25 @@ def draw_channel_batch(
 
     W = _phase_table(L)
     h = np.empty((n_trials, K, L), dtype=np.complex128)
-    for l in range(L):
-        # H_l[t,k] = sum_m taps[t,k,m] * W[delay, l], an (n_rx, n_tx) matrix
-        H_l = np.einsum("tkmrc,tkm->tkrc", taps, W[delays, l])
+    chunk = max(1, _GATHER_BYTES // (K * M * L * W.itemsize))
+    for s in range(0, n_trials, chunk):
+        e = s + chunk
+        # H[t,k,l] = sum_m taps[t,k,m] * W[delay, l], an (n_rx, n_tx) matrix
+        H = np.einsum("tkmrc,tkml->tklrc", taps[s:e], W[delays[s:e]])
         if n_rx == 1 and n_tx == 1:
-            h[:, :, l] = H_l[:, :, 0, 0]
+            h[s:e] = H[..., 0, 0]
         else:
             # receive beam: principal left singular vector of the device sum;
             # transmit beams: matched to w^H H_k, giving |w^H H_k| per device
-            u, _, _ = np.linalg.svd(H_l.sum(axis=1))
-            w = u[:, :, 0]
-            projected = np.einsum("tr,tkrc->tkc", w.conj(), H_l)
-            h[:, :, l] = np.linalg.norm(projected, axis=2)
+            u, _, _ = np.linalg.svd(H.sum(axis=1))
+            w = u[..., 0]
+            projected = np.einsum("tlr,tklrc->tklc", w.conj(), H)
+            h[s:e] = np.linalg.norm(projected, axis=-1)
 
+    if params.csi_error_radius == 0:
+        rng.random((2,) + h.shape)  # the disk draw sample_disk would make
+        h.flags.writeable = False
+        return h, h
     delta = sample_disk(params.csi_error_radius, h.shape, rng)
     h_est = h * (1.0 + delta)
     return h, h_est

@@ -384,7 +384,12 @@ def _env_str(name: str) -> str | None:
 
 def _env_int(name: str) -> int | None:
     value = _env_str(name)
-    return int(value) if value is not None else None
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{ENV_PREFIX}{name}: expected an integer, got {value!r}") from None
 
 
 def _env_flag(name: str) -> bool:
@@ -427,7 +432,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if quick:
             updates["trials"] = min(updates.get("trials", config.trials), 2000)
         if updates:
-            config = dataclasses.replace(config, **updates)
+            try:
+                config = dataclasses.replace(config, **updates)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {exc}") from None
         print(
             f"[{name}] scheme={config.scheme} detector={config.detector} "
             f"power_mode={config.power_mode} trials={config.trials} "
@@ -454,7 +462,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else (_env_int("SEED") or 1)
+    seed = args.seed if args.seed is not None else _env_int("SEED")
+    if seed is None:
+        seed = 1
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     quick = args.quick or _env_flag("QUICK")
     all_ok = True
     for label, fn in ORACLES:
@@ -466,17 +478,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     detector = "ml" if args.scheme == "binary_ml" else "lmmse"
-    config = SimConfig(
-        num_devices=args.k,
-        bit_depth=args.b,
-        num_subcarriers=args.b,
-        scheme=args.scheme,
-        detector=detector,
-        snr_db_grid=(args.snr_db,),
-        trials=1,
-        seed=args.seed,
-        csi_error_radius=args.csi_error,
-    )
+    try:
+        config = SimConfig(
+            num_devices=args.k,
+            bit_depth=args.b,
+            num_subcarriers=args.b,
+            scheme=args.scheme,
+            detector=detector,
+            snr_db_grid=(args.snr_db,),
+            trials=1,
+            seed=args.seed,
+            csi_error_radius=args.csi_error,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     sigma2 = config.sigma2(args.snr_db)
     realization = draw_channel(config.channel_params(sigma2), args.seed, mimo=config.mimo())
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0, 0)))

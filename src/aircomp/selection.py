@@ -110,26 +110,38 @@ def brute_force_select(instance: SelectionInstance) -> SelectionResult:
 
 
 def greedy_select_batch(
-    effective_gains: np.ndarray, noise_power, allow_empty: bool = False
+    effective_gains: np.ndarray, noise_power: float, allow_empty: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized greedy selection with devices on axis 1.
 
-    effective_gains is (T, K, L); noise_power a scalar or broadcastable
-    array.  Returns (n_active (T, L), p (T, L), active mask (T, K, L)).
+    effective_gains is (T, K, L); noise_power a scalar.  Returns
+    (n_active (T, L), p (T, L), active mask (T, K, L)), the same as
+    greedy_select on every (trial, subcarrier) slice.
+
+    The scan sorts the gain values along the last axis of a contiguous
+    (T, L, K) copy; sorted values do not depend on how ties are ordered, so
+    no permutation is kept.  The active set is every device with gain >= p,
+    except where devices tie at p beyond the n-th place: there the tie rule
+    of greedy_select (ascending index among equal gains) keeps the lowest
+    indices, as many as the prefix needs.
     """
     T, K, L = effective_gains.shape
-    order = np.argsort(-effective_gains, axis=1, kind="stable")
-    sorted_g = np.take_along_axis(effective_gains, order, axis=1)
-    sizes = np.arange(1, K + 1).reshape(1, K, 1)
-    mse = mse_closed_form(sorted_g, sizes, K, noise_power)
-    i = np.argmin(mse, axis=1)  # first minimum: smaller set on ties
+    g = np.ascontiguousarray(effective_gains.transpose(0, 2, 1))
+    sorted_g = np.sort(g, axis=-1)[..., ::-1]
+    mse = mse_closed_form(sorted_g, np.arange(1, K + 1), K, float(noise_power))
+    i = np.argmin(mse, axis=-1)  # first minimum: smaller set on ties
     n = i + 1
-    p = np.take_along_axis(sorted_g, i[:, None, :], axis=1)[:, 0, :]
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(K).reshape(1, K, 1), axis=1)
-    active = ranks < n[:, None, :]
+    p = np.take_along_axis(sorted_g, i[..., None], axis=-1)[..., 0]
+    active = effective_gains >= p[:, None, :]
+    t, l = np.nonzero(active.sum(axis=1) > n)
+    if t.size:
+        rows = effective_gains[t, :, l]  # (rows, K)
+        above = rows > p[t, l][:, None]
+        tied = rows == p[t, l][:, None]
+        need = n[t, l][:, None] - above.sum(axis=1, keepdims=True)
+        active[t, :, l] = above | (tied & (np.cumsum(tied, axis=1) <= need))
     if allow_empty:
-        best = np.take_along_axis(mse, i[:, None, :], axis=1)[:, 0, :]
+        best = np.take_along_axis(mse, i[..., None], axis=-1)[..., 0]
         fallback = best >= K / 4.0
         n = np.where(fallback, 0, n)
         p = np.where(fallback, 0.0, p)

@@ -81,6 +81,12 @@ class SimConfig:
             raise ValueError("num_devices must be >= 1")
         if self.bit_depth < 1:
             raise ValueError("bit_depth must be >= 1")
+        if self.bit_depth > 63 or self.num_devices * 2**self.bit_depth > 2**63:
+            # the int64 decoders sum num_devices codewords of bit_depth bits
+            raise ValueError(
+                "num_devices * 2^bit_depth must not exceed 2^63 (int64 decode), "
+                f"got num_devices={self.num_devices}, bit_depth={self.bit_depth}"
+            )
         if self.num_subcarriers < 1:
             raise ValueError("num_subcarriers must be >= 1")
         if self.num_taps < 1:
@@ -127,6 +133,16 @@ class SimConfig:
             raise ValueError("csi_error_radius must lie in [0, 1)")
         if not self.p_max > 0:
             raise ValueError("p_max must be > 0")
+        for snr_db in self.snr_db_grid:
+            try:
+                noise_ok = 0.0 < self.sigma2(snr_db) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                noise_ok = False
+            if not noise_ok:
+                raise ValueError(
+                    f"snr_db_grid entry {snr_db} must be finite and give a "
+                    "positive, finite noise power p_max / (10^(snr_db/10) L)"
+                )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.n_tx < 1 or self.n_rx < 1:

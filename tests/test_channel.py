@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aircomp import channel
 from aircomp.channel import (
     ChannelParams,
     MimoParams,
@@ -19,11 +20,82 @@ from aircomp.channel import (
 )
 
 
+def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
+    """Reference draw: one tap sum and one beamformer SVD per subcarrier,
+    with the CSI error applied unconditionally.  The chunked draw must
+    reproduce it bit for bit and leave the generator in the same state."""
+    mimo = mimo or MimoParams()
+    K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
+    n_rx, n_tx = mimo.n_rx, mimo.n_tx
+    shape = (n_trials, K, M, n_rx, n_tx)
+    scale = np.sqrt(params.tap_profile / 2.0)[None, :, None, None]
+    taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    delays = rng.integers(0, L, size=(n_trials, K, M))
+    delays[..., 0] = 0
+    W = channel._phase_table(L)
+    h = np.empty((n_trials, K, L), dtype=np.complex128)
+    for l in range(L):
+        H_l = np.einsum("tkmrc,tkm->tkrc", taps, W[delays, l])
+        if n_rx == 1 and n_tx == 1:
+            h[:, :, l] = H_l[:, :, 0, 0]
+        else:
+            u, _, _ = np.linalg.svd(H_l.sum(axis=1))
+            w = u[:, :, 0]
+            projected = np.einsum("tr,tkrc->tkc", w.conj(), H_l)
+            h[:, :, l] = np.linalg.norm(projected, axis=2)
+    delta = sample_disk(params.csi_error_radius, h.shape, rng)
+    return h, h * (1.0 + delta)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_single_tap_channel_is_flat_across_subcarriers():
     params = ChannelParams(num_devices=5, num_subcarriers=8, num_taps=1)
     rng = np.random.default_rng(2)
     h, _ = draw_channel_batch(params, 100, rng)
     assert np.allclose(h, h[:, :, :1])
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.2])
+@pytest.mark.parametrize("mimo", [MimoParams(1, 1), MimoParams(2, 2)], ids=["siso", "2x2"])
+def test_chunked_draw_is_bit_identical_to_per_subcarrier_oracle(mimo, radius):
+    params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=radius)
+    chunk = channel._GATHER_BYTES // (20 * 4 * 8 * 16)
+    n_trials = 2 * chunk + 5  # the last chunk is partial
+    fast = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
+    slow = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
+    h, h_est = draw_channel_batch(params, n_trials, fast, mimo)
+    h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(params, n_trials, slow, mimo)
+    assert _same_bits(h, h_ref)
+    assert _same_bits(h_est, h_est_ref)
+    # the stream after the draw is untouched, so noise drawn next is too
+    assert _same_bits(fast.standard_normal(64), slow.standard_normal(64))
+
+
+@pytest.mark.parametrize("budget", [1, 3000])
+def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
+    # budget 1 gives one trial per chunk, 3000 bytes two trials (1200 B each)
+    monkeypatch.setattr(channel, "_GATHER_BYTES", budget)
+    params = ChannelParams(num_devices=3, num_subcarriers=5, num_taps=5)
+    for mimo in (MimoParams(1, 1), MimoParams(2, 3)):
+        fast = np.random.default_rng(8)
+        slow = np.random.default_rng(8)
+        h, h_est = draw_channel_batch(params, 11, fast, mimo)
+        h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(params, 11, slow, mimo)
+        assert _same_bits(h, h_ref)
+        assert _same_bits(h_est, h_est_ref)
+        assert fast.integers(1 << 62) == slow.integers(1 << 62)
+
+
+def test_perfect_csi_estimate_cannot_be_changed_through_the_channel():
+    params = ChannelParams(num_devices=2, num_subcarriers=4)
+    h, h_est = draw_channel_batch(params, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        h[0, 0, 0] += 1.0
+    with pytest.raises(ValueError):
+        h_est[0, 0, 0] += 1.0
 
 
 def test_tap_profile_normalization_gives_unit_average_power():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from aircomp import cli
 from aircomp.cli import (
     ConfigError,
     ExperimentSpec,
@@ -223,3 +224,41 @@ def test_demo_analog_scheme(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "estimate" in out
+
+
+@pytest.mark.parametrize(
+    "argv, env, expected",
+    [
+        (["sweep", "--trials", "0"], {}, "trials must be >= 1"),
+        (["sweep"], {"AIRCOMP_TRIALS": "abc"}, "AIRCOMP_TRIALS"),
+        (["verify", "--quick"], {"AIRCOMP_SEED": "x1"}, "AIRCOMP_SEED"),
+        (["verify", "--quick", "--seed", "-1"], {}, "seed must be >= 0"),
+        (["demo", "--k", "0"], {}, "num_devices must be >= 1"),
+        (["demo", "--snr-db", "nan"], {}, "snr_db_grid"),
+    ],
+)
+def test_bad_input_is_one_error_line_and_status_1(argv, env, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert expected in lines[0]
+    assert list(tmp_path.iterdir()) == []  # nothing was run or written
+
+
+def test_verify_honours_seed_zero_from_the_environment(monkeypatch):
+    seeds = []
+
+    def probe(seed, quick):
+        seeds.append(seed)
+        return True, "probe"
+
+    monkeypatch.setattr(cli, "ORACLES", (("probe", probe),))
+    monkeypatch.setenv("AIRCOMP_SEED", "0")
+    assert main(["verify"]) == 0
+    monkeypatch.delenv("AIRCOMP_SEED")
+    assert main(["verify"]) == 0
+    assert seeds == [0, 1]

@@ -14,6 +14,45 @@ from aircomp.selection import (
 from aircomp.transceiver import mse_closed_form
 
 
+def _greedy_select_batch_argsort(effective_gains, noise_power, allow_empty=False):
+    """Reference batch selection: a stable argsort on the device axis of the
+    (T, K, L) layout and a rank scatter for the mask.  The sorted-value scan
+    must return the same (n_active, p, active) bit for bit."""
+    T, K, L = effective_gains.shape
+    order = np.argsort(-effective_gains, axis=1, kind="stable")
+    sorted_g = np.take_along_axis(effective_gains, order, axis=1)
+    sizes = np.arange(1, K + 1).reshape(1, K, 1)
+    mse = mse_closed_form(sorted_g, sizes, K, noise_power)
+    i = np.argmin(mse, axis=1)
+    n = i + 1
+    p = np.take_along_axis(sorted_g, i[:, None, :], axis=1)[:, 0, :]
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(K).reshape(1, K, 1), axis=1)
+    active = ranks < n[:, None, :]
+    if allow_empty:
+        best = np.take_along_axis(mse, i[:, None, :], axis=1)[:, 0, :]
+        fallback = best >= K / 4.0
+        n = np.where(fallback, 0, n)
+        p = np.where(fallback, 0.0, p)
+        active &= ~fallback[:, None, :]
+    return n, p, active
+
+
+def _gain_cases():
+    rng = np.random.default_rng(2024)
+    faded = rng.exponential(size=(300, 12, 8))
+    return {
+        "faded": faded,
+        "tied": np.round(faded, 1),
+        # the prefix MSE falls strictly with n at a fixed p > 0, so a device
+        # tied at p is left out only where every prefix rounds to the same
+        # MSE: zero gains, or gains far below the noise
+        "zero": np.zeros((5, 7, 3)),
+        "tiny_tied": np.round(faded, 1) * 1e-20,
+        "one_device": faded[:, :1, :],
+    }
+
+
 def test_known_instance_activates_everyone():
     inst = SelectionInstance(np.array([9.0, 4.0, 1.0]), noise_power=1.0)
     # prefix MSEs: 39/76 (n=1), 19/68 (n=2), 3/28 (n=3)
@@ -92,6 +131,26 @@ def test_batch_selection_matches_scalar_path():
             assert n_act[t, l] == len(result.active)
             assert p[t, l] == result.p
             assert np.array_equal(np.flatnonzero(active[t, :, l]), result.active)
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("noise_power", [0.02, 1.0, 30.0])
+@pytest.mark.parametrize("case", list(_gain_cases()))
+def test_batch_selection_is_bit_identical_to_argsort_oracle(case, noise_power, allow_empty):
+    gains = _gain_cases()[case]
+    n, p, active = greedy_select_batch(gains, noise_power, allow_empty)
+    n_ref, p_ref, active_ref = _greedy_select_batch_argsort(gains, noise_power, allow_empty)
+    assert n.dtype == n_ref.dtype and np.array_equal(n, n_ref)
+    assert np.array_equal(p.view(np.uint64), p_ref.view(np.uint64))
+    assert active.shape == active_ref.shape and np.array_equal(active, active_ref)
+
+
+@pytest.mark.parametrize("case", ["zero", "tiny_tied"])
+def test_oracle_cases_include_ties_beyond_the_prefix(case):
+    # without such rows the bit-identity test would not reach the tie fix-up
+    gains = _gain_cases()[case]
+    n, p, _ = greedy_select_batch(gains, 1.0)
+    assert ((gains >= p[:, None, :]).sum(axis=1) > n).any()
 
 
 def test_allow_empty_silences_dead_subcarriers():

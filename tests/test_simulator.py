@@ -334,6 +334,14 @@ def test_budget_helpers():
         {"scheme": "analog", "power_mode": "geometric", "varpi": 2.0},
         {"bit_depth": 8, "num_subcarriers": 4},
         {"snr_db_grid": ()},
+        {"snr_db_grid": (0.0, float("nan"))},
+        {"snr_db_grid": (float("inf"),)},
+        {"snr_db_grid": (float("-inf"),)},
+        {"snr_db_grid": (1e6,)},  # 10^(snr/10) overflows
+        {"snr_db_grid": (-1e6,)},  # ... or underflows to zero
+        {"bit_depth": 64, "num_subcarriers": 64},
+        {"bit_depth": 10**9, "num_subcarriers": 10**9},
+        {"bit_depth": 60, "num_subcarriers": 60, "num_devices": 20},
         {"trials": 0},
         {"csi_error_radius": 1.0},
         {"csi_error_radius": -0.1},
@@ -349,6 +357,12 @@ def test_budget_helpers():
 def test_config_validation_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
+
+
+def test_config_accepts_the_largest_exact_bit_depth():
+    # 8 * 2^60 = 2^63: every int64 decoder sum still fits
+    SimConfig(num_devices=8, bit_depth=60, num_subcarriers=60)
+    SimConfig(num_devices=1, bit_depth=63, num_subcarriers=63)
 
 
 def test_config_normalizes_grid_to_floats():
