@@ -100,7 +100,12 @@ class MimoParams:
 def sample_disk(radius: float, shape, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples on the complex disk of the given radius (|z| < radius)."""
     u = rng.random((2,) + tuple(shape))
-    return radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
+    return _disk(radius, u[0], u[1])
+
+
+def _disk(radius: float, u_abs: np.ndarray, u_arg: np.ndarray) -> np.ndarray:
+    # the point of the disk that the uniforms (u_abs, u_arg) in [0, 1) select
+    return radius * np.sqrt(u_abs) * np.exp(2j * np.pi * u_arg)
 
 
 def complex_noise(shape, power: float, rng: np.random.Generator) -> np.ndarray:
@@ -118,8 +123,23 @@ def _phase_table(num_subcarriers: int) -> np.ndarray:
 
 # Byte budget for the gathered phase tensor W[delays] of one chunk of trials.
 # The chunk size depends on (K, M, L) only, so it bounds memory at large K
-# without touching the random stream, which is drawn for the whole batch.
+# without touching the random stream.
 _GATHER_BYTES = 8 << 20
+
+# Byte budget for one chunk of h in the CSI-error step.  Each chunk of trials
+# evaluates h * (1.0 + delta), the expression of a whole-batch draw, and holds
+# at least half this budget.  NumPy reuses a temporary of 256 KiB or more as
+# the output of that product, which fixes the operand order of its fused
+# multiply-add; chunks of at least 512 KiB, or one chunk for small batches,
+# take the same path as the whole batch, so their bits match it.
+_CSI_BYTES = 1 << 20
+
+
+def _spans(n: int, size: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) ranges covering n items, each of at least
+    `size` items (one range when n < 2 * size): the last absorbs the rest."""
+    count = max(1, n // size)
+    return [(i * size, n if i == count - 1 else (i + 1) * size) for i in range(count)]
 
 
 def draw_channel_batch(
@@ -136,18 +156,22 @@ def draw_channel_batch(
     the per-subcarrier matrix channel is scalarized with a matched receive/
     transmit beamformer pair before CSI error is applied.
 
-    The tap sum runs over chunks of trials sized so that the gathered phases
-    W[delays] stay within about 8 MiB.  With csi_error_radius = 0 the CSI
-    error is exactly zero: h_est is h itself, returned read-only so neither
-    can be changed through the other, and the disk draw is still consumed,
-    so whatever is drawn next from `rng` is the same as at any other radius.
+    The arithmetic runs over chunks of trials: the tap sum over chunks whose
+    gathered phases W[delays] stay within about 8 MiB, the CSI error over
+    chunks of about 1 MiB of h.  The random draws keep the order of a
+    whole-batch draw and every element sees the same operations, so chunking
+    does not change a bit.  With csi_error_radius = 0 the CSI error is
+    exactly zero: h_est is h itself, returned read-only so neither can be
+    changed through the other, and the disk uniforms are still consumed, so
+    whatever is drawn next from `rng` is the same as at any other radius.
     """
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
     shape = (n_trials, K, M, n_rx, n_tx)
     scale = np.sqrt(params.tap_profile / 2.0)[None, :, None, None]
-    taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    taps_re = rng.standard_normal(shape)
+    taps_im = rng.standard_normal(shape)
     delays = rng.integers(0, L, size=(n_trials, K, M))
     delays[..., 0] = 0  # first path always at zero delay
 
@@ -155,9 +179,10 @@ def draw_channel_batch(
     h = np.empty((n_trials, K, L), dtype=np.complex128)
     chunk = max(1, _GATHER_BYTES // (K * M * L * W.itemsize))
     for s in range(0, n_trials, chunk):
-        e = s + chunk
+        e = min(s + chunk, n_trials)
+        taps = (taps_re[s:e] + 1j * taps_im[s:e]) * scale
         # H[t,k,l] = sum_m taps[t,k,m] * W[delay, l], an (n_rx, n_tx) matrix
-        H = np.einsum("tkmrc,tkml->tklrc", taps[s:e], W[delays[s:e]])
+        H = np.einsum("tkmrc,tkml->tklrc", taps, W[delays[s:e]])
         if n_rx == 1 and n_tx == 1:
             h[s:e] = H[..., 0, 0]
         else:
@@ -168,12 +193,19 @@ def draw_channel_batch(
             projected = np.einsum("tlr,tklrc->tklc", w.conj(), H)
             h[s:e] = np.linalg.norm(projected, axis=-1)
 
-    if params.csi_error_radius == 0:
-        rng.random((2,) + h.shape)  # the disk draw sample_disk would make
+    # the disk uniforms: the moduli of the whole batch, then its angles
+    radius = params.csi_error_radius
+    spans = _spans(n_trials, max(1, _CSI_BYTES // (K * L * h.itemsize)))
+    if radius == 0:
+        for s, e in spans:
+            rng.random((2, e - s, K, L))  # the uniforms a nonzero radius uses
         h.flags.writeable = False
         return h, h
-    delta = sample_disk(params.csi_error_radius, h.shape, rng)
-    h_est = h * (1.0 + delta)
+    u_abs = rng.random(h.shape)
+    h_est = np.empty_like(h)
+    for s, e in spans:
+        delta = _disk(radius, u_abs[s:e], rng.random((e - s, K, L)))
+        h_est[s:e] = h[s:e] * (1.0 + delta)
     return h, h_est
 
 

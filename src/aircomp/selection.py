@@ -109,6 +109,12 @@ def brute_force_select(instance: SelectionInstance) -> SelectionResult:
     return SelectionResult(active, float(g[active].min()), float(best))
 
 
+# Byte budget for one chunk of trials' gains in greedy_select_batch.  Every
+# step of the scan is independent per (trial, subcarrier), so chunking changes
+# no result; it keeps the sort and the MSE temporaries in cache.
+_SELECT_BYTES = 1 << 20
+
+
 def greedy_select_batch(
     effective_gains: np.ndarray, noise_power: float, allow_empty: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,7 +122,24 @@ def greedy_select_batch(
 
     effective_gains is (T, K, L); noise_power a scalar.  Returns
     (n_active (T, L), p (T, L), active mask (T, K, L)), the same as
-    greedy_select on every (trial, subcarrier) slice.
+    greedy_select on every (trial, subcarrier) slice.  The scan runs over
+    chunks of trials whose gains fill about 1 MiB.
+    """
+    T, K, L = effective_gains.shape
+    n = np.empty((T, L), dtype=np.intp)
+    p = np.empty((T, L))
+    active = np.empty((T, K, L), dtype=bool)
+    chunk = max(1, _SELECT_BYTES // (K * L * 8))
+    for s in range(0, T, chunk):
+        e = min(s + chunk, T)
+        n[s:e], p[s:e], active[s:e] = _greedy_select_chunk(
+            effective_gains[s:e], float(noise_power), allow_empty
+        )
+    return n, p, active
+
+
+def _greedy_select_chunk(g_tkl: np.ndarray, noise_power: float, allow_empty: bool):
+    """greedy_select_batch on one chunk of trials.
 
     The scan sorts the gain values along the last axis of a contiguous
     (T, L, K) copy; sorted values do not depend on how ties are ordered, so
@@ -125,17 +148,17 @@ def greedy_select_batch(
     of greedy_select (ascending index among equal gains) keeps the lowest
     indices, as many as the prefix needs.
     """
-    T, K, L = effective_gains.shape
-    g = np.ascontiguousarray(effective_gains.transpose(0, 2, 1))
+    K = g_tkl.shape[1]
+    g = np.ascontiguousarray(g_tkl.transpose(0, 2, 1))
     sorted_g = np.sort(g, axis=-1)[..., ::-1]
-    mse = mse_closed_form(sorted_g, np.arange(1, K + 1), K, float(noise_power))
+    mse = mse_closed_form(sorted_g, np.arange(1, K + 1), K, noise_power)
     i = np.argmin(mse, axis=-1)  # first minimum: smaller set on ties
     n = i + 1
     p = np.take_along_axis(sorted_g, i[..., None], axis=-1)[..., 0]
-    active = effective_gains >= p[:, None, :]
+    active = g_tkl >= p[:, None, :]
     t, l = np.nonzero(active.sum(axis=1) > n)
     if t.size:
-        rows = effective_gains[t, :, l]  # (rows, K)
+        rows = g_tkl[t, :, l]  # (rows, K)
         above = rows > p[t, l][:, None]
         tied = rows == p[t, l][:, None]
         need = n[t, l][:, None] - above.sum(axis=1, keepdims=True)

@@ -89,6 +89,31 @@ def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
         assert fast.integers(1 << 62) == slow.integers(1 << 62)
 
 
+@pytest.mark.parametrize("n_trials", [1, 50, 1000])
+def test_csi_error_chunks_match_the_whole_batch_draw(n_trials):
+    # 50 trials keep h below 256 KiB, one CSI chunk; 1000 trials give two
+    # chunks, the second holding the remainder
+    params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
+    fast = np.random.default_rng(n_trials)
+    slow = np.random.default_rng(n_trials)
+    h, h_est = draw_channel_batch(params, n_trials, fast)
+    h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(params, n_trials, slow)
+    assert _same_bits(h, h_ref)
+    assert _same_bits(h_est, h_est_ref)
+    assert _same_bits(fast.random(64), slow.random(64))
+
+
+@pytest.mark.parametrize("n, size", [(0, 4), (3, 4), (4, 4), (7, 4), (8, 4), (11, 4), (5, 1)])
+def test_spans_cover_every_item_in_chunks_of_at_least_size(n, size):
+    spans = channel._spans(n, size)
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    if n >= size:
+        assert all(size <= e - s < 2 * size for s, e in spans)
+    else:
+        assert len(spans) == 1
+
+
 def test_perfect_csi_estimate_cannot_be_changed_through_the_channel():
     params = ChannelParams(num_devices=2, num_subcarriers=4)
     h, h_est = draw_channel_batch(params, 3, np.random.default_rng(0))

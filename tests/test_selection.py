@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aircomp import selection
 from aircomp.channel import ChannelParams, draw_channel_batch
 from aircomp.selection import (
     SelectionInstance,
@@ -143,6 +144,20 @@ def test_batch_selection_is_bit_identical_to_argsort_oracle(case, noise_power, a
     assert n.dtype == n_ref.dtype and np.array_equal(n, n_ref)
     assert np.array_equal(p.view(np.uint64), p_ref.view(np.uint64))
     assert active.shape == active_ref.shape and np.array_equal(active, active_ref)
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 12 * 8 * 8])
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_trial_chunks_do_not_change_the_selection(monkeypatch, budget, allow_empty):
+    # budget 1 gives one trial per chunk; the other budget gives 7 trials per
+    # chunk at 12 devices, so 300 trials end in a partial chunk of 6
+    monkeypatch.setattr(selection, "_SELECT_BYTES", budget)
+    for gains in _gain_cases().values():
+        n, p, active = greedy_select_batch(gains, 1.0, allow_empty)
+        n_ref, p_ref, active_ref = _greedy_select_batch_argsort(gains, 1.0, allow_empty)
+        assert n.dtype == n_ref.dtype and np.array_equal(n, n_ref)
+        assert np.array_equal(p.view(np.uint64), p_ref.view(np.uint64))
+        assert np.array_equal(active, active_ref)
 
 
 @pytest.mark.parametrize("case", ["zero", "tiny_tied"])
