@@ -8,6 +8,13 @@ with unit-norm beamformers, which preserves the single-antenna structure of
 everything downstream.  (1,1) short-circuits to exactly the scalar draw: same
 random stream, same bits.
 
+The common receive beam is the principal left singular vector of the device
+sum, found as the top eigenvector of its Gram matrix: in closed form at
+n_rx = 2, by batched eigh otherwise (`_receive_beam`), with no SVD.  The
+effective gains agree with an SVD beam to about 1e-14 relative, not bit for
+bit, so multi-antenna sweep CSVs differ in their last digits from those of
+an SVD draw; single-antenna draws are unaffected.
+
 Estimated CSI is modelled multiplicatively, h_est = h * (1 + delta) with
 delta uniform on a complex disk; transmitters invert h_est, the medium applies
 the true h.
@@ -142,6 +149,37 @@ def _spans(n: int, size: int) -> list[tuple[int, int]]:
     return [(i * size, n if i == count - 1 else (i + 1) * size) for i in range(count)]
 
 
+def _receive_beam(S: np.ndarray) -> np.ndarray:
+    """Unit principal left singular vector of each matrix S[..., :, :].
+
+    S is (..., n_rx, n_tx); the result is (..., n_rx), the top eigenvector of
+    the Gram matrix S S^H, defined up to a phase.  At n_rx = 2 it is written
+    in closed form: with S S^H = [[p, r], [r*, q]] and
+    disc = sqrt((p - q)^2 / 4 + |r|^2), the vector is
+    (|p - q|/2 + disc, r*) when p >= q and (r, |p - q|/2 + disc) otherwise,
+    sums of non-negative terms that cannot cancel.  It vanishes only when
+    S S^H is a multiple of the identity (S = 0 included); every unit vector
+    is then optimal and e_1 is returned.  Other n_rx use batched eigh.
+    """
+    if S.shape[-2] != 2:
+        _, vectors = np.linalg.eigh(S @ S.conj().swapaxes(-1, -2))
+        return vectors[..., -1]
+    a, b = S[..., 0, :], S[..., 1, :]
+    p = (a.real**2 + a.imag**2).sum(axis=-1)
+    q = (b.real**2 + b.imag**2).sum(axis=-1)
+    # np.multiply, not *: the operator may reuse the temporary b.conj() as
+    # its output, which swaps the operands and makes the bits depend on size
+    r = np.multiply(a, b.conj()).sum(axis=-1)
+    r2 = r.real**2 + r.imag**2
+    half = 0.5 * np.abs(p - q)
+    top = half + np.sqrt(half**2 + r2)
+    first = p >= q
+    w = np.stack([np.where(first, top, r), np.where(first, r.conj(), top)], axis=-1)
+    norm = np.sqrt(top**2 + r2)
+    zero = norm == 0
+    return np.where(zero[..., None], (1.0, 0.0), w / np.where(zero, 1.0, norm)[..., None])
+
+
 def draw_channel_batch(
     params: ChannelParams,
     n_trials: int,
@@ -154,7 +192,11 @@ def draw_channel_batch(
     (taps, delays, CSI error) so runs that differ only in downstream choices
     consume identical randomness and stay trial-paired.  For antenna arrays
     the per-subcarrier matrix channel is scalarized with a matched receive/
-    transmit beamformer pair before CSI error is applied.
+    transmit beamformer pair before CSI error is applied: the receive beam w
+    comes from `_receive_beam` (closed form at n_rx = 2, eigh otherwise) and
+    each gain is ||w^H H_k||, which does not depend on the phase of w.  These
+    gains match an SVD beam to about 1e-14 relative; the SISO and (1,1) draw
+    is bit for bit the scalar one.
 
     The arithmetic runs over chunks of trials: the tap sum over chunks whose
     gathered phases W[delays] stay within about 8 MiB, the CSI error over
@@ -187,11 +229,15 @@ def draw_channel_batch(
             h[s:e] = H[..., 0, 0]
         else:
             # receive beam: principal left singular vector of the device sum;
-            # transmit beams: matched to w^H H_k, giving |w^H H_k| per device
-            u, _, _ = np.linalg.svd(H.sum(axis=1))
-            w = u[..., 0]
-            projected = np.einsum("tlr,tklrc->tklc", w.conj(), H)
-            h[s:e] = np.linalg.norm(projected, axis=-1)
+            # transmit beams: matched to w^H H_k, giving ||w^H H_k|| per device.
+            # The products take views, never a temporary that NumPy could
+            # reuse as their output, so their bits do not depend on the chunk.
+            w = _receive_beam(H.sum(axis=1)).conj()[:, None, :, :, None]
+            projected = w[..., 0, :] * H[..., 0, :]
+            for r in range(1, n_rx):
+                projected += w[..., r, :] * H[..., r, :]
+            h[s:e] = np.sqrt((projected.real**2 + projected.imag**2).sum(axis=-1))
+        del taps, H  # release this chunk's arrays before the next one allocates
 
     # the disk uniforms: the moduli of the whole batch, then its angles
     radius = params.csi_error_radius
@@ -269,8 +315,7 @@ def matched_beamformers(
         w = np.ones(1, dtype=np.complex128)
         F = np.ones((K, 1), dtype=np.complex128)
         return w, F, h_stack[:, 0, 0]
-    u, _, _ = np.linalg.svd(h_stack.sum(axis=0))
-    w = u[:, 0]
+    w = _receive_beam(h_stack.sum(axis=0))
     projected = h_stack.conj().transpose(0, 2, 1) @ w  # (w^H H_k)^H per device
     norms = np.linalg.norm(projected, axis=1)
     F = np.ones((K, n_tx), dtype=np.complex128) / np.sqrt(n_tx)

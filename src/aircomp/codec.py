@@ -23,7 +23,11 @@ class QuantizerSpec:
 
     The guard term eps > 0 keeps zeta*s_max strictly below 2^(b-1), so every
     admissible input lands on the lattice {-2^(b-1), ..., 2^(b-1)-1}.  eps
-    defaults to 2^(-b-4)*s_max, far below one lattice step.
+    defaults to 2^(-b-4)*s_max, far below one lattice step.  From b = 49 on
+    that default is below half a float64 ulp of s_max, s_max + eps rounds to
+    s_max and zeta*s_max reaches 2^(b-1).  A spec whose zeta*s_max is not
+    below 2^(b-1) is rejected; with the default eps, b <= 48 passes for every
+    s_max whose zeta stays finite.
     """
 
     b: int
@@ -45,6 +49,13 @@ class QuantizerSpec:
             )
         object.__setattr__(self, "eps", float(eps))
         object.__setattr__(self, "zeta", 2.0 ** (self.b - 1) / (self.s_max + eps))
+        if not self.zeta * self.s_max < 2.0 ** (self.b - 1):
+            raise ValueError(
+                f"bit depth {self.b} is too fine for s_max={self.s_max} in float64: "
+                f"zeta*s_max = {self.zeta * self.s_max!r} is not below 2^(b-1), so "
+                "quantize(s_max) would leave the lattice (at the default eps, "
+                "every b >= 49 does)"
+            )
 
     @property
     def lattice_min(self) -> int:
@@ -124,7 +135,9 @@ def decode(r, zeta: float):
     Accepts real-valued per-position estimates (detector outputs) as well as
     exact integer bit-position sums; integer input is reduced in int64 so the
     exact-sum identity holds with no floating-point tolerance.  The last axis
-    is the bit-position axis.
+    is the bit-position axis.  The int64 total is exact up to 2^63, but the
+    division by zeta returns float64, which holds every integer only up to
+    2^53 in magnitude: beyond that the decoded sum is rounded.
     """
     arr = np.asarray(r)
     length = arr.shape[-1]

@@ -95,6 +95,7 @@ class SimConfig:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.s_max > 0:
             raise ValueError("s_max must be > 0")
+        self.quantizer()  # rejects a bit depth too fine for float64 at s_max
         if self.source_std is not None and not self.source_std > 0:
             raise ValueError("source_std must be > 0")
         if self.scheme not in SCHEMES:

@@ -22,8 +22,9 @@ from aircomp.channel import (
 
 def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
     """Reference draw: one tap sum and one beamformer SVD per subcarrier,
-    with the CSI error applied unconditionally.  The chunked draw must
-    reproduce it bit for bit and leave the generator in the same state."""
+    with the CSI error applied unconditionally.  The chunked draw must leave
+    the generator in the same state; it reproduces the SISO draw bit for bit
+    and the MIMO gains to rounding (its receive beam is not an SVD)."""
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
@@ -58,35 +59,71 @@ def test_single_tap_channel_is_flat_across_subcarriers():
     assert np.allclose(h, h[:, :, :1])
 
 
-@pytest.mark.parametrize("radius", [0.0, 0.2])
-@pytest.mark.parametrize("mimo", [MimoParams(1, 1), MimoParams(2, 2)], ids=["siso", "2x2"])
-def test_chunked_draw_is_bit_identical_to_per_subcarrier_oracle(mimo, radius):
+def _draw_with_oracle(mimo, radius):
     params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=radius)
     chunk = channel._GATHER_BYTES // (20 * 4 * 8 * 16)
     n_trials = 2 * chunk + 5  # the last chunk is partial
     fast = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
     slow = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
-    h, h_est = draw_channel_batch(params, n_trials, fast, mimo)
-    h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(params, n_trials, slow, mimo)
-    assert _same_bits(h, h_ref)
-    assert _same_bits(h_est, h_est_ref)
+    drawn = draw_channel_batch(params, n_trials, fast, mimo)
+    oracle = _draw_channel_batch_per_subcarrier(params, n_trials, slow, mimo)
     # the stream after the draw is untouched, so noise drawn next is too
     assert _same_bits(fast.standard_normal(64), slow.standard_normal(64))
+    return drawn, oracle
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.2])
+@pytest.mark.parametrize("mimo", [MimoParams(1, 1)], ids=["siso"])
+def test_chunked_draw_is_bit_identical_to_per_subcarrier_oracle(mimo, radius):
+    (h, h_est), (h_ref, h_est_ref) = _draw_with_oracle(mimo, radius)
+    assert _same_bits(h, h_ref)
+    assert _same_bits(h_est, h_est_ref)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "mimo",
+    [MimoParams(n_tx=2, n_rx=2), MimoParams(n_tx=3, n_rx=2), MimoParams(n_tx=2, n_rx=3)],
+    ids=["2x2", "2x3", "3x2"],  # n_rx x n_tx: closed-form beam, closed form, eigh
+)
+def test_mimo_draw_matches_the_svd_oracle(mimo, radius):
+    (h, h_est), (h_ref, h_est_ref) = _draw_with_oracle(mimo, radius)
+    np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(h_est, h_est_ref, rtol=1e-12, atol=0)
+
+
+def _draw_and_next(params, n_trials, mimo):
+    rng = np.random.default_rng(8)
+    h, h_est = draw_channel_batch(params, n_trials, rng, mimo)
+    return h, h_est, rng.integers(1 << 62)
 
 
 @pytest.mark.parametrize("budget", [1, 3000])
 def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
     # budget 1 gives one trial per chunk, 3000 bytes two trials (1200 B each)
+    # of the small network; the large one draws 700 trials in a single chunk
+    # at the default budget, enough for the closed-form beam's (T, L, n_tx)
+    # temporaries to cross NumPy's 256 KiB reuse threshold
+    small = ChannelParams(num_devices=3, num_subcarriers=5, num_taps=5)
+    large = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
+    eigh, closed_form = MimoParams(n_tx=2, n_rx=3), MimoParams(n_tx=3, n_rx=2)
+    cases = [(small, 11, eigh), (small, 11, closed_form), (large, 700, closed_form)]
+    whole = [_draw_and_next(p, n, mimo) for p, n, mimo in cases]
     monkeypatch.setattr(channel, "_GATHER_BYTES", budget)
-    params = ChannelParams(num_devices=3, num_subcarriers=5, num_taps=5)
-    for mimo in (MimoParams(1, 1), MimoParams(2, 3)):
-        fast = np.random.default_rng(8)
-        slow = np.random.default_rng(8)
-        h, h_est = draw_channel_batch(params, 11, fast, mimo)
-        h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(params, 11, slow, mimo)
+    fast = np.random.default_rng(8)
+    slow = np.random.default_rng(8)
+    h, h_est = draw_channel_batch(small, 11, fast)
+    h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(small, 11, slow)
+    assert _same_bits(h, h_ref)
+    assert _same_bits(h_est, h_est_ref)
+    assert fast.integers(1 << 62) == slow.integers(1 << 62)
+    # MIMO against the same draw in one chunk: its beam is no SVD, so the
+    # oracle above matches it only to rounding
+    for (p, n, mimo), (h_ref, h_est_ref, next_ref) in zip(cases, whole):
+        h, h_est, next_value = _draw_and_next(p, n, mimo)
         assert _same_bits(h, h_ref)
         assert _same_bits(h_est, h_est_ref)
-        assert fast.integers(1 << 62) == slow.integers(1 << 62)
+        assert next_value == next_ref
 
 
 @pytest.mark.parametrize("n_trials", [1, 50, 1000])
@@ -219,6 +256,71 @@ def test_matched_beamformers_beat_random_beams():
             f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             f = f / np.linalg.norm(f)
             assert abs(scalarize_mimo(stack[k], w, f)) <= matched + 1e-12
+
+
+def _top_singular_value(S):
+    return np.linalg.svd(S, compute_uv=False)[..., 0]
+
+
+def _beam_gain(w, S):
+    return np.linalg.norm(np.einsum("...r,...rc->...c", w.conj(), S), axis=-1)
+
+
+@pytest.mark.parametrize("n_tx", [1, 2, 3])
+@pytest.mark.parametrize("n_rx", [1, 2, 3])
+def test_receive_beam_is_the_principal_singular_vector(n_rx, n_tx):
+    rng = np.random.default_rng(10 * n_rx + n_tx)
+    S = rng.standard_normal((200, n_rx, n_tx)) + 1j * rng.standard_normal((200, n_rx, n_tx))
+    w = channel._receive_beam(S)
+    assert w.shape == (200, n_rx)
+    np.testing.assert_allclose(np.linalg.norm(w, axis=-1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_beam_gain(w, S), _top_singular_value(S), rtol=1e-12, atol=0)
+
+
+class _FixedTaps:
+    """Generator stand-in for draw_channel_batch: every tap matrix is S,
+    every delay 0 and every uniform 0."""
+
+    def __init__(self, S):
+        self.parts = [S.real, S.imag]
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(self.parts.pop(0), shape).copy()
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        np.zeros((2, 2)),
+        2.5 * np.eye(2),
+        np.outer([1.0, 2.0 - 1j], [0.5j, 1.0]),  # rank one
+        np.diag([1.0, 1j]),  # p = q, r = 0 without being c I
+        np.array([[1.0, 1.0], [1j, -1j]]),  # p = q, r = 0, no zero entry
+        np.zeros((3, 2)),
+        2.5 * np.eye(3),
+        np.outer([1.0, 0.0, 1j], [1.0, 1.0]),
+    ],
+    ids=["zero", "cI", "rank1", "diag", "orthogonal_rows", "zero_3x2", "cI_3x3", "rank1_3x2"],
+)
+def test_receive_beam_handles_degenerate_matrices(S):
+    S = S.astype(np.complex128)
+    w = channel._receive_beam(S)
+    assert np.all(np.isfinite(w))
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+    sigma = _top_singular_value(S)
+    assert _beam_gain(w, S) == pytest.approx(sigma, rel=1e-12, abs=1e-12)
+    # two devices with one tap each, both equal to S: every gain is sigma / sqrt(2)
+    n_rx, n_tx = S.shape
+    params = ChannelParams(num_devices=2, num_subcarriers=4, num_taps=1)
+    h, _ = draw_channel_batch(params, 3, _FixedTaps(S), MimoParams(n_tx=n_tx, n_rx=n_rx))
+    assert not np.any(np.isnan(h))
+    np.testing.assert_allclose(h, sigma / np.sqrt(2), rtol=1e-12, atol=1e-12)
 
 
 def test_mac_superposition_sums_scaled_symbols():

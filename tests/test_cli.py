@@ -235,6 +235,7 @@ def test_demo_analog_scheme(capsys):
         (["verify", "--quick", "--seed", "-1"], {}, "seed must be >= 0"),
         (["demo", "--k", "0"], {}, "num_devices must be >= 1"),
         (["demo", "--snr-db", "nan"], {}, "snr_db_grid"),
+        (["demo", "--b", "49"], {}, "bit depth 49 is too fine"),
     ],
 )
 def test_bad_input_is_one_error_line_and_status_1(argv, env, expected, tmp_path, monkeypatch, capsys):

@@ -26,6 +26,19 @@ def test_default_eps_keeps_peak_in_range():
     assert quantize(-1.0, spec) == -128
 
 
+@pytest.mark.parametrize("s_max", [1.0, 0.1, 3.0, np.nextafter(2.0, 0.0), 1e300])
+def test_peak_stays_on_the_lattice_at_48_bits(s_max):
+    spec = QuantizerSpec(48, s_max)
+    assert quantize(s_max, spec) == spec.lattice_max
+    assert quantize(-s_max, spec) == spec.lattice_min
+
+
+def test_bit_depth_where_the_guard_rounds_away_is_rejected():
+    # 1 + 2^-53 rounds to 1, so zeta * s_max would be exactly 2^48
+    with pytest.raises(ValueError, match="bit depth 49 is too fine"):
+        QuantizerSpec(49, 1.0)
+
+
 def test_quantize_floors_toward_minus_infinity():
     assert UNIT.zeta == 1.0
     assert quantize(0.0, UNIT) == 0

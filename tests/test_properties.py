@@ -1,0 +1,78 @@
+"""Property tests: the receive beam's optimality and the two's-complement codec.
+
+They need hypothesis, which is not a declared dependency; without it the
+module is skipped.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from aircomp import channel  # noqa: E402
+from aircomp.codec import QuantizerSpec, decode, encode, quantize  # noqa: E402
+
+# zero or a magnitude in [1e-6, 1e6]: wide enough to produce ill-conditioned
+# and rank-deficient matrices, narrow enough that |S|^2 neither under- nor
+# overflows
+_entries = st.one_of(
+    st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6)
+)
+
+
+@st.composite
+def _matrices(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    re = draw(hnp.arrays(np.float64, shape, elements=_entries))
+    im = draw(hnp.arrays(np.float64, shape, elements=_entries))
+    return re + 1j * im
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_receive_beam_attains_the_top_singular_value(S):
+    w = channel._receive_beam(S)
+    assert np.all(np.isfinite(w))
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+    gain = np.linalg.norm(w.conj() @ S)
+    sigma = np.linalg.svd(S, compute_uv=False)[0]
+    assert gain == pytest.approx(sigma, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def _lattice_words(draw, max_bits, max_count):
+    b = draw(st.integers(1, max_bits))
+    lo, hi = -(2 ** (b - 1)), 2 ** (b - 1) - 1
+    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=max_count))
+    return b, np.array(values, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_words(max_bits=53, max_count=8))
+def test_encode_decode_round_trip(word):
+    # float decode holds every integer up to 2^53, so 53-bit values come back exactly
+    b, values = word
+    bits = encode(values, b)
+    assert bits.shape == values.shape + (b,)
+    assert np.all((bits == 0) | (bits == 1))
+    assert np.array_equal(decode(bits, 1.0), values.astype(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_words(max_bits=48, max_count=32))
+def test_summed_codewords_decode_to_the_sum(word):
+    # |sum| <= 32 * 2^47 = 2^52: exact in int64 and in the float64 result
+    b, values = word
+    bit_sums = encode(values, b).sum(axis=0)
+    assert decode(bit_sums, 1.0) == float(values.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 48), st.floats(1e-100, 1e100))
+def test_peak_lands_on_the_lattice_up_to_48_bits(b, s_max):
+    spec = QuantizerSpec(b, s_max)
+    assert quantize(s_max, spec) == spec.lattice_max
+    assert quantize(-s_max, spec) == spec.lattice_min

@@ -352,6 +352,7 @@ def test_budget_helpers():
         {"analog_threshold": -1.0},
         {"source_std": 0.0},
         {"seed": -1},
+        {"bit_depth": 49, "num_subcarriers": 49},  # s_max + eps rounds to s_max
     ],
 )
 def test_config_validation_rejects_bad_values(kwargs):
@@ -360,9 +361,10 @@ def test_config_validation_rejects_bad_values(kwargs):
 
 
 def test_config_accepts_the_largest_exact_bit_depth():
-    # 8 * 2^60 = 2^63: every int64 decoder sum still fits
-    SimConfig(num_devices=8, bit_depth=60, num_subcarriers=60)
-    SimConfig(num_devices=1, bit_depth=63, num_subcarriers=63)
+    # from 49 bits on the quantizer's guard term rounds away (QuantizerSpec);
+    # 2^15 * 2^48 = 2^63: every int64 decoder sum still fits
+    SimConfig(num_devices=2**15, bit_depth=48, num_subcarriers=48)
+    SimConfig(num_devices=1, bit_depth=48, num_subcarriers=48, s_max=1e-3)
 
 
 def test_config_normalizes_grid_to_floats():
