@@ -38,6 +38,7 @@ from .selection import (
     optimal_scaling,
 )
 from .simulator import (
+    SharedSweeps,
     SimConfig,
     SweepPoint,
     SweepResult,
@@ -71,6 +72,7 @@ __all__ = [
     "QuantizerSpec",
     "SelectionInstance",
     "SelectionResult",
+    "SharedSweeps",
     "SimConfig",
     "SubcarrierPlan",
     "SweepPoint",

@@ -28,6 +28,7 @@ from .channel import ChannelParams, draw_channel, draw_channel_batch
 from .selection import SelectionInstance, brute_force_select, greedy_select
 from .simulator import (
     SCHEMES,
+    SharedSweeps,
     SimConfig,
     run_trial,
     sweep,
@@ -422,7 +423,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out or _env_str("OUT") or spec.out or "."
     verbose = args.verbose or spec.verbose
 
-    multiple = len(spec.experiments) > 1
+    # apply and validate every section's overrides before the first sweep,
+    # so a bad override ends the command before any CSV is written
+    configs: dict[str, SimConfig] = {}
     for name, config in spec.experiments.items():
         updates: dict = {}
         if seed is not None:
@@ -436,6 +439,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 config = dataclasses.replace(config, **updates)
             except ValueError as exc:
                 raise ConfigError(f"[{name}] {exc}") from None
+        configs[name] = config
+
+    shared = SharedSweeps(configs.values())
+    multiple = len(configs) > 1
+    for name, config in configs.items():
         print(
             f"[{name}] scheme={config.scheme} detector={config.detector} "
             f"power_mode={config.power_mode} trials={config.trials} "
@@ -446,7 +454,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             progress = lambda pt: print(  # noqa: E731
                 f"    snr {pt.snr_db:+6.1f} dB done in {pt.runtime:.1f}s"
             )
-        result = sweep(config, progress=progress)
+        result = sweep(config, progress=progress, shared=shared)
         for pt in result.points:
             print(
                 f"  snr {pt.snr_db:+7.1f} dB   nmse {pt.nmse:.6e}   "

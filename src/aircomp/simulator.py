@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -412,79 +412,193 @@ def nmse(records: Iterable[TrialRecord]) -> float:
     return sum(r.squared_error_total for r in records) / den
 
 
+def _draw_key(config: SimConfig) -> tuple:
+    """Every field that changes what a batch draws.  Configs with equal keys
+    draw identical sources, channels and noise at each (grid index, batch);
+    the SNR is not part of it, because the draw never reads the noise power."""
+    std = config.effective_source_std if config.source == "gaussian" else None
+    return (
+        config.seed,
+        config.trials,
+        config.num_devices,
+        config.num_subcarriers,
+        config.num_taps,
+        config.source,
+        config.s_max,
+        std,
+        config.csi_error_radius,
+        config.n_tx,
+        config.n_rx,
+    )
+
+
+def _batches(config: SimConfig, grid_index: int):
+    """Yield (sources, h, h_est, noise) for each batch of one grid point.
+
+    Batch j uses the stream seeded by (seed, grid_index, j) and draws, in
+    this order, the sources, the channel taps and delays with their CSI
+    perturbations, and the receiver noise.  The arrays are read-only, so a
+    pipeline evaluated on them cannot change what the next one reads.
+    """
+    L = config.num_subcarriers
+    sigma2 = config.sigma2(config.snr_db_grid[grid_index])
+    params = config.channel_params(noise_power=sigma2)
+    mimo = config.mimo()
+    for batch_index, done in enumerate(range(0, config.trials, BATCH)):
+        n = min(BATCH, config.trials - done)
+        rng = np.random.default_rng(
+            np.random.SeedSequence((config.seed, grid_index, batch_index))
+        )
+        sources = _draw_sources(config, n, rng)
+        h, h_est = draw_channel_batch(params, n, rng, mimo=mimo)
+        noise = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
+        for array in (sources, h, h_est, noise):
+            array.flags.writeable = False
+        yield sources, h, h_est, noise
+
+
+@dataclass
+class _Tally:
+    """Running sums of one config's grid point over its batches."""
+
+    total: float = 0.0
+    total_sq: float = 0.0
+    quant: float = 0.0
+    tx: float = 0.0
+    s2: float = 0.0
+    n: float = 0.0
+    p: float = 0.0
+    busy: float = 0.0  # seconds spent in this config's own pipeline
+
+    def add(self, out: dict) -> None:
+        sq = (out["s_hat"] - out["s_true"]) ** 2
+        self.total += sq.sum()
+        self.total_sq += (sq**2).sum()
+        self.quant += ((out["s_quant"] - out["s_true"]) ** 2).sum()
+        self.tx += ((out["s_hat"] - out["s_quant"]) ** 2).sum()
+        self.s2 += (out["s_true"] ** 2).sum()
+        self.n += out["n_active"].sum()
+        self.p += out["p"].sum()
+
+    def point(self, config: SimConfig, snr_db: float, runtime: float) -> SweepPoint:
+        T = config.trials
+        mean_sq = self.total / T
+        var_sq = max(self.total_sq / T - mean_sq**2, 0.0)
+        return SweepPoint(
+            scheme=config.scheme,
+            snr_db=snr_db,
+            nmse=self.total / self.s2,
+            stderr=math.sqrt(var_sq / T) / (self.s2 / T),
+            mean_active=self.n / (T * config.num_subcarriers),
+            mean_p=self.p / (T * config.num_subcarriers),
+            trials=T,
+            seed=config.seed,
+            runtime=runtime,
+            mse_total=mean_sq,
+            mse_quantization=self.quant / T,
+            mse_transmission=self.tx / T,
+        )
+
+
+def _sweep_group(
+    configs: list[SimConfig], progress: Callable[[SweepPoint], None] | None
+) -> list[SweepResult]:
+    """Sweep configs of one draw key, drawing each batch once for all.
+
+    Grid point i is evaluated for every config whose grid has an entry i, one
+    batch at a time: the batch is drawn, then each config's pipeline runs on
+    it.  A point's runtime is the config's own pipeline time plus an equal
+    share of the draw time, so the runtimes of one grid index add up to its
+    wall time.  progress receives configs[0]'s points as they finish.
+    """
+    specs = [c.quantizer() for c in configs]
+    budgets = [c.budgets() for c in configs]
+    points: list[list[SweepPoint]] = [[] for _ in configs]
+    for i in range(max(len(c.snr_db_grid) for c in configs)):
+        members = [m for m, c in enumerate(configs) if i < len(c.snr_db_grid)]
+        sigma2 = {m: configs[m].sigma2(configs[m].snr_db_grid[i]) for m in members}
+        tallies = {m: _Tally() for m in members}
+        t0 = time.perf_counter()
+        for batch in _batches(configs[members[0]], i):
+            for m in members:
+                t = time.perf_counter()
+                # unnamed, the output is freed before the next pipeline or
+                # draw allocates; holding it raised peak memory
+                tallies[m].add(
+                    _simulate(configs[m], specs[m], budgets[m], *batch, sigma2[m])
+                )
+                tallies[m].busy += time.perf_counter() - t
+        busy = sum(tally.busy for tally in tallies.values())
+        draw_share = (time.perf_counter() - t0 - busy) / len(members)
+        for m in members:
+            config = configs[m]
+            point = tallies[m].point(
+                config, config.snr_db_grid[i], tallies[m].busy + draw_share
+            )
+            points[m].append(point)
+            if m == 0 and progress is not None:
+                progress(point)
+    return [SweepResult(config=c, points=p) for c, p in zip(configs, points)]
+
+
+class SharedSweeps:
+    """Sweeps of several configs that draw each batch once per draw key.
+
+    Configs with equal draw keys (``_draw_key``) form a group.  The first
+    ``sweep(config, shared=self)`` of a group evaluates every member on one
+    draw per (seed, grid index, batch) and keeps the other members' results
+    for their own calls; each result's CSV matches a separate sweep byte for
+    byte.  One batch is held at a time, so memory does not grow with the
+    number of configs.
+    """
+
+    def __init__(self, configs: Iterable[SimConfig]):
+        self._groups: dict[tuple, list[SimConfig]] = {}
+        for config in configs:
+            group = self._groups.setdefault(_draw_key(config), [])
+            if config not in group:
+                group.append(config)
+        self._results: dict[SimConfig, SweepResult] = {}
+
+    def _sweep(
+        self, config: SimConfig, progress: Callable[[SweepPoint], None] | None
+    ) -> SweepResult:
+        if config in self._results:
+            result = self._results[config]
+            if progress is not None:
+                for point in result.points:
+                    progress(point)
+            return result
+        group = self._groups.get(_draw_key(config), [])
+        if config not in group:
+            raise ValueError("config is not one of the configs of this SharedSweeps")
+        members = [config] + [c for c in group if c != config]
+        self._results.update(zip(members, _sweep_group(members, progress)))
+        return self._results[config]
+
+
 def sweep(
-    config: SimConfig, progress: Callable[[SweepPoint], None] | None = None
+    config: SimConfig,
+    progress: Callable[[SweepPoint], None] | None = None,
+    shared: SharedSweeps | None = None,
 ) -> SweepResult:
     """Monte Carlo NMSE-versus-SNR sweep with fresh channels every trial.
 
     Randomness: batch j of grid point i uses the stream seeded by the tuple
     (seed, i, j), and every batch draws sources, channel taps/delays, CSI
-    perturbations, and receiver noise in a fixed order with fixed shapes.
-    Two configs sharing (seed, grid, trials) therefore see identical draws
-    wherever their pipelines coincide, which makes scheme and detector
-    comparisons trial-paired.  The reported stderr is the standard error of
-    the mean squared error divided by the mean squared true sum (the
-    denominator's own fluctuation is second-order and ignored).
+    perturbations, and receiver noise in a fixed order with fixed shapes
+    (see ``_batches``).  Two configs with the same draw key therefore see
+    identical draws wherever their pipelines coincide, which makes scheme
+    and detector comparisons trial-paired; passing ``shared`` evaluates the
+    configs of one ``SharedSweeps`` on a single draw per batch, with the
+    same results.  progress is called with each point in grid order.  The
+    reported stderr is the standard error of the mean squared error divided
+    by the mean squared true sum (the denominator's own fluctuation is
+    second-order and ignored).
     """
-    spec = config.quantizer()
-    budgets = config.budgets()
-    points: list[SweepPoint] = []
-    for i, snr_db in enumerate(config.snr_db_grid):
-        t0 = time.perf_counter()
-        sigma2 = config.sigma2(snr_db)
-        params = config.channel_params(noise_power=sigma2)
-        mimo = config.mimo()
-        sum_total = 0.0
-        sum_total_sq = 0.0
-        sum_quant = 0.0
-        sum_tx = 0.0
-        sum_s2 = 0.0
-        sum_n = 0.0
-        sum_p = 0.0
-        done = 0
-        batch_index = 0
-        while done < config.trials:
-            n = min(BATCH, config.trials - done)
-            rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, i, batch_index))
-            )
-            sources = _draw_sources(config, n, rng)
-            h, h_est = draw_channel_batch(params, n, rng, mimo=mimo)
-            noise = rng.standard_normal((n, config.num_subcarriers)) + (
-                1j * rng.standard_normal((n, config.num_subcarriers))
-            )
-            out = _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2)
-            sq = (out["s_hat"] - out["s_true"]) ** 2
-            sum_total += sq.sum()
-            sum_total_sq += (sq**2).sum()
-            sum_quant += ((out["s_quant"] - out["s_true"]) ** 2).sum()
-            sum_tx += ((out["s_hat"] - out["s_quant"]) ** 2).sum()
-            sum_s2 += (out["s_true"] ** 2).sum()
-            sum_n += out["n_active"].sum()
-            sum_p += out["p"].sum()
-            done += n
-            batch_index += 1
-        T = config.trials
-        mean_sq = sum_total / T
-        var_sq = max(sum_total_sq / T - mean_sq**2, 0.0)
-        point = SweepPoint(
-            scheme=config.scheme,
-            snr_db=snr_db,
-            nmse=sum_total / sum_s2,
-            stderr=math.sqrt(var_sq / T) / (sum_s2 / T),
-            mean_active=sum_n / (T * config.num_subcarriers),
-            mean_p=sum_p / (T * config.num_subcarriers),
-            trials=T,
-            seed=config.seed,
-            runtime=time.perf_counter() - t0,
-            mse_total=mean_sq,
-            mse_quantization=sum_quant / T,
-            mse_transmission=sum_tx / T,
-        )
-        points.append(point)
-        if progress is not None:
-            progress(point)
-    return SweepResult(config=config, points=points)
+    if shared is None:
+        shared = SharedSweeps([config])
+    return shared._sweep(config, progress)
 
 
 CSV_COLUMNS = (
@@ -633,24 +747,9 @@ def subcarrier_error_correlation(
     spec = config.quantizer()
     budgets = config.budgets()
     sigma2 = config.sigma2(snr_db)
-    params = config.channel_params(noise_power=sigma2)
-    mimo = config.mimo()
     chunks = []
-    done = 0
-    batch_index = 0
-    while done < trials:
-        n = min(BATCH, trials - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence((config.seed, 0, batch_index))
-        )
-        sources = _draw_sources(config, n, rng)
-        h, h_est = draw_channel_batch(params, n, rng, mimo=mimo)
-        noise = rng.standard_normal((n, config.num_subcarriers)) + (
-            1j * rng.standard_normal((n, config.num_subcarriers))
-        )
-        out = _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2)
+    for batch in _batches(replace(config, trials=trials), 0):
+        out = _simulate(config, spec, budgets, *batch, sigma2)
         chunks.append(out["estimates"] - out["bit_sums"])
-        done += n
-        batch_index += 1
     errors = np.concatenate(chunks, axis=0)
     return np.corrcoef(errors, rowvar=False)

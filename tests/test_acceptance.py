@@ -24,6 +24,7 @@ from aircomp.cli import (
 )
 from aircomp.codec import QuantizerSpec, encode, quantize
 from aircomp.simulator import (
+    SharedSweeps,
     SimConfig,
     quantization_nmse_floor,
     sweep,
@@ -45,27 +46,23 @@ def record(criterion: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def reference_sweeps():
     """The four reference sweeps shared by criterion 5 (seed 1, 100k trials
-    per grid point)."""
+    per grid point), evaluated on one shared draw per batch."""
     t0 = time.perf_counter()
-    results = {
-        "uniform_lmmse": sweep(SimConfig(trials=TRIALS, snr_db_grid=EXTENDED_GRID)),
-        "uniform_ml": sweep(
-            SimConfig(trials=TRIALS, snr_db_grid=GRID, detector="ml")
+    configs = {
+        "uniform_lmmse": SimConfig(trials=TRIALS, snr_db_grid=EXTENDED_GRID),
+        "uniform_ml": SimConfig(trials=TRIALS, snr_db_grid=GRID, detector="ml"),
+        "geometric": SimConfig(
+            trials=TRIALS, snr_db_grid=GRID, power_mode="geometric", varpi=2.0
         ),
-        "geometric": sweep(
-            SimConfig(
-                trials=TRIALS, snr_db_grid=GRID, power_mode="geometric", varpi=2.0
-            )
-        ),
-        "analog": sweep(
-            SimConfig(
-                trials=TRIALS,
-                snr_db_grid=GRID,
-                scheme="analog",
-                analog_threshold=0.02,
-            )
+        "analog": SimConfig(
+            trials=TRIALS,
+            snr_db_grid=GRID,
+            scheme="analog",
+            analog_threshold=0.02,
         ),
     }
+    shared = SharedSweeps(configs.values())
+    results = {name: sweep(c, shared=shared) for name, c in configs.items()}
     return results, time.perf_counter() - t0
 
 

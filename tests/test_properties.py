@@ -1,4 +1,5 @@
-"""Property tests: the receive beam's optimality and the two's-complement codec.
+"""Property tests: the receive beam's optimality, the two's-complement codec
+and the config text round trip.
 
 They need hypothesis, which is not a declared dependency; without it the
 module is skipped.
@@ -13,7 +14,15 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from aircomp import channel  # noqa: E402
+from aircomp.cli import ExperimentSpec, parse_config, serialize_config  # noqa: E402
 from aircomp.codec import QuantizerSpec, decode, encode, quantize  # noqa: E402
+from aircomp.simulator import (  # noqa: E402
+    DETECTORS,
+    POWER_MODES,
+    SCHEMES,
+    SOURCES,
+    SimConfig,
+)
 
 # zero or a magnitude in [1e-6, 1e6]: wide enough to produce ill-conditioned
 # and rank-deficient matrices, narrow enough that |S|^2 neither under- nor
@@ -76,3 +85,55 @@ def test_peak_lands_on_the_lattice_up_to_48_bits(b, s_max):
     spec = QuantizerSpec(b, s_max)
     assert quantize(s_max, spec) == spec.lattice_max
     assert quantize(-s_max, spec) == spec.lattice_min
+
+
+_names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda name: name != "global"
+)
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sim_configs(draw):
+    scheme = draw(st.sampled_from(SCHEMES))
+    bit_depth = draw(st.integers(1, 16))
+    power_mode = "uniform" if scheme == "analog" else draw(st.sampled_from(POWER_MODES))
+    fields = dict(
+        num_devices=draw(st.integers(1, 64)),
+        bit_depth=bit_depth,
+        num_subcarriers=draw(st.integers(1, 16)) if scheme == "analog" else bit_depth,
+        num_taps=draw(st.integers(1, 8)),
+        source=draw(st.sampled_from(SOURCES)),
+        s_max=draw(st.floats(1e-3, 1e3, **_finite)),
+        source_std=draw(st.none() | st.floats(1e-3, 1e3, **_finite)),
+        clamp=draw(st.none() | st.booleans()),
+        scheme=scheme,
+        power_mode=power_mode,
+        varpi=1.0 if power_mode == "uniform" else draw(st.floats(1.0, 10.0, **_finite)),
+        detector="ml" if scheme == "binary_ml" else draw(st.sampled_from(DETECTORS)),
+        snr_db_grid=tuple(
+            draw(st.lists(st.floats(-60.0, 90.0, **_finite), min_size=1, max_size=8))
+        ),
+        trials=draw(st.integers(1, 10**7)),
+        csi_error_radius=draw(st.floats(0.0, 0.99, **_finite)),
+        p_max=draw(st.floats(1e-3, 1e3, **_finite)),
+        seed=draw(st.integers(0, 2**63)),
+        n_tx=draw(st.integers(1, 4)),
+        n_rx=draw(st.integers(1, 4)),
+        analog_threshold=draw(st.floats(0.0, 10.0, **_finite)),
+        reallocate=draw(st.booleans()),
+        round_estimates=draw(st.booleans()),
+        allow_empty=draw(st.booleans()),
+    )
+    return SimConfig(**fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    experiments=st.dictionaries(_names, _sim_configs(), min_size=1, max_size=3),
+    out=st.none() | st.from_regex(r"[a-z0-9_./-]{1,12}", fullmatch=True),
+    verbose=st.booleans(),
+)
+def test_config_text_round_trips(experiments, out, verbose):
+    spec = ExperimentSpec(experiments=experiments, out=out, verbose=verbose)
+    assert parse_config(serialize_config(spec)) == spec

@@ -2,13 +2,26 @@
 
 import json
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from aircomp.channel import ChannelParams, NetworkRealization, draw_channel
+from aircomp import simulator
+from aircomp.channel import (
+    ChannelParams,
+    NetworkRealization,
+    draw_channel,
+    draw_channel_batch,
+)
 from aircomp.simulator import (
+    BATCH,
+    SharedSweeps,
     SimConfig,
+    _batches,
+    _draw_sources,
+    _simulate,
     nmse,
     quantization_nmse_floor,
     run_analog_baseline,
@@ -303,6 +316,144 @@ def test_subcarrier_error_correlation_shape():
         subcarrier_error_correlation(
             SimConfig(scheme="analog", trials=1), snr_db=10.0, trials=100
         )
+
+
+def _correlation_oracle(config, snr_db, trials):
+    """The batch loop subcarrier_error_correlation ran before it consumed the
+    sweep's shared batch generator; kept as its bit-for-bit reference."""
+    spec = config.quantizer()
+    budgets = config.budgets()
+    sigma2 = config.sigma2(snr_db)
+    params = config.channel_params(noise_power=sigma2)
+    mimo = config.mimo()
+    chunks = []
+    done = 0
+    batch_index = 0
+    while done < trials:
+        n = min(BATCH, trials - done)
+        rng = np.random.default_rng(
+            np.random.SeedSequence((config.seed, 0, batch_index))
+        )
+        sources = _draw_sources(config, n, rng)
+        h, h_est = draw_channel_batch(params, n, rng, mimo=mimo)
+        noise = rng.standard_normal((n, config.num_subcarriers)) + (
+            1j * rng.standard_normal((n, config.num_subcarriers))
+        )
+        out = _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2)
+        chunks.append(out["estimates"] - out["bit_sums"])
+        done += n
+        batch_index += 1
+    return np.corrcoef(np.concatenate(chunks, axis=0), rowvar=False)
+
+
+@pytest.mark.parametrize(
+    "config, trials",
+    [
+        (SimConfig(trials=1, seed=4), 2_000),
+        (SimConfig(num_devices=5, trials=1, csi_error_radius=0.2), BATCH + 8),
+        (SimConfig(num_devices=5, trials=1, scheme="binary_ml", detector="ml"), 300),
+    ],
+)
+def test_subcarrier_error_correlation_matches_its_former_loop(config, trials):
+    corr = subcarrier_error_correlation(config, snr_db=5.0, trials=trials)
+    expected = _correlation_oracle(config, 5.0, trials)
+    assert corr.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+def _mixed_configs() -> dict[str, SimConfig]:
+    """Four draw keys: 1x1 uniform configs at 3000 trials (one partial
+    batch, grids of unequal length), a 2x2 config and a CSI-error config
+    that must not join them, and gaussian configs with CSI error at 8193
+    trials (two batches)."""
+    one = dict(seed=3, trials=3_000)
+    two = dict(seed=3, trials=BATCH + 1, source="gaussian", csi_error_radius=0.2)
+    return {
+        "lmmse": SimConfig(**one, snr_db_grid=(-5.0, 10.0, 55.0, 60.0)),
+        "ml": SimConfig(**one, snr_db_grid=(-5.0, 10.0), detector="ml"),
+        "analog": SimConfig(
+            **one, snr_db_grid=(-5.0, 10.0), scheme="analog", analog_threshold=0.02
+        ),
+        "binary_ml": SimConfig(
+            **one, snr_db_grid=(0.0,), scheme="binary_ml", detector="ml"
+        ),
+        "sparse": SimConfig(
+            **one, snr_db_grid=(0.0, 10.0), reallocate=True, allow_empty=True
+        ),
+        "mimo": SimConfig(**one, snr_db_grid=(-5.0, 10.0), n_tx=2, n_rx=2),
+        "csi": SimConfig(**one, snr_db_grid=(0.0,), csi_error_radius=0.2),
+        "gauss": SimConfig(**two, snr_db_grid=(0.0, 20.0), reallocate=True),
+        "gauss_geometric": SimConfig(
+            **two, snr_db_grid=(0.0, 20.0, 40.0), power_mode="geometric", varpi=2.0
+        ),
+    }
+
+
+def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch):
+    configs = _mixed_configs()
+    for name, config in configs.items():
+        sweep_to_csv(sweep(config), tmp_path / f"{name}-alone.csv")
+
+    draws = Counter()
+
+    def counted(params, n, rng, mimo=None):
+        stream = rng.bit_generator.seed_seq.entropy
+        draws[(stream, n, mimo.n_tx, mimo.n_rx, params.csi_error_radius)] += 1
+        return draw_channel_batch(params, n, rng, mimo=mimo)
+
+    monkeypatch.setattr(simulator, "draw_channel_batch", counted)
+    shared = SharedSweeps(configs.values())
+    seen = {}
+    # reversed, so a group's first call is not always for its first member
+    for name in reversed(configs):
+        seen[name] = []
+        result = sweep(configs[name], progress=seen[name].append, shared=shared)
+        sweep_to_csv(result, tmp_path / f"{name}-shared.csv")
+
+    for name, config in configs.items():
+        alone = (tmp_path / f"{name}-alone.csv").read_bytes()
+        assert (tmp_path / f"{name}-shared.csv").read_bytes() == alone, name
+        assert [pt.snr_db for pt in seen[name]] == list(config.snr_db_grid)
+        assert all(pt.runtime > 0.0 for pt in seen[name])
+
+    # every draw key draws each (grid index, batch) exactly once
+    expected = Counter(
+        [((3, i, 0), 3_000, 1, 1, 0.0) for i in range(4)]
+        + [((3, i, 0), 3_000, 2, 2, 0.0) for i in range(2)]
+        + [((3, 0, 0), 3_000, 1, 1, 0.2)]
+        + [((3, i, j), n, 1, 1, 0.2) for i in range(3) for j, n in ((0, BATCH), (1, 1))]
+    )
+    assert draws == expected
+
+
+def test_shared_runtimes_add_up_to_the_group_wall_time():
+    configs = list(_mixed_configs().values())[:3]
+    shared = SharedSweeps(configs)
+    t0 = time.perf_counter()
+    results = [sweep(c, shared=shared) for c in configs]
+    wall = time.perf_counter() - t0
+    runtimes = [pt.runtime for r in results for pt in r.points]
+    assert all(t > 0.0 for t in runtimes)
+    # the first call ran the whole group; the others only returned results
+    assert 0.8 * wall < sum(runtimes) <= wall
+
+
+def test_shared_batches_are_read_only():
+    for radius in (0.0, 0.2):
+        config = SimConfig(trials=BATCH + 3, snr_db_grid=(0.0,), csi_error_radius=radius)
+        sizes = []
+        for batch in _batches(config, 0):
+            for array in batch:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+            sizes.append(len(batch[0]))
+        assert sizes == [BATCH, 3]
+
+
+def test_shared_sweeps_reject_a_config_they_were_not_given():
+    shared = SharedSweeps([SimConfig(trials=10, snr_db_grid=(0.0,))])
+    with pytest.raises(ValueError, match="not one of the configs"):
+        sweep(SimConfig(trials=10, snr_db_grid=(5.0,)), shared=shared)
 
 
 def test_sigma2_follows_snr_definition():
