@@ -415,7 +415,7 @@ def nmse(records: Iterable[TrialRecord]) -> float:
 def _draw_key(config: SimConfig) -> tuple:
     """Every field that changes what a batch draws.  Configs with equal keys
     draw identical sources, channels and noise at each (grid index, batch);
-    the SNR is not part of it, because the draw never reads the noise power."""
+    the SNR is not part of it (see ``_batches``)."""
     std = config.effective_source_std if config.source == "gaussian" else None
     return (
         config.seed,
@@ -441,8 +441,9 @@ def _batches(config: SimConfig, grid_index: int):
     pipeline evaluated on them cannot change what the next one reads.
     """
     L = config.num_subcarriers
-    sigma2 = config.sigma2(config.snr_db_grid[grid_index])
-    params = config.channel_params(noise_power=sigma2)
+    # draw_channel_batch never reads noise_power, so 1.0 stands in for every
+    # SNR; the noise is drawn at unit power and each pipeline scales it
+    params = config.channel_params(noise_power=1.0)
     mimo = config.mimo()
     for batch_index, done in enumerate(range(0, config.trials, BATCH)):
         n = min(BATCH, config.trials - done)
