@@ -525,14 +525,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
             print(
                 f"{l + 1:<12d} {budgets[l]:<10.4g} {int(record.active_counts[l]):<8d} "
                 f"{record.scalings[l]:<10.4g} {record.bit_sums[l]:<8.0f} "
-                f"{record.received[l].real:<9.4f} {record.estimates[l]:.4f}"
+                f"{record.received[l]:<9.4f} {record.estimates[l]:.4f}"
             )
     else:
         print("subcarrier   active   p          re_y      estimate")
         for l in range(config.num_subcarriers):
             print(
                 f"{l + 1:<12d} {int(record.active_counts[l]):<8d} "
-                f"{record.scalings[l]:<10.4g} {record.received[l].real:<9.4f} "
+                f"{record.scalings[l]:<10.4g} {record.received[l]:<9.4f} "
                 f"{record.estimates[l]:.4f}"
             )
     print(f"decoded sum:   {record.s_hat:.6f}")

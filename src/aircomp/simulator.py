@@ -21,10 +21,21 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import codec
-from .channel import ChannelParams, MimoParams, NetworkRealization, draw_channel_batch
+from .channel import (
+    ChannelParams,
+    MimoParams,
+    NetworkRealization,
+    _spans,
+    draw_channel_batch,
+)
 from .codec import QuantizerSpec
 from .selection import greedy_select_batch
-from .transceiver import allocate_power, ml_lattice_estimate, reallocate_power
+from .transceiver import (
+    allocate_power,
+    lmmse_coefficients,
+    ml_lattice_estimate,
+    reallocate_power,
+)
 
 # Trials per vectorized batch; also the RNG sub-stream granularity, so two
 # runs agree trial-for-trial only when they share the same batch layout.
@@ -196,7 +207,7 @@ class TrialRecord:
     scalings: np.ndarray  # (L,) common received power p per subcarrier
     bit_sums: np.ndarray  # (L,) true bit-position sums (NaN for analog)
     estimates: np.ndarray  # (L,) detector outputs (analog: per-subcarrier sums)
-    received: np.ndarray  # (L,) complex channel outputs
+    received: np.ndarray  # (L,) real part of the channel outputs, Re{y}
     active: np.ndarray  # (K, L) transmission mask
     squared_error_total: float
     squared_error_quantization: float
@@ -226,8 +237,8 @@ class SweepResult:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    # re^2 + im^2 rather than abs()**2: with perfect CSI the inversion ratio
-    # h*conj(h)/|h|^2 then divides a float by itself and is exactly 1.0
+    # re^2 + im^2, not abs()**2, which rounds differently: the selection gains
+    # and the inversion divisor, and so every sweep CSV, carry these bits
     return np.square(z.real) + np.square(z.imag)
 
 
@@ -237,109 +248,123 @@ def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.nda
     return config.effective_source_std * rng.standard_normal((n, config.num_devices))
 
 
-def _inversion_coefficients(h, h_est, active, p) -> np.ndarray:
-    """Per-device received coefficients sqrt(p) * h / h_est on active entries.
+# Byte budget for one chunk of h in _simulate.  The chunks depend on K and L
+# only and hold at least half of it (channel._spans), or the whole batch when
+# it is small.  Once the temporary conj(h_est) holds 256 KiB, NumPy may reuse
+# it as the output of h * conj(h_est), which swaps the operands of the complex
+# kernel.  With NumPy 2.4 on AVX-512 that moves only the imaginary part, which
+# _received_sum drops (one-trial chunks give the same bits); chunks of 512 KiB
+# or more take the whole batch's path on a build where the real part moves too.
+_CHUNK_BYTES = 1 << 20
 
-    The transmitter inverts its estimated channel; the true channel multiplies
-    on the air, leaving sqrt(p) * h / h_est at the receiver (exactly sqrt(p)
-    under perfect CSI, where the numerator h * conj(h_est) is the divisor
-    |h_est|^2 with zero imaginary part).
+
+def _received_sum(h, h_est, a2, active, p, weights) -> np.ndarray:
+    """Re{sum_k sqrt(p) (h_k / h_est_k) weights_k} over the active devices.
+
+    Each active device inverts its estimated channel and sends its weight
+    (a BPSK symbol or an analog amplitude); the air applies the true channel.
+    Only the real part is formed, rounded as NumPy's complex arithmetic
+    rounds it: Re{h conj(h_est)} from the complex product, times 1 / a2, as
+    complex division by a real divisor a2 = |h_est|^2 rounds.  Under perfect
+    CSI the ratio is 1 only to within about 2e-16, not exactly: where the
+    complex product fuses a multiply-add (NumPy 2.4 on AVX-512 does), it
+    rounds differently from a2, and it leaves an imaginary part of order
+    1e-17, which the receiver never reads.
     """
-    a2 = _abs2(h_est)
-    ratio = np.zeros_like(h)
-    np.divide(h * np.conj(h_est), a2, out=ratio, where=active & (a2 > 0))
-    return np.sqrt(p)[:, None, :] * ratio
-
-
-def _coded_batch(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
-    """Vectorized coded pipeline over a batch (leading axis = trials)."""
-    K = config.num_devices
-    L = config.num_subcarriers
-    v = codec.quantize(sources, spec, clamp=config.effective_clamp)
-    if config.scheme == "binary_ml":
-        bits = codec.encode_offset_binary(v, L)
-    else:
-        bits = codec.encode(v, L)
-
-    gains = _abs2(h_est) * budgets
-    n_act, p, active = greedy_select_batch(gains, sigma2, config.allow_empty)
-    if config.reallocate:
-        per_device = reallocate_power(budgets, active)
-        regained = np.where(active, _abs2(h_est) * per_device, np.inf).min(axis=1)
-        p = np.where(n_act > 0, regained, 0.0)
-
-    amp = _inversion_coefficients(h, h_est, active, p)
-    symbols = 2 * bits - 1
-    y = (amp * symbols).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
-
-    n_f = n_act.astype(np.float64)
-    if config.detector == "ml":
-        r_hat = ml_lattice_estimate(y.real, p, n_act) + (K - n_f) / 2.0
-    else:
-        denom = 2.0 * p * n_f + sigma2
-        lam = np.zeros_like(denom)
-        np.divide(np.sqrt(p) * n_f, denom, out=lam, where=denom > 0)
-        r_hat = lam * y.real + K / 2.0
-    if config.round_estimates:
-        r_hat = np.clip(np.rint(r_hat), 0.0, float(K))
-
-    if config.scheme == "binary_ml":
-        s_hat = codec.decode_offset_binary(r_hat, spec.zeta, K)
-    else:
-        s_hat = codec.decode(r_hat, spec.zeta)
-
-    return {
-        "s_true": sources.sum(axis=1),
-        "s_quant": v.sum(axis=1) / spec.zeta,
-        "s_hat": s_hat,
-        "lattice": v,
-        "n_active": n_act,
-        "p": p,
-        "bit_sums": bits.sum(axis=1).astype(np.float64),
-        "estimates": r_hat,
-        "received": y,
-        "active": active,
-    }
-
-
-def _analog_batch(config, sources, h, h_est, noise, sigma2) -> dict:
-    """Analog baseline: every device repeats its amplitude-scaled value on
-    all subcarriers, inverting its channel when the estimated gain clears the
-    activation threshold; the receiver averages the per-subcarrier sums.
-    Silent devices are compensated by the symmetric-source mean, zero."""
-    L = config.num_subcarriers
-    budget = config.p_max / L
-    a2 = _abs2(h_est)
-    active = a2 >= config.analog_threshold
-    p = np.where(active, a2 * budget, np.inf).min(axis=1)
-    p = np.where(np.isfinite(p), p, 0.0)
-
-    amp = _inversion_coefficients(h, h_est, active, p)
-    u = sources / config.s_max
-    y = (amp * u[:, :, None]).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
-
-    scaled = np.zeros_like(p)
-    np.divide(y.real, np.sqrt(p), out=scaled, where=p > 0)
-    estimates = config.s_max * scaled
-    s_true = sources.sum(axis=1)
-    return {
-        "s_true": s_true,
-        "s_quant": s_true.copy(),  # no quantization stage
-        "s_hat": estimates.mean(axis=1),
-        "lattice": None,
-        "n_active": active.sum(axis=1),
-        "p": p,
-        "bit_sums": np.full(p.shape, np.nan),
-        "estimates": estimates,
-        "received": y,
-        "active": active,
-    }
+    live = active & (a2 > 0)
+    # silent entries give 0.0 * (1.0 / inf) = +0.0, the zero of the complex path
+    inverse = 1.0 / np.where(live, a2, np.inf)
+    ratio = np.where(live, (h * np.conj(h_est)).real, 0.0) * inverse
+    return (np.sqrt(p)[:, None, :] * ratio * weights).sum(axis=1)
 
 
 def _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
-    if config.scheme == "analog":
-        return _analog_batch(config, sources, h, h_est, noise, sigma2)
-    return _coded_batch(config, spec, budgets, sources, h, h_est, noise, sigma2)
+    """One config's pipeline on a batch (leading axis = trials).
+
+    Coded schemes quantize and encode each device's value, select the active
+    devices per subcarrier and detect every bit-position sum; the analog
+    baseline repeats the amplitude-scaled value on all subcarriers, with
+    every device whose estimated gain clears the threshold inverting its
+    channel, and averages the per-subcarrier sums (silent devices are
+    compensated by the symmetric-source mean, zero).  The (T, K, L) steps run
+    over chunks of trials of about 1 MiB of h and write their per-trial
+    results into whole-batch arrays; detection and decoding then run once on
+    the batch, so every result is that of a whole-batch evaluation.
+    """
+    T, K, L = h.shape
+    coded = config.scheme in CODED_SCHEMES
+    if coded:
+        v = codec.quantize(sources, spec, clamp=config.effective_clamp)
+        binary = config.scheme == "binary_ml"
+        encode = codec.encode_offset_binary if binary else codec.encode
+        bit_sums = np.empty((T, L))
+    else:
+        u = sources / config.s_max
+        budget = config.p_max / L
+    n_act = np.empty((T, L), dtype=np.intp)
+    p = np.empty((T, L))
+    received = np.empty((T, L))
+    active = np.empty((T, K, L), dtype=bool)
+    noise_scale = np.sqrt(sigma2 / 2.0)
+    for s, e in _spans(T, max(1, _CHUNK_BYTES // (K * L * h.itemsize))):
+        a2 = _abs2(h_est[s:e])
+        if coded:
+            bits = encode(v[s:e], L)
+            bit_sums[s:e] = bits.sum(axis=1)
+            n, pc, act = greedy_select_batch(a2 * budgets, sigma2, config.allow_empty)
+            if config.reallocate:
+                per_device = reallocate_power(budgets, act)
+                regained = np.where(act, a2 * per_device, np.inf).min(axis=1)
+                pc = np.where(n > 0, regained, 0.0)
+            weights = 2 * bits - 1
+        else:
+            act = a2 >= config.analog_threshold
+            n = act.sum(axis=1)
+            pc = np.where(act, a2 * budget, np.inf).min(axis=1)
+            pc = np.where(np.isfinite(pc), pc, 0.0)
+            weights = u[s:e, :, None]
+        n_act[s:e], p[s:e], active[s:e] = n, pc, act
+        received[s:e] = _received_sum(h[s:e], h_est[s:e], a2, act, pc, weights)
+        received[s:e] += noise_scale * noise[s:e].real
+
+    s_true = sources.sum(axis=1)
+    out = {
+        "s_true": s_true,
+        "n_active": n_act,
+        "p": p,
+        "received": received,
+        "active": active,
+    }
+    if not coded:
+        scaled = np.zeros_like(p)
+        np.divide(received, np.sqrt(p), out=scaled, where=p > 0)
+        estimates = config.s_max * scaled
+        return out | {
+            "s_quant": s_true.copy(),  # no quantization stage
+            "s_hat": estimates.mean(axis=1),
+            "lattice": None,
+            "bit_sums": np.full(p.shape, np.nan),
+            "estimates": estimates,
+        }
+    if config.detector == "ml":
+        silent = K - n_act.astype(np.float64)  # prior mean 1/2 per silent device
+        r_hat = ml_lattice_estimate(received, p, n_act) + silent / 2.0
+    else:
+        lam, mu = lmmse_coefficients(p, n_act, K, sigma2)
+        r_hat = lam * received + mu
+    if config.round_estimates:
+        r_hat = np.clip(np.rint(r_hat), 0.0, float(K))
+    if binary:
+        s_hat = codec.decode_offset_binary(r_hat, spec.zeta, K)
+    else:
+        s_hat = codec.decode(r_hat, spec.zeta)
+    return out | {
+        "s_quant": v.sum(axis=1) / spec.zeta,
+        "s_hat": s_hat,
+        "lattice": v,
+        "bit_sums": bit_sums,
+        "estimates": r_hat,
+    }
 
 
 def run_trial(

@@ -1,5 +1,6 @@
-"""Property tests: the receive beam's optimality, the two's-complement codec
-and the config text round trip.
+"""Property tests: the receive beam's optimality, the two's-complement codec,
+batch device selection against subset enumeration and the config text round
+trip.
 
 They need hypothesis, which is not a declared dependency; without it the
 module is skipped.
@@ -16,6 +17,11 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from aircomp import channel  # noqa: E402
 from aircomp.cli import ExperimentSpec, parse_config, serialize_config  # noqa: E402
 from aircomp.codec import QuantizerSpec, decode, encode, quantize  # noqa: E402
+from aircomp.selection import (  # noqa: E402
+    SelectionInstance,
+    brute_force_select,
+    greedy_select_batch,
+)
 from aircomp.simulator import (  # noqa: E402
     DETECTORS,
     POWER_MODES,
@@ -85,6 +91,35 @@ def test_peak_lands_on_the_lattice_up_to_48_bits(b, s_max):
     spec = QuantizerSpec(b, s_max)
     assert quantize(s_max, spec) == spec.lattice_max
     assert quantize(-s_max, spec) == spec.lattice_min
+
+
+@st.composite
+def _gain_batches(draw):
+    # gains on a grid of multiples of a power of two: ties are frequent, and
+    # distinct (p, n) pairs differ in MSE by far more than rounding, so the
+    # oracle's exact tie rule applies
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 3)))
+    steps = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 6)))
+    return steps * 2.0 ** draw(st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gain_batches(), st.integers(-4, 4), st.booleans())
+def test_batch_selection_matches_subset_enumeration(gains, noise_exp, allow_empty):
+    # the oracle keeps the smallest optimal set, then the lowest indices;
+    # allow_empty silences a subcarrier whose best MSE is no better than K/4
+    noise_power = 2.0**noise_exp
+    n, p, active = greedy_select_batch(gains, noise_power, allow_empty)
+    T, K, L = gains.shape
+    for t in range(T):
+        for l in range(L):
+            best = brute_force_select(SelectionInstance(gains[t, :, l], noise_power))
+            if allow_empty and best.mse >= K / 4.0:
+                assert (n[t, l], p[t, l]) == (0, 0.0)
+                assert not active[t, :, l].any()
+            else:
+                assert np.flatnonzero(active[t, :, l]).tolist() == best.active.tolist()
+                assert (n[t, l], p[t, l]) == (best.active.size, best.p)
 
 
 _names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(

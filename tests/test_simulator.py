@@ -3,12 +3,14 @@
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aircomp import simulator
+from aircomp import codec, simulator
 from aircomp.channel import (
     ChannelParams,
     NetworkRealization,
@@ -19,7 +21,9 @@ from aircomp.simulator import (
     BATCH,
     SharedSweeps,
     SimConfig,
+    _abs2,
     _batches,
+    _draw_key,
     _draw_sources,
     _simulate,
     nmse,
@@ -30,6 +34,8 @@ from aircomp.simulator import (
     sweep,
     sweep_to_csv,
 )
+from aircomp.selection import greedy_select_batch
+from aircomp.transceiver import ml_lattice_estimate, reallocate_power
 
 K, L = 20, 8
 
@@ -358,6 +364,187 @@ def test_subcarrier_error_correlation_matches_its_former_loop(config, trials):
     corr = subcarrier_error_correlation(config, snr_db=5.0, trials=trials)
     expected = _correlation_oracle(config, 5.0, trials)
     assert corr.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+def _inversion_coefficients_oracle(h, h_est, active, p):
+    a2 = _abs2(h_est)
+    ratio = np.zeros_like(h)
+    np.divide(h * np.conj(h_est), a2, out=ratio, where=active & (a2 > 0))
+    return np.sqrt(p)[:, None, :] * ratio
+
+
+def _coded_batch_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2):
+    K = config.num_devices
+    L = config.num_subcarriers
+    v = codec.quantize(sources, spec, clamp=config.effective_clamp)
+    if config.scheme == "binary_ml":
+        bits = codec.encode_offset_binary(v, L)
+    else:
+        bits = codec.encode(v, L)
+
+    gains = _abs2(h_est) * budgets
+    n_act, p, active = greedy_select_batch(gains, sigma2, config.allow_empty)
+    if config.reallocate:
+        per_device = reallocate_power(budgets, active)
+        regained = np.where(active, _abs2(h_est) * per_device, np.inf).min(axis=1)
+        p = np.where(n_act > 0, regained, 0.0)
+
+    amp = _inversion_coefficients_oracle(h, h_est, active, p)
+    symbols = 2 * bits - 1
+    y = (amp * symbols).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
+
+    n_f = n_act.astype(np.float64)
+    if config.detector == "ml":
+        r_hat = ml_lattice_estimate(y.real, p, n_act) + (K - n_f) / 2.0
+    else:
+        denom = 2.0 * p * n_f + sigma2
+        lam = np.zeros_like(denom)
+        np.divide(np.sqrt(p) * n_f, denom, out=lam, where=denom > 0)
+        r_hat = lam * y.real + K / 2.0
+    if config.round_estimates:
+        r_hat = np.clip(np.rint(r_hat), 0.0, float(K))
+
+    if config.scheme == "binary_ml":
+        s_hat = codec.decode_offset_binary(r_hat, spec.zeta, K)
+    else:
+        s_hat = codec.decode(r_hat, spec.zeta)
+
+    return {
+        "s_true": sources.sum(axis=1),
+        "s_quant": v.sum(axis=1) / spec.zeta,
+        "s_hat": s_hat,
+        "lattice": v,
+        "n_active": n_act,
+        "p": p,
+        "bit_sums": bits.sum(axis=1).astype(np.float64),
+        "estimates": r_hat,
+        "received": y,
+        "active": active,
+    }
+
+
+def _analog_batch_oracle(config, sources, h, h_est, noise, sigma2):
+    L = config.num_subcarriers
+    budget = config.p_max / L
+    a2 = _abs2(h_est)
+    active = a2 >= config.analog_threshold
+    p = np.where(active, a2 * budget, np.inf).min(axis=1)
+    p = np.where(np.isfinite(p), p, 0.0)
+
+    amp = _inversion_coefficients_oracle(h, h_est, active, p)
+    u = sources / config.s_max
+    y = (amp * u[:, :, None]).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
+
+    scaled = np.zeros_like(p)
+    np.divide(y.real, np.sqrt(p), out=scaled, where=p > 0)
+    estimates = config.s_max * scaled
+    s_true = sources.sum(axis=1)
+    return {
+        "s_true": s_true,
+        "s_quant": s_true.copy(),
+        "s_hat": estimates.mean(axis=1),
+        "lattice": None,
+        "n_active": active.sum(axis=1),
+        "p": p,
+        "bit_sums": np.full(p.shape, np.nan),
+        "estimates": estimates,
+        "received": y,
+        "active": active,
+    }
+
+
+def _simulate_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2):
+    """The whole-batch complex pipeline _simulate replaced: it formed the
+    full complex superposition over (T, K, L) arrays.  _simulate must return
+    the same bits, with Re{y} as its received output."""
+    if config.scheme == "analog":
+        return _analog_batch_oracle(config, sources, h, h_est, noise, sigma2)
+    return _coded_batch_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2)
+
+
+def _oracle_configs() -> list[SimConfig]:
+    """Every scheme and receiver option; four draw keys."""
+    return [
+        SimConfig(),
+        SimConfig(detector="ml"),
+        SimConfig(scheme="binary_ml", detector="ml"),
+        SimConfig(scheme="analog", analog_threshold=0.02),
+        SimConfig(power_mode="geometric", varpi=2.0),
+        SimConfig(reallocate=True, allow_empty=True),
+        SimConfig(round_estimates=True),
+        SimConfig(csi_error_radius=0.2),
+        SimConfig(source="gaussian", reallocate=True),
+        SimConfig(n_tx=2, n_rx=2),
+    ]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_matches_oracle(configs, trials):
+    """_simulate against the oracle on every batch of each draw key, at a
+    low SNR (where allow_empty silences subcarriers), a high one and without
+    noise."""
+    groups: dict[tuple, list[SimConfig]] = {}
+    for config in configs:
+        groups.setdefault(_draw_key(replace(config, trials=trials)), []).append(config)
+    for members in groups.values():
+        for batch in _batches(replace(members[0], trials=trials), 0):
+            for config in members:
+                spec, budgets = config.quantizer(), config.budgets()
+                for sigma2 in (config.sigma2(-10.0), config.sigma2(20.0), 0.0):
+                    out = _simulate(config, spec, budgets, *batch, sigma2)
+                    ref = _simulate_oracle(config, spec, budgets, *batch, sigma2)
+                    where = (config, trials, sigma2)
+                    for key in ("s_true", "s_quant", "s_hat", "estimates", "p"):
+                        assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
+                    for key in ("n_active", "bit_sums"):
+                        assert out[key].dtype == ref[key].dtype, where
+                        assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
+                    assert np.array_equal(out["active"], ref["active"]), where
+                    assert out["received"].dtype == np.float64, where
+                    received = _bits(ref["received"].real)
+                    assert np.array_equal(_bits(out["received"]), received), where
+                    if ref["lattice"] is None:
+                        assert out["lattice"] is None
+                    else:
+                        assert np.array_equal(out["lattice"], ref["lattice"]), where
+
+
+# trials per chunk of _simulate at the default 20 devices and 8 subcarriers
+CHUNK = simulator._CHUNK_BYTES // (K * L * 16)
+
+
+@pytest.mark.parametrize(
+    "trials", [1, 300, CHUNK, 2 * CHUNK - 1, 2 * CHUNK + 1, 3_000, BATCH + 1]
+)
+def test_simulate_is_bit_identical_to_the_whole_batch_oracle(trials):
+    _assert_matches_oracle(_oracle_configs(), trials)
+
+
+def test_simulate_matches_the_oracle_at_100_devices():
+    configs = [
+        SimConfig(num_devices=100, csi_error_radius=0.2, reallocate=True, allow_empty=True),
+        SimConfig(num_devices=100, scheme="analog"),
+    ]
+    assert simulator._CHUNK_BYTES // (100 * L * 16) == 81
+    _assert_matches_oracle(configs, 300)  # chunks of 81, 81 and 138 trials
+
+
+def test_simulate_peak_memory_is_a_fraction_of_the_channel():
+    config = SimConfig(
+        num_devices=100, trials=BATCH, csi_error_radius=0.2, reallocate=True, allow_empty=True
+    )
+    sources, h, h_est, noise = next(_batches(config, 0))
+    spec, budgets, sigma2 = config.quantizer(), config.budgets(), config.sigma2(0.0)
+    tracemalloc.start()
+    try:
+        _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * h.nbytes
 
 
 def _mixed_configs() -> dict[str, SimConfig]:
