@@ -13,7 +13,6 @@ from .channel import (
     NetworkRealization,
     draw_channel,
     draw_channel_batch,
-    dump_realization,
     exponential_tap_profile,
     mac_superpose,
     matched_beamformers,
@@ -45,7 +44,6 @@ from .simulator import (
     TrialRecord,
     nmse,
     quantization_nmse_floor,
-    run_analog_baseline,
     run_trial,
     subcarrier_error_correlation,
     sweep,
@@ -84,7 +82,6 @@ __all__ = [
     "decode_offset_binary",
     "draw_channel",
     "draw_channel_batch",
-    "dump_realization",
     "encode",
     "encode_offset_binary",
     "exponential_tap_profile",
@@ -104,7 +101,6 @@ __all__ = [
     "quantization_nmse_floor",
     "quantize",
     "reallocate_power",
-    "run_analog_baseline",
     "run_trial",
     "scalarize_mimo",
     "subcarrier_error_correlation",

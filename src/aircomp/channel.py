@@ -323,20 +323,3 @@ def matched_beamformers(
     F[nz] = projected[nz] / norms[nz, None]
     h_eff = np.einsum("r,krc,kc->k", w.conj(), h_stack, F)
     return w, F, h_eff
-
-
-def dump_realization(realization: NetworkRealization) -> str:
-    """Structured text dump (device x subcarrier complex values) for regression
-    comparisons across implementations."""
-    lines = [
-        f"# devices={realization.num_devices} "
-        f"subcarriers={realization.num_subcarriers} "
-        f"noise_power={realization.noise_power!r}",
-        "# k l h_re h_im h_est_re h_est_im",
-    ]
-    for k in range(realization.num_devices):
-        for l in range(realization.num_subcarriers):
-            h = realization.h[k, l]
-            g = realization.h_est[k, l]
-            lines.append(f"{k} {l} {h.real!r} {h.imag!r} {g.real!r} {g.imag!r}")
-    return "\n".join(lines) + "\n"

@@ -248,7 +248,7 @@ def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.nda
     return config.effective_source_std * rng.standard_normal((n, config.num_devices))
 
 
-# Byte budget for one chunk of h in _simulate.  The chunks depend on K and L
+# Byte budget for one chunk of h in _front.  The chunks depend on K and L
 # only and hold at least half of it (channel._spans), or the whole batch when
 # it is small.  Once the temporary conj(h_est) holds 256 KiB, NumPy may reuse
 # it as the output of h * conj(h_est), which swaps the operands of the complex
@@ -275,29 +275,42 @@ def _received_sum(h, h_est, a2, active, p, weights) -> np.ndarray:
     # silent entries give 0.0 * (1.0 / inf) = +0.0, the zero of the complex path
     inverse = 1.0 / np.where(live, a2, np.inf)
     ratio = np.where(live, (h * np.conj(h_est)).real, 0.0) * inverse
-    return (np.sqrt(p)[:, None, :] * ratio * weights).sum(axis=1)
+    terms = np.sqrt(p)[:, None, :] * ratio * weights
+    # a (K, chunk, L) copy adds the devices in the same order as axis=1 does,
+    # so every bit holds, but in runs of chunk * L elements instead of L
+    return np.ascontiguousarray(terms.transpose(1, 0, 2)).sum(axis=0)
 
 
-def _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
-    """One config's pipeline on a batch (leading axis = trials).
+def _front_key(config: SimConfig, sigma2: float) -> tuple:
+    """Every field that changes a front end (``_front``) on a given draw:
+    members of a draw group with equal keys at a grid index form the same
+    Re{y} and differ at most in their back ends (``_back``).  The budgets
+    depend on p_max, varpi and num_subcarriers only, and a coded bit depth
+    equals num_subcarriers, which the draw key holds."""
+    if config.scheme == "analog":
+        return (config.scheme, config.p_max, sigma2, config.analog_threshold)
+    options = (config.effective_clamp, config.allow_empty, config.reallocate)
+    return (config.scheme, config.p_max, config.varpi, sigma2, options)
 
-    Coded schemes quantize and encode each device's value, select the active
-    devices per subcarrier and detect every bit-position sum; the analog
-    baseline repeats the amplitude-scaled value on all subcarriers, with
-    every device whose estimated gain clears the threshold inverting its
-    channel, and averages the per-subcarrier sums (silent devices are
-    compensated by the symmetric-source mean, zero).  The (T, K, L) steps run
-    over chunks of trials of about 1 MiB of h and write their per-trial
-    results into whole-batch arrays; detection and decoding then run once on
-    the batch, so every result is that of a whole-batch evaluation.
+
+def _front(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
+    """One config's physical layer on a batch (leading axis = trials).
+
+    Coded schemes quantize and encode each device's value and select the
+    active devices per subcarrier; the analog baseline repeats the
+    amplitude-scaled value on all subcarriers, with every device whose
+    estimated gain clears the threshold inverting its channel.  The (T, K, L)
+    steps run over chunks of trials of about 1 MiB of h and write their
+    per-trial results, up to the received sum Re{y}, into whole-batch arrays,
+    so every result is that of a whole-batch evaluation.
     """
     T, K, L = h.shape
     coded = config.scheme in CODED_SCHEMES
+    bit_sums = np.full((T, L), np.nan)  # NaN for analog: no bit-planes
     if coded:
         v = codec.quantize(sources, spec, clamp=config.effective_clamp)
         binary = config.scheme == "binary_ml"
         encode = codec.encode_offset_binary if binary else codec.encode
-        bit_sums = np.empty((T, L))
     else:
         u = sources / config.s_max
         budget = config.p_max / L
@@ -310,7 +323,7 @@ def _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
         a2 = _abs2(h_est[s:e])
         if coded:
             bits = encode(v[s:e], L)
-            bit_sums[s:e] = bits.sum(axis=1)
+            bit_sums[s:e] = np.einsum("tkl->tl", bits)  # int64: exact in any order
             n, pc, act = greedy_select_batch(a2 * budgets, sigma2, config.allow_empty)
             if config.reallocate:
                 per_device = reallocate_power(budgets, act)
@@ -328,24 +341,30 @@ def _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
         received[s:e] += noise_scale * noise[s:e].real
 
     s_true = sources.sum(axis=1)
-    out = {
+    return {
         "s_true": s_true,
+        "s_quant": v.sum(axis=1) / spec.zeta if coded else s_true.copy(),
+        "lattice": v if coded else None,
+        "bit_sums": bit_sums,
         "n_active": n_act,
         "p": p,
         "received": received,
         "active": active,
     }
-    if not coded:
+
+
+def _back(config, spec, front, sigma2) -> dict:
+    """Detection and decoding of a front end's Re{y}: the config's detector,
+    round_estimates and decoder.  The analog baseline averages the
+    per-subcarrier sums (silent devices are compensated by the
+    symmetric-source mean, zero).  Reads the front end without changing it."""
+    K = config.num_devices
+    p, n_act, received = front["p"], front["n_active"], front["received"]
+    if config.scheme == "analog":
         scaled = np.zeros_like(p)
         np.divide(received, np.sqrt(p), out=scaled, where=p > 0)
         estimates = config.s_max * scaled
-        return out | {
-            "s_quant": s_true.copy(),  # no quantization stage
-            "s_hat": estimates.mean(axis=1),
-            "lattice": None,
-            "bit_sums": np.full(p.shape, np.nan),
-            "estimates": estimates,
-        }
+        return front | {"s_hat": estimates.mean(axis=1), "estimates": estimates}
     if config.detector == "ml":
         silent = K - n_act.astype(np.float64)  # prior mean 1/2 per silent device
         r_hat = ml_lattice_estimate(received, p, n_act) + silent / 2.0
@@ -354,17 +373,17 @@ def _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
         r_hat = lam * received + mu
     if config.round_estimates:
         r_hat = np.clip(np.rint(r_hat), 0.0, float(K))
-    if binary:
+    if config.scheme == "binary_ml":
         s_hat = codec.decode_offset_binary(r_hat, spec.zeta, K)
     else:
         s_hat = codec.decode(r_hat, spec.zeta)
-    return out | {
-        "s_quant": v.sum(axis=1) / spec.zeta,
-        "s_hat": s_hat,
-        "lattice": v,
-        "bit_sums": bit_sums,
-        "estimates": r_hat,
-    }
+    return front | {"s_hat": s_hat, "estimates": r_hat}
+
+
+def _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
+    """One config's whole pipeline on a batch: its back end on its front end."""
+    front = _front(config, spec, budgets, sources, h, h_est, noise, sigma2)
+    return _back(config, spec, front, sigma2)
 
 
 def run_trial(
@@ -415,15 +434,6 @@ def run_trial(
         squared_error_quantization=(s_quant - s_true) ** 2,
         squared_error_transmission=(s_hat - s_quant) ** 2,
     )
-
-
-def run_analog_baseline(
-    config: SimConfig, realization: NetworkRealization, rng: np.random.Generator
-) -> TrialRecord:
-    """Analog-baseline counterpart of run_trial (requires scheme = analog)."""
-    if config.scheme != "analog":
-        raise ValueError("run_analog_baseline requires scheme = analog")
-    return run_trial(config, realization, rng)
 
 
 def nmse(records: Iterable[TrialRecord]) -> float:
@@ -481,6 +491,7 @@ def _batches(config: SimConfig, grid_index: int):
         for array in (sources, h, h_est, noise):
             array.flags.writeable = False
         yield sources, h, h_est, noise
+        del sources, h, h_est, noise, array  # freed before the next draw allocates
 
 
 @dataclass
@@ -494,7 +505,7 @@ class _Tally:
     s2: float = 0.0
     n: float = 0.0
     p: float = 0.0
-    busy: float = 0.0  # seconds spent in this config's own pipeline
+    busy: float = 0.0  # seconds of this config's back end and front-end share
 
     def add(self, out: dict) -> None:
         sq = (out["s_hat"] - out["s_true"]) ** 2
@@ -532,10 +543,12 @@ def _sweep_group(
     """Sweep configs of one draw key, drawing each batch once for all.
 
     Grid point i is evaluated for every config whose grid has an entry i, one
-    batch at a time: the batch is drawn, then each config's pipeline runs on
-    it.  A point's runtime is the config's own pipeline time plus an equal
-    share of the draw time, so the runtimes of one grid index add up to its
-    wall time.  progress receives configs[0]'s points as they finish.
+    batch at a time: the batch is drawn, then each distinct front end
+    (``_front_key``) runs once on it, feeds the back ends of the configs that
+    share it and is freed.  A point's runtime is the config's back-end time
+    plus equal shares of its front end's time and of the draw time, so the
+    runtimes of one grid index add up to its wall time.  progress receives
+    configs[0]'s points as they finish.
     """
     specs = [c.quantizer() for c in configs]
     budgets = [c.budgets() for c in configs]
@@ -543,17 +556,25 @@ def _sweep_group(
     for i in range(max(len(c.snr_db_grid) for c in configs)):
         members = [m for m, c in enumerate(configs) if i < len(c.snr_db_grid)]
         sigma2 = {m: configs[m].sigma2(configs[m].snr_db_grid[i]) for m in members}
+        sharers: dict[tuple, list[int]] = {}
+        for m in members:
+            sharers.setdefault(_front_key(configs[m], sigma2[m]), []).append(m)
         tallies = {m: _Tally() for m in members}
         t0 = time.perf_counter()
         for batch in _batches(configs[members[0]], i):
-            for m in members:
+            for users in sharers.values():
                 t = time.perf_counter()
-                # unnamed, the output is freed before the next pipeline or
-                # draw allocates; holding it raised peak memory
-                tallies[m].add(
-                    _simulate(configs[m], specs[m], budgets[m], *batch, sigma2[m])
-                )
-                tallies[m].busy += time.perf_counter() - t
+                f = users[0]
+                front = _front(configs[f], specs[f], budgets[f], *batch, sigma2[f])
+                share = (time.perf_counter() - t) / len(users)
+                for m in users:
+                    t = time.perf_counter()
+                    # unnamed, the output is freed before the next pipeline or
+                    # draw allocates; holding it raised peak memory
+                    tallies[m].add(_back(configs[m], specs[m], front, sigma2[m]))
+                    tallies[m].busy += share + time.perf_counter() - t
+                del front  # freed before the next front end or draw allocates
+            del batch  # freed before the next draw allocates
         busy = sum(tally.busy for tally in tallies.values())
         draw_share = (time.perf_counter() - t0 - busy) / len(members)
         for m in members:
@@ -572,10 +593,10 @@ class SharedSweeps:
 
     Configs with equal draw keys (``_draw_key``) form a group.  The first
     ``sweep(config, shared=self)`` of a group evaluates every member on one
-    draw per (seed, grid index, batch) and keeps the other members' results
-    for their own calls; each result's CSV matches a separate sweep byte for
-    byte.  One batch is held at a time, so memory does not grow with the
-    number of configs.
+    draw per (seed, grid index, batch), running each distinct front end
+    (``_front_key``) once per batch, and keeps the other members' results for
+    their own calls; each result's CSV matches a separate sweep byte for byte.
+    One batch and one front end are held at a time, whatever the group size.
     """
 
     def __init__(self, configs: Iterable[SimConfig]):

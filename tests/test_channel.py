@@ -11,7 +11,6 @@ from aircomp.channel import (
     complex_noise,
     draw_channel,
     draw_channel_batch,
-    dump_realization,
     exponential_tap_profile,
     mac_superpose,
     matched_beamformers,
@@ -333,15 +332,6 @@ def test_mac_superposition_sums_scaled_symbols():
     assert noisy != y
     with pytest.raises(ValueError):
         mac_superpose(symbols, weights[:2], 0.0, np.random.default_rng(0))
-
-
-def test_dump_realization_lists_every_entry():
-    params = ChannelParams(num_devices=2, num_subcarriers=3)
-    real = draw_channel(params, seed=1)
-    text = dump_realization(real)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("# devices=2 subcarriers=3")
-    assert len(lines) == 2 + 2 * 3
 
 
 def test_network_realization_validates_shapes():

@@ -25,10 +25,10 @@ from aircomp.simulator import (
     _batches,
     _draw_key,
     _draw_sources,
+    _front_key,
     _simulate,
     nmse,
     quantization_nmse_floor,
-    run_analog_baseline,
     run_trial,
     subcarrier_error_correlation,
     sweep,
@@ -113,19 +113,12 @@ def test_run_trial_validates_realization_shape():
         run_trial(config, unit_gain_realization(num_devices=3), np.random.default_rng(0))
 
 
-def test_run_analog_baseline_requires_analog_scheme():
-    with pytest.raises(ValueError):
-        run_analog_baseline(
-            SimConfig(trials=1), unit_gain_realization(), np.random.default_rng(0)
-        )
-
-
 def test_analog_noiseless_recovery_is_exact():
     config = SimConfig(scheme="analog", analog_threshold=0.0, trials=1)
     params = ChannelParams(num_devices=K, num_subcarriers=L)
     drawn = draw_channel(params, seed=6)
     realization = NetworkRealization(h=drawn.h, h_est=drawn.h_est, noise_power=0.0)
-    record = run_analog_baseline(config, realization, np.random.default_rng(1))
+    record = run_trial(config, realization, np.random.default_rng(1))
     assert record.s_hat == pytest.approx(record.s_true, rel=1e-12)
     assert record.squared_error_quantization == 0.0
     assert record.lattice is None
@@ -134,14 +127,14 @@ def test_analog_noiseless_recovery_is_exact():
 
 def test_analog_with_everyone_silent_estimates_zero():
     config = SimConfig(scheme="analog", analog_threshold=1e12, trials=1)
-    record = run_analog_baseline(
+    record = run_trial(
         config, unit_gain_realization(noise_power=0.1), np.random.default_rng(2)
     )
     assert record.s_hat == 0.0
     assert record.active_counts.tolist() == [0] * L
     # NMSE of the silent estimator is exactly 1
     records = [
-        run_analog_baseline(
+        run_trial(
             config, unit_gain_realization(noise_power=0.1), np.random.default_rng(s)
         )
         for s in range(50)
@@ -167,7 +160,7 @@ def test_analog_noise_variance_matches_closed_form():
         rng = np.random.default_rng(13)
         errs = []
         for _ in range(4000):
-            record = run_analog_baseline(config, realization, rng)
+            record = run_trial(config, realization, rng)
             errs.append(record.s_hat - record.s_true)
         errs = np.array(errs)
         expected = sigma2 / 2.0
@@ -547,30 +540,61 @@ def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     assert peak < 0.5 * h.nbytes
 
 
+def test_a_sweep_holds_one_batch_at_a_time():
+    # a sweep of four full batches over two grid points peaks no higher than
+    # a sweep of one batch: each batch is freed before the next is drawn
+    def peak(trials, grid):
+        config = SimConfig(
+            num_devices=2, trials=trials, snr_db_grid=grid, csi_error_radius=0.2
+        )
+        tracemalloc.start()
+        try:
+            sweep(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batch_bytes = 2 * BATCH * 2 * L * 16  # h and h_est
+    assert peak(2 * BATCH, (0.0, 10.0)) < peak(BATCH, (0.0,)) + batch_bytes / 4
+
+
 def _mixed_configs() -> dict[str, SimConfig]:
     """Four draw keys: 1x1 uniform configs at 3000 trials (one partial
     batch, grids of unequal length), a 2x2 config and a CSI-error config
     that must not join them, and gaussian configs with CSI error at 8193
-    trials (two batches)."""
+    trials (two batches).  "lmmse", "ml" and "rounded" share one front end
+    at grid indices 0 and 1; every other config of a draw key differs from
+    one of its front ends in exactly one field of the front key."""
     one = dict(seed=3, trials=3_000)
     two = dict(seed=3, trials=BATCH + 1, source="gaussian", csi_error_radius=0.2)
+    pair = (-10.0, 10.0)
+    shifted = (0.0, 20.0)  # with p_max = 10, the noise powers of pair
+    analog = dict(scheme="analog", analog_threshold=0.02)
     return {
-        "lmmse": SimConfig(**one, snr_db_grid=(-5.0, 10.0, 55.0, 60.0)),
-        "ml": SimConfig(**one, snr_db_grid=(-5.0, 10.0), detector="ml"),
-        "analog": SimConfig(
-            **one, snr_db_grid=(-5.0, 10.0), scheme="analog", analog_threshold=0.02
-        ),
+        "lmmse": SimConfig(**one, snr_db_grid=(-10.0, 10.0, 55.0, 60.0)),
+        "ml": SimConfig(**one, snr_db_grid=pair, detector="ml"),
+        "rounded": SimConfig(**one, snr_db_grid=pair, round_estimates=True),
         "binary_ml": SimConfig(
-            **one, snr_db_grid=(0.0,), scheme="binary_ml", detector="ml"
+            **one, snr_db_grid=(-10.0,), scheme="binary_ml", detector="ml"
         ),
-        "sparse": SimConfig(
-            **one, snr_db_grid=(0.0, 10.0), reallocate=True, allow_empty=True
+        "empty": SimConfig(**one, snr_db_grid=pair, allow_empty=True),
+        "reallocate": SimConfig(**one, snr_db_grid=pair, reallocate=True),
+        "p_max": SimConfig(**one, snr_db_grid=shifted, p_max=10.0),
+        "snr": SimConfig(**one, snr_db_grid=(-5.0, 0.0)),
+        "analog": SimConfig(**one, **analog, snr_db_grid=pair),
+        "analog_p_max": SimConfig(**one, **analog, snr_db_grid=shifted, p_max=10.0),
+        "analog_snr": SimConfig(**one, **analog, snr_db_grid=(-5.0, 0.0)),
+        "threshold": SimConfig(
+            **one, snr_db_grid=pair, scheme="analog", analog_threshold=0.05
         ),
         "mimo": SimConfig(**one, snr_db_grid=(-5.0, 10.0), n_tx=2, n_rx=2),
         "csi": SimConfig(**one, snr_db_grid=(0.0,), csi_error_radius=0.2),
         "gauss": SimConfig(**two, snr_db_grid=(0.0, 20.0), reallocate=True),
         "gauss_geometric": SimConfig(
             **two, snr_db_grid=(0.0, 20.0, 40.0), power_mode="geometric", varpi=2.0
+        ),
+        "gauss_varpi": SimConfig(
+            **two, snr_db_grid=(0.0, 20.0), power_mode="geometric", varpi=3.0
         ),
     }
 
@@ -581,13 +605,24 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         sweep_to_csv(sweep(config), tmp_path / f"{name}-alone.csv")
 
     draws = Counter()
+    fronts = Counter()  # front ends run per drawn batch
+    front_keys = Counter()
+    drawn = [None]  # the stream and shape of the latest draw
 
     def counted(params, n, rng, mimo=None):
         stream = rng.bit_generator.seed_seq.entropy
-        draws[(stream, n, mimo.n_tx, mimo.n_rx, params.csi_error_radius)] += 1
+        drawn[0] = (stream, n, mimo.n_tx, mimo.n_rx, params.csi_error_radius)
+        draws[drawn[0]] += 1
         return draw_channel_batch(params, n, rng, mimo=mimo)
 
+    def counted_front(config, spec, budgets, sources, h, h_est, noise, sigma2):
+        fronts[drawn[0]] += 1
+        front_keys[drawn[0], _front_key(config, sigma2)] += 1
+        return front(config, spec, budgets, sources, h, h_est, noise, sigma2)
+
+    front = simulator._front
     monkeypatch.setattr(simulator, "draw_channel_batch", counted)
+    monkeypatch.setattr(simulator, "_front", counted_front)
     shared = SharedSweeps(configs.values())
     seen = {}
     # reversed, so a group's first call is not always for its first member
@@ -603,17 +638,41 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         assert all(pt.runtime > 0.0 for pt in seen[name])
 
     # every draw key draws each (grid index, batch) exactly once
-    expected = Counter(
-        [((3, i, 0), 3_000, 1, 1, 0.0) for i in range(4)]
-        + [((3, i, 0), 3_000, 2, 2, 0.0) for i in range(2)]
-        + [((3, 0, 0), 3_000, 1, 1, 0.2)]
-        + [((3, i, j), n, 1, 1, 0.2) for i in range(3) for j, n in ((0, BATCH), (1, 1))]
-    )
-    assert draws == expected
+    one = [((3, i, 0), 3_000, 1, 1, 0.0) for i in range(4)]
+    mimo = [((3, i, 0), 3_000, 2, 2, 0.0) for i in range(2)]
+    csi = [((3, 0, 0), 3_000, 1, 1, 0.2)]
+    two = [[((3, i, 0), BATCH, 1, 1, 0.2), ((3, i, 1), 1, 1, 1, 0.2)] for i in range(3)]
+    assert draws == Counter(one + mimo + csi + two[0] + two[1] + two[2])
+    # and runs each distinct front end once on it: at index 0 of the first
+    # key, lmmse/ml/rounded share one and the other nine configs run their own
+    assert front_keys and set(front_keys.values()) == {1}
+    expected = dict.fromkeys(mimo + csi, 1)
+    expected |= {one[0]: 10, one[1]: 9, one[2]: 1, one[3]: 1}
+    expected |= dict.fromkeys(two[0] + two[1], 3) | dict.fromkeys(two[2], 1)
+    assert fronts == Counter(expected)
 
 
-def test_shared_runtimes_add_up_to_the_group_wall_time():
-    configs = list(_mixed_configs().values())[:3]
+def test_an_unclamped_member_fails_in_a_group_as_it_does_alone():
+    # unclamped gaussian values beyond s_max are rejected by the quantizer;
+    # a clamped member's front end must not stand in for the unclamped one
+    clamped = SimConfig(source="gaussian", trials=2_000, snr_db_grid=(0.0,))
+    unclamped = replace(clamped, clamp=False)
+    with pytest.raises(ValueError, match="s_max"):
+        sweep(unclamped)
+    with pytest.raises(ValueError, match="s_max"):
+        sweep(clamped, shared=SharedSweeps([clamped, unclamped]))
+
+
+def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
+    configs = [_mixed_configs()[name] for name in ("lmmse", "ml", "analog")]
+    front = simulator._front
+    pause = 0.1
+
+    def slow_front(*args):
+        time.sleep(pause)
+        return front(*args)
+
+    monkeypatch.setattr(simulator, "_front", slow_front)
     shared = SharedSweeps(configs)
     t0 = time.perf_counter()
     results = [sweep(c, shared=shared) for c in configs]
@@ -622,6 +681,12 @@ def test_shared_runtimes_add_up_to_the_group_wall_time():
     assert all(t > 0.0 for t in runtimes)
     # the first call ran the whole group; the others only returned results
     assert 0.8 * wall < sum(runtimes) <= wall
+    # lmmse and ml share a front end at indices 0 and 1 and split its time
+    lmmse, ml, analog = (r.points for r in results)
+    for i in range(2):
+        assert lmmse[i].runtime >= pause / 2 and ml[i].runtime >= pause / 2
+        assert analog[i].runtime >= pause
+    assert lmmse[2].runtime >= pause
 
 
 def test_shared_batches_are_read_only():
