@@ -14,9 +14,6 @@ from .channel import (
     draw_channel,
     draw_channel_batch,
     exponential_tap_profile,
-    mac_superpose,
-    matched_beamformers,
-    scalarize_mimo,
 )
 from .codec import (
     QuantizerSpec,
@@ -90,8 +87,6 @@ __all__ = [
     "greedy_select_batch",
     "lmmse_coefficients",
     "lmmse_detect",
-    "mac_superpose",
-    "matched_beamformers",
     "ml_detect",
     "mse_closed_form",
     "nmse",
@@ -102,7 +97,6 @@ __all__ = [
     "quantize",
     "reallocate_power",
     "run_trial",
-    "scalarize_mimo",
     "subcarrier_error_correlation",
     "sweep",
     "sweep_to_csv",

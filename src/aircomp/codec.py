@@ -108,7 +108,7 @@ def encode(v, length: int) -> np.ndarray:
     _check_lattice_range(arr, length)
     unsigned = arr & ((1 << length) - 1)  # two's complement, int64-safe
     bits = (unsigned[..., None] >> np.arange(length)) & 1
-    return bits.astype(np.int64)
+    return bits.astype(np.int64, copy=False)
 
 
 def encode_offset_binary(v, length: int) -> np.ndarray:
@@ -119,7 +119,7 @@ def encode_offset_binary(v, length: int) -> np.ndarray:
     _check_lattice_range(arr, length)
     unsigned = arr + (1 << (length - 1))
     bits = (unsigned[..., None] >> np.arange(length)) & 1
-    return bits.astype(np.int64)
+    return bits.astype(np.int64, copy=False)
 
 
 def _weights(length: int, signed: bool) -> np.ndarray:

@@ -3,27 +3,35 @@
 import numpy as np
 import pytest
 
-from aircomp import channel
+from aircomp import channel, simulator
 from aircomp.channel import (
     ChannelParams,
     MimoParams,
     NetworkRealization,
-    complex_noise,
     draw_channel,
     draw_channel_batch,
     exponential_tap_profile,
-    mac_superpose,
-    matched_beamformers,
-    sample_disk,
-    scalarize_mimo,
 )
 
 
+def _phase_table(num_subcarriers):
+    # W[d, l] = exp(j 2 pi d l / L); delays are integers mod L so this is exhaustive
+    l = np.arange(num_subcarriers)
+    return np.exp(2j * np.pi * np.outer(l, l) / num_subcarriers)
+
+
+def _sample_disk(radius, shape, rng):
+    """Uniform samples on the complex disk of the given radius (|z| < radius):
+    all moduli uniforms, then all angle uniforms, as the draw consumes them."""
+    u = rng.random((2,) + tuple(shape))
+    return channel._disk(radius, u[0], u[1])
+
+
 def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
-    """Reference draw: one tap sum and one beamformer SVD per subcarrier,
-    with the CSI error applied unconditionally.  The chunked draw must leave
-    the generator in the same state; it reproduces the SISO draw bit for bit
-    and the MIMO gains to rounding (its receive beam is not an SVD)."""
+    """Reference draw: a direct sum over the taps and one beamformer SVD per
+    subcarrier, with the CSI error applied unconditionally.  The draw must
+    leave the generator in the same state and match the gains to rounding:
+    it sums the taps by an FFT, and its receive beam is not an SVD."""
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
@@ -32,7 +40,7 @@ def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
     taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
     delays = rng.integers(0, L, size=(n_trials, K, M))
     delays[..., 0] = 0
-    W = channel._phase_table(L)
+    W = _phase_table(L)
     h = np.empty((n_trials, K, L), dtype=np.complex128)
     for l in range(L):
         H_l = np.einsum("tkmrc,tkm->tkrc", taps, W[delays, l])
@@ -43,8 +51,15 @@ def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
             w = u[:, :, 0]
             projected = np.einsum("tr,tkrc->tkc", w.conj(), H_l)
             h[:, :, l] = np.linalg.norm(projected, axis=2)
-    delta = sample_disk(params.csi_error_radius, h.shape, rng)
+    delta = _sample_disk(params.csi_error_radius, h.shape, rng)
     return h, h * (1.0 + delta)
+
+
+def _assert_matches_oracle(drawn, oracle):
+    # h has unit mean power; where the taps of a gain nearly cancel, the two
+    # orders of summation have no relative error bound, hence the atol
+    for a, b in zip(drawn, oracle):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
 
 def _same_bits(a, b):
@@ -60,8 +75,8 @@ def test_single_tap_channel_is_flat_across_subcarriers():
 
 def _draw_with_oracle(mimo, radius):
     params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=radius)
-    chunk = channel._GATHER_BYTES // (20 * 4 * 8 * 16)
-    n_trials = 2 * chunk + 5  # the last chunk is partial
+    chunk = channel._DRAW_BYTES // (mimo.n_rx * mimo.n_tx * 20 * 8 * 16)
+    n_trials = 2 * chunk + 5  # the last chunk holds the remainder
     fast = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
     slow = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
     drawn = draw_channel_batch(params, n_trials, fast, mimo)
@@ -73,10 +88,8 @@ def _draw_with_oracle(mimo, radius):
 
 @pytest.mark.parametrize("radius", [0.0, 0.2])
 @pytest.mark.parametrize("mimo", [MimoParams(1, 1)], ids=["siso"])
-def test_chunked_draw_is_bit_identical_to_per_subcarrier_oracle(mimo, radius):
-    (h, h_est), (h_ref, h_est_ref) = _draw_with_oracle(mimo, radius)
-    assert _same_bits(h, h_ref)
-    assert _same_bits(h_est, h_est_ref)
+def test_siso_draw_matches_the_per_subcarrier_oracle(mimo, radius):
+    _assert_matches_oracle(*_draw_with_oracle(mimo, radius))
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.2])
@@ -86,9 +99,18 @@ def test_chunked_draw_is_bit_identical_to_per_subcarrier_oracle(mimo, radius):
     ids=["2x2", "2x3", "3x2"],  # n_rx x n_tx: closed-form beam, closed form, eigh
 )
 def test_mimo_draw_matches_the_svd_oracle(mimo, radius):
-    (h, h_est), (h_ref, h_est_ref) = _draw_with_oracle(mimo, radius)
-    np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(h_est, h_est_ref, rtol=1e-12, atol=0)
+    _assert_matches_oracle(*_draw_with_oracle(mimo, radius))
+
+
+@pytest.mark.parametrize("mimo", [MimoParams(1, 1), MimoParams(2, 2)], ids=["siso", "2x2"])
+def test_taps_that_share_a_delay_add_together(mimo):
+    # six taps on four subcarriers: every device has taps in a shared bin
+    params = ChannelParams(num_devices=5, num_subcarriers=4, num_taps=6, csi_error_radius=0.1)
+    fast = np.random.default_rng(21)
+    slow = np.random.default_rng(21)
+    drawn = draw_channel_batch(params, 300, fast, mimo)
+    _assert_matches_oracle(drawn, _draw_channel_batch_per_subcarrier(params, 300, slow, mimo))
+    assert _same_bits(fast.standard_normal(64), slow.standard_normal(64))
 
 
 def _draw_and_next(params, n_trials, mimo):
@@ -99,25 +121,19 @@ def _draw_and_next(params, n_trials, mimo):
 
 @pytest.mark.parametrize("budget", [1, 3000])
 def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
-    # budget 1 gives one trial per chunk, 3000 bytes two trials (1200 B each)
-    # of the small network; the large one draws 700 trials in a single chunk
-    # at the default budget, enough for the closed-form beam's (T, L, n_tx)
+    # budget 1 gives one trial per chunk; 3000 bytes give two trials (1440 B
+    # each) of the small MIMO networks, 12 of the small SISO one (one chunk)
+    # and one of the large ones.  The one-chunk draw of the large 3x2 network
+    # holds 700 trials, enough for the closed-form beam's (n_tx, T, L)
     # temporaries to cross NumPy's 256 KiB reuse threshold
     small = ChannelParams(num_devices=3, num_subcarriers=5, num_taps=5)
     large = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
-    eigh, closed_form = MimoParams(n_tx=2, n_rx=3), MimoParams(n_tx=3, n_rx=2)
-    cases = [(small, 11, eigh), (small, 11, closed_form), (large, 700, closed_form)]
+    siso, eigh, closed_form = MimoParams(), MimoParams(n_tx=2, n_rx=3), MimoParams(n_tx=3, n_rx=2)
+    cases = [(small, 11, siso), (small, 11, eigh), (small, 11, closed_form)]
+    cases += [(large, 700, siso), (large, 700, closed_form)]
+    monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 40)
     whole = [_draw_and_next(p, n, mimo) for p, n, mimo in cases]
-    monkeypatch.setattr(channel, "_GATHER_BYTES", budget)
-    fast = np.random.default_rng(8)
-    slow = np.random.default_rng(8)
-    h, h_est = draw_channel_batch(small, 11, fast)
-    h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(small, 11, slow)
-    assert _same_bits(h, h_ref)
-    assert _same_bits(h_est, h_est_ref)
-    assert fast.integers(1 << 62) == slow.integers(1 << 62)
-    # MIMO against the same draw in one chunk: its beam is no SVD, so the
-    # oracle above matches it only to rounding
+    monkeypatch.setattr(channel, "_DRAW_BYTES", budget)
     for (p, n, mimo), (h_ref, h_est_ref, next_ref) in zip(cases, whole):
         h, h_est, next_value = _draw_and_next(p, n, mimo)
         assert _same_bits(h, h_ref)
@@ -126,14 +142,15 @@ def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
 
 
 @pytest.mark.parametrize("n_trials", [1, 50, 1000])
-def test_csi_error_chunks_match_the_whole_batch_draw(n_trials):
-    # 50 trials keep h below 256 KiB, one CSI chunk; 1000 trials give two
-    # chunks, the second holding the remainder
+def test_csi_error_chunks_match_the_whole_batch_draw(monkeypatch, n_trials):
+    # against one CSI chunk, the whole-batch product: 50 trials keep h below
+    # 256 KiB, one chunk; 1000 trials give two, the second holding the rest
     params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
     fast = np.random.default_rng(n_trials)
-    slow = np.random.default_rng(n_trials)
     h, h_est = draw_channel_batch(params, n_trials, fast)
-    h_ref, h_est_ref = _draw_channel_batch_per_subcarrier(params, n_trials, slow)
+    monkeypatch.setattr(channel, "_CSI_BYTES", 1 << 40)
+    slow = np.random.default_rng(n_trials)
+    h_ref, h_est_ref = draw_channel_batch(params, n_trials, slow)
     assert _same_bits(h, h_ref)
     assert _same_bits(h_est, h_est_ref)
     assert _same_bits(fast.random(64), slow.random(64))
@@ -201,18 +218,12 @@ def test_csi_perturbation_stays_inside_radius():
 
 def test_sample_disk_radius_and_determinism():
     rng = np.random.default_rng(4)
-    d = sample_disk(0.3, (2000,), rng)
+    d = _sample_disk(0.3, (2000,), rng)
     assert np.abs(d).max() <= 0.3
-    z = sample_disk(0.0, (100,), np.random.default_rng(4))
+    assert np.abs(d).max() > 0.25
+    assert _same_bits(d, _sample_disk(0.3, (2000,), np.random.default_rng(4)))
+    z = _sample_disk(0.0, (100,), np.random.default_rng(4))
     assert np.array_equal(z, np.zeros(100, dtype=complex))
-
-
-def test_complex_noise_variance_split():
-    rng = np.random.default_rng(12)
-    n = complex_noise((200_000,), 2.0, rng)
-    se = 3.0 * 1.0 / np.sqrt(200_000)
-    assert np.var(n.real) == pytest.approx(1.0, abs=se)
-    assert np.var(n.imag) == pytest.approx(1.0, abs=se)
 
 
 def test_mimo_none_equals_explicit_single_antenna():
@@ -232,33 +243,41 @@ def test_multi_antenna_effective_gains_are_nonnegative_reals():
 
 
 def test_scalarize_single_antenna_returns_entry_itself():
-    H = np.array([[0.3 - 0.4j]])
-    w = np.ones(1)
-    f = np.ones(1)
-    assert scalarize_mimo(H, w, f) == complex(H[0, 0])
-
-
-def test_scalarize_requires_unit_norm_beams():
-    H = np.eye(2)
-    with pytest.raises(ValueError):
-        scalarize_mimo(H, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    # at (1,1) no beam is applied: the gain is the complex tap itself, not
+    # its modulus, on every subcarrier of a one-tap channel
+    S = np.array([[0.3 - 0.4j]])
+    params = ChannelParams(num_devices=2, num_subcarriers=4, num_taps=1)
+    h, _ = draw_channel_batch(params, 3, _FixedTaps(S), MimoParams(1, 1))
+    tap = (0.3 - 0.4j) * np.sqrt(0.5)
+    np.testing.assert_allclose(h, tap, rtol=1e-15, atol=0)
 
 
 def test_matched_beamformers_beat_random_beams():
-    rng = np.random.default_rng(8)
-    stack = (rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))) / np.sqrt(2)
-    w, F, h_eff = matched_beamformers(stack)
-    assert np.all(np.abs(h_eff.imag) < 1e-12)
-    for k in range(5):
-        matched = abs(scalarize_mimo(stack[k], w, F[k]))
-        for _ in range(100):
-            f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            f = f / np.linalg.norm(f)
-            assert abs(scalarize_mimo(stack[k], w, f)) <= matched + 1e-12
+    # one tap per device: every subcarrier sees the tap matrices H_k, which
+    # a replay of the generator gives back
+    K, shape = 5, (1, 5, 1, 2, 2)
+    params = ChannelParams(num_devices=K, num_subcarriers=4, num_taps=1)
+    h, _ = draw_channel_batch(params, 1, np.random.default_rng(8), MimoParams(2, 2))
+    replay = np.random.default_rng(8)
+    stack = (replay.standard_normal(shape) + 1j * replay.standard_normal(shape))[0, :, 0]
+    stack *= np.sqrt(0.5)
+    w = np.linalg.svd(stack.sum(axis=0))[0][:, 0]
+    projected = w.conj() @ stack  # w^H H_k per device, (K, n_tx)
+    matched = np.linalg.norm(projected, axis=1)
+    np.testing.assert_allclose(h[0], np.repeat(matched[:, None], 4, axis=1), rtol=1e-12)
+    for _ in range(100):
+        f = replay.standard_normal(2) + 1j * replay.standard_normal(2)
+        assert np.all(np.abs(projected @ (f / np.linalg.norm(f))) <= matched + 1e-12)
 
 
 def _top_singular_value(S):
     return np.linalg.svd(S, compute_uv=False)[..., 0]
+
+
+def _beam(S):
+    # _receive_beam on (..., n_rx, n_tx) matrices, as a (..., n_rx) result
+    planes = np.moveaxis(S, (-2, -1), (0, 1))
+    return np.moveaxis(channel._receive_beam(planes), 0, -1)
 
 
 def _beam_gain(w, S):
@@ -270,7 +289,7 @@ def _beam_gain(w, S):
 def test_receive_beam_is_the_principal_singular_vector(n_rx, n_tx):
     rng = np.random.default_rng(10 * n_rx + n_tx)
     S = rng.standard_normal((200, n_rx, n_tx)) + 1j * rng.standard_normal((200, n_rx, n_tx))
-    w = channel._receive_beam(S)
+    w = _beam(S)
     assert w.shape == (200, n_rx)
     np.testing.assert_allclose(np.linalg.norm(w, axis=-1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(_beam_gain(w, S), _top_singular_value(S), rtol=1e-12, atol=0)
@@ -309,7 +328,7 @@ class _FixedTaps:
 )
 def test_receive_beam_handles_degenerate_matrices(S):
     S = S.astype(np.complex128)
-    w = channel._receive_beam(S)
+    w = _beam(S)
     assert np.all(np.isfinite(w))
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     sigma = _top_singular_value(S)
@@ -323,15 +342,18 @@ def test_receive_beam_handles_degenerate_matrices(S):
 
 
 def test_mac_superposition_sums_scaled_symbols():
-    symbols = np.array([1.0, -1.0, 1.0])
-    weights = np.array([0.5 + 0j, 0.5 + 0j, 1.0 + 0j])
-    # noiseless superposition is the weighted sum
-    y = mac_superpose(symbols, weights, 0.0, np.random.default_rng(0))
-    assert y == pytest.approx(1.0 + 0j)
-    noisy = mac_superpose(symbols, weights, 0.3, np.random.default_rng(0))
-    assert noisy != y
-    with pytest.raises(ValueError):
-        mac_superpose(symbols, weights[:2], 0.0, np.random.default_rng(0))
+    # noiseless superposition is the weighted sum of the active devices'
+    # symbols: each inverts its estimate, the air applies the true channel
+    h = np.array([[[1.0 + 1.0j], [2.0 - 1.0j], [0.5j]]])  # (trials, K, L)
+    h_est = h * np.array([[[1.0], [1.0], [1.0 + 0.1j]]])
+    a2 = np.abs(h_est) ** 2
+    symbols = np.array([[[1.0], [-1.0], [1.0]]])
+    p = np.array([[4.0]])
+    y = simulator._received_sum(h, h, np.abs(h) ** 2, np.ones_like(a2, bool), p, symbols)
+    np.testing.assert_allclose(y, [[2.0]], rtol=1e-15)
+    silent = np.array([[[True], [False], [True]]])
+    y = simulator._received_sum(h, h_est, a2, silent, p, symbols)
+    np.testing.assert_allclose(y, [[2.0 + 2.0 / 1.01]], rtol=1e-15)
 
 
 def test_network_realization_validates_shapes():
