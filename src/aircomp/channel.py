@@ -30,44 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def exponential_tap_profile(num_taps: int, decay: float) -> np.ndarray:
-    """Tap power profile q_m proportional to exp(-decay*m), normalized to 1."""
-    if num_taps < 1:
-        raise ValueError("num_taps must be >= 1")
-    if decay < 0:
-        raise ValueError("decay must be >= 0")
-    q = np.exp(-decay * np.arange(num_taps, dtype=np.float64))
-    return q / q.sum()
-
-
 @dataclass
 class ChannelParams:
-    """Static description of the network channel model."""
+    """Static description of the network channel model: K devices, L
+    subcarriers, M taps of equal mean power 1/M, and the CSI error radius."""
 
     num_devices: int
     num_subcarriers: int
     num_taps: int = 4
-    tap_profile: np.ndarray | None = None  # None -> uniform 1/M
-    noise_power: float = 1.0  # sigma^2 per subcarrier, complex total
     csi_error_radius: float = 0.0
 
     def __post_init__(self):
         if self.num_devices < 1 or self.num_subcarriers < 1 or self.num_taps < 1:
             raise ValueError("num_devices, num_subcarriers, num_taps must be >= 1")
-        if not self.noise_power > 0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
         if not 0 <= self.csi_error_radius < 1:
             # radius >= 1 could place h_est at 0, breaking inversion
             raise ValueError("csi_error_radius must lie in [0, 1)")
-        if self.tap_profile is None:
-            profile = np.full(self.num_taps, 1.0 / self.num_taps)
-        else:
-            profile = np.asarray(self.tap_profile, dtype=np.float64)
-            if profile.shape != (self.num_taps,) or np.any(profile <= 0):
-                raise ValueError("tap_profile needs num_taps positive entries")
-            if abs(profile.sum() - 1.0) > 1e-9:
-                raise ValueError("tap_profile must sum to 1")
-        self.tap_profile = profile
 
 
 @dataclass
@@ -221,7 +199,7 @@ def draw_channel_batch(
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
     A = n_rx * n_tx
     shape = (n_trials, K, M, n_rx, n_tx)
-    scale = np.sqrt(params.tap_profile / 2.0)[:, None, None]
+    scale = np.sqrt((1.0 / M) / 2.0)
     taps_re = rng.standard_normal(shape)
     taps_im = rng.standard_normal(shape)
     delays = rng.integers(0, L, size=(n_trials, K, M))
@@ -262,9 +240,13 @@ def draw_channel_batch(
 
 
 def draw_channel(
-    params: ChannelParams, seed: int, mimo: MimoParams | None = None
+    params: ChannelParams,
+    seed: int,
+    noise_power: float,
+    mimo: MimoParams | None = None,
 ) -> NetworkRealization:
-    """Draw a single realization, deterministic in the seed."""
+    """Draw a single realization, deterministic in the seed, with the given
+    receiver noise power (0 for noiseless operation)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     h, h_est = draw_channel_batch(params, 1, rng, mimo)
-    return NetworkRealization(h[0], h_est[0], params.noise_power)
+    return NetworkRealization(h[0], h_est[0], noise_power)

@@ -17,7 +17,9 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,119 +54,49 @@ class ExperimentSpec:
     verbose: bool = False
 
 
-def _conv_int(minimum: int | None = None):
-    def conv(value: str, lineno: int) -> int:
-        try:
-            v = int(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: expected an integer, got {value!r}") from None
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"line {lineno}: value must be >= {minimum}, got {v}")
-        return v
-
-    return conv
+_FIELD_TYPES = typing.get_type_hints(SimConfig)
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
-def _conv_float(minimum: float | None = None, strict: bool = False):
-    def conv(value: str, lineno: int) -> float:
-        try:
-            v = float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: expected a number, got {value!r}") from None
-        if minimum is not None:
-            if strict and not v > minimum:
-                raise ConfigError(f"line {lineno}: value must be > {minimum}, got {value}")
-            if not strict and not v >= minimum:
-                raise ConfigError(f"line {lineno}: value must be >= {minimum}, got {value}")
-        return v
-
-    return conv
-
-
-def _conv_choice(options: tuple[str, ...]):
-    def conv(value: str, lineno: int) -> str:
-        if value not in options:
-            raise ConfigError(
-                f"line {lineno}: expected one of {', '.join(options)}; got {value!r}"
-            )
-        return value
-
-    return conv
-
-
-def _conv_bool(value: str, lineno: int) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"line {lineno}: expected true or false, got {value!r}")
-
-
-def _optional(conv):
-    def wrapped(value: str, lineno: int):
+def _parse_value(kind, value: str, lineno: int):
+    """Parse one config value as a value of the annotated field type kind:
+    int, float, str or bool, ``X | None`` (``none`` gives None), or a tuple
+    of floats (separated by commas or spaces).  Ranges and choices are left
+    to SimConfig.validate."""
+    args = typing.get_args(kind)
+    if type(None) in args:
         if value.lower() == "none":
             return None
-        return conv(value, lineno)
-
-    return wrapped
-
-
-def _conv_varpi(value: str, lineno: int) -> float:
-    v = _conv_float()(value, lineno)
-    if not v >= 1.0:
-        raise ConfigError(
-            f"line {lineno}: varpi must be >= 1 (later bit-planes may not "
-            f"receive more power than earlier ones), got {value}"
-        )
-    return v
-
-
-def _conv_grid(value: str, lineno: int) -> tuple[float, ...]:
-    parts = [p for p in value.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError(f"line {lineno}: snr_db_grid must list at least one value")
+        (kind,) = set(args) - {type(None)}
+    if typing.get_origin(kind) is tuple:
+        try:
+            return tuple(float(p) for p in value.replace(",", " ").split())
+        except ValueError:
+            raise ConfigError(f"line {lineno}: expected numbers, got {value!r}") from None
+    if kind is bool:
+        lowered = value.lower()
+        if lowered in ("true", "yes", "on", "1"):
+            return True
+        if lowered in ("false", "no", "off", "0"):
+            return False
+        raise ConfigError(f"line {lineno}: expected true or false, got {value!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: snr_db_grid entries must be numbers, got {value!r}") from None
-
-
-_CONVERTERS = {
-    "num_devices": _conv_int(minimum=1),
-    "bit_depth": _conv_int(minimum=1),
-    "num_subcarriers": _conv_int(minimum=1),
-    "num_taps": _conv_int(minimum=1),
-    "source": _conv_choice(("uniform", "gaussian")),
-    "s_max": _conv_float(minimum=0.0, strict=True),
-    "source_std": _optional(_conv_float(minimum=0.0, strict=True)),
-    "clamp": _optional(_conv_bool),
-    "scheme": _conv_choice(SCHEMES),
-    "power_mode": _conv_choice(("uniform", "geometric")),
-    "varpi": _conv_varpi,
-    "detector": _conv_choice(("lmmse", "ml")),
-    "snr_db_grid": _conv_grid,
-    "trials": _conv_int(minimum=1),
-    "csi_error_radius": _conv_float(minimum=0.0),
-    "p_max": _conv_float(minimum=0.0, strict=True),
-    "seed": _conv_int(minimum=0),
-    "n_tx": _conv_int(minimum=1),
-    "n_rx": _conv_int(minimum=1),
-    "analog_threshold": _conv_float(minimum=0.0),
-    "reallocate": _conv_bool,
-    "round_estimates": _conv_bool,
-    "allow_empty": _conv_bool,
-}
+        raise ConfigError(f"line {lineno}: expected {_TYPE_NAMES[kind]}, got {value!r}") from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse config text into an ExperimentSpec.
 
-    Raises ConfigError (with a line number) on unknown keys or sections,
-    malformed or out-of-range values, duplicates, and inconsistent
-    experiments; empty input yields one default experiment.
+    Each key is parsed by the type of its SimConfig field.  Raises
+    ConfigError (with a line number) on unknown keys or sections, malformed
+    values, duplicates, and experiments that SimConfig.validate rejects: such
+    an error carries the line of the section's last key that the message
+    names, or the section header's line if it names none.  Empty input
+    yields one default experiment.
     """
-    raw: dict[str, dict] = {}
+    raw: dict[str, dict[str, tuple]] = {}  # section -> key -> (value, line)
     section_lines: dict[str, int] = {}
     out: str | None = None
     verbose = False
@@ -204,33 +136,38 @@ def parse_config(text: str) -> ExperimentSpec:
             if key == "out":
                 out = value
             elif key == "verbose":
-                verbose = _conv_bool(value, lineno)
+                verbose = _parse_value(bool, value, lineno)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [global]")
             continue
-        if key not in _CONVERTERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r} "
-                f"(valid keys: {', '.join(sorted(_CONVERTERS))})"
+                f"(valid keys: {', '.join(sorted(_FIELD_TYPES))})"
             )
         if key in raw[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        raw[current][key] = _CONVERTERS[key](value, lineno)
+        raw[current][key] = (_parse_value(_FIELD_TYPES[key], value, lineno), lineno)
 
     if not raw:
         raw = {"default": {}}
         section_lines["default"] = 0
 
     experiments: dict[str, SimConfig] = {}
-    for name, kwargs in raw.items():
+    for name, entries in raw.items():
+        kwargs = {key: value for key, (value, _) in entries.items()}
         if kwargs.get("scheme") == "binary_ml" and "detector" not in kwargs:
             kwargs["detector"] = "ml"
         try:
             experiments[name] = SimConfig(**kwargs)
         except ValueError as exc:
-            raise ConfigError(
-                f"experiment [{name}] (line {section_lines[name]}): {exc}"
-            ) from exc
+            named = [
+                line
+                for key, (_, line) in entries.items()
+                if re.search(rf"\b{key}\b", str(exc))
+            ]
+            line = max(named, default=section_lines[name])
+            raise ConfigError(f"experiment [{name}] (line {line}): {exc}") from exc
     return ExperimentSpec(experiments=experiments, out=out, verbose=verbose)
 
 
@@ -501,7 +438,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     sigma2 = config.sigma2(args.snr_db)
-    realization = draw_channel(config.channel_params(sigma2), args.seed, mimo=config.mimo())
+    realization = draw_channel(config.channel_params(), args.seed, sigma2, mimo=config.mimo())
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0, 0)))
     record = run_trial(config, realization, rng)
 

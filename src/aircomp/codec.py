@@ -168,10 +168,3 @@ def format_codeword(bits) -> str:
     if arr.ndim != 1 or np.any((arr != 0) & (arr != 1)):
         raise ValueError("expected a 1-D array of 0/1 bits")
     return "".join(str(int(x)) for x in arr[::-1])
-
-
-def parse_codeword(text: str) -> np.ndarray:
-    """Inverse of format_codeword: MSB-first string to LSB-first bits."""
-    if not text or any(c not in "01" for c in text):
-        raise ValueError(f"not a bit string: {text!r}")
-    return np.array([int(c) for c in reversed(text)], dtype=np.int64)

@@ -49,38 +49,24 @@ class SelectionResult(NamedTuple):
     mse: float
 
 
-def optimal_scaling(active_set, instance: SelectionInstance) -> float:
-    """Largest feasible common amplitude for a given active set: the minimum
-    effective gain over its members."""
-    idx = np.asarray(active_set, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("active set must be non-empty")
-    return float(instance.effective_gains[idx].min())
-
-
 def greedy_select(
     instance: SelectionInstance, allow_empty: bool = False
 ) -> SelectionResult:
-    """Optimal active set via the descending-gain prefix scan.
+    """Optimal active set of one subcarrier: greedy_select_batch on a batch
+    of one trial and one subcarrier.
 
-    Devices are sorted by effective gain (ties by ascending index); prefix n
-    transmits at p = n-th largest gain and costs the closed-form MSE; the
-    first prefix attaining the minimum wins, so ties resolve to the smaller
-    set.  With allow_empty=True a prefix no better than the no-transmission
-    MSE K/4 yields an empty set.
+    Prefix n of the devices sorted by effective gain transmits at p = the
+    n-th largest gain and costs the closed-form MSE; the first prefix
+    attaining the minimum wins, so ties resolve to the smaller set, and
+    devices tied at p enter by ascending index.  With allow_empty=True a
+    prefix no better than the no-transmission MSE K/4 yields an empty set.
     """
-    g = instance.effective_gains
-    K = instance.num_devices
-    order = np.argsort(-g, kind="stable")
-    sorted_g = g[order]
-    sizes = np.arange(1, K + 1)
-    mse = mse_closed_form(sorted_g, sizes, K, instance.noise_power)
-    i = int(np.argmin(mse))
-    best = float(mse[i])
-    if allow_empty and best >= K / 4.0:
-        return SelectionResult(np.array([], dtype=np.intp), 0.0, K / 4.0)
-    active = np.sort(order[: i + 1])
-    return SelectionResult(active, float(sorted_g[i]), best)
+    K, sigma2 = instance.num_devices, instance.noise_power
+    gains = instance.effective_gains[None, :, None]
+    n, p, active = greedy_select_batch(gains, sigma2, allow_empty)
+    n, p = int(n[0, 0]), float(p[0, 0])
+    mse = mse_closed_form(p, n, K, sigma2) if n else K / 4.0
+    return SelectionResult(np.flatnonzero(active[0, :, 0]), p, mse)
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,7 +107,7 @@ def greedy_select_batch(
     """Vectorized greedy selection with devices on axis 1.
 
     effective_gains is (T, K, L); noise_power a scalar.  Returns
-    (n_active (T, L), p (T, L), active mask (T, K, L)), the same as
+    (n_active (T, L), p (T, L), active mask (T, K, L)), the scan of
     greedy_select on every (trial, subcarrier) slice.  The scan runs over
     chunks of trials whose gains fill about 1 MiB.
     """
@@ -145,8 +131,8 @@ def _greedy_select_chunk(g_tkl: np.ndarray, noise_power: float, allow_empty: boo
     (T, L, K) copy; sorted values do not depend on how ties are ordered, so
     no permutation is kept.  The active set is every device with gain >= p,
     except where devices tie at p beyond the n-th place: there the tie rule
-    of greedy_select (ascending index among equal gains) keeps the lowest
-    indices, as many as the prefix needs.
+    (ascending index among equal gains) keeps the lowest indices, as many as
+    the prefix needs.
     """
     K = g_tkl.shape[1]
     g = np.ascontiguousarray(g_tkl.transpose(0, 2, 1))

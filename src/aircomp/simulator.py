@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from . import codec
+from . import codec, transceiver
 from .channel import (
     ChannelParams,
     MimoParams,
@@ -106,7 +106,10 @@ class SimConfig:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.s_max > 0:
             raise ValueError("s_max must be > 0")
-        self.quantizer()  # rejects a bit depth too fine for float64 at s_max
+        try:
+            self.quantizer()
+        except ValueError as exc:  # name the key: the quantizer calls it b
+            raise ValueError(f"bit_depth = {self.bit_depth}: {exc}") from None
         if self.source_std is not None and not self.source_std > 0:
             raise ValueError("source_std must be > 0")
         if self.scheme not in SCHEMES:
@@ -115,8 +118,9 @@ class SimConfig:
             raise ValueError(
                 f"power_mode must be one of {POWER_MODES}, got {self.power_mode!r}"
             )
-        if not self.varpi >= 1.0:
-            raise ValueError(f"varpi must be >= 1, got {self.varpi}")
+        # rejects p_max <= 0 and varpi < 1; called through its module, as
+        # perfbench times calls of this module's allocate_power as sweep work
+        transceiver.allocate_power(self.p_max, self.num_subcarriers, self.varpi)
         if self.power_mode == "uniform" and self.varpi != 1.0:
             raise ValueError("varpi > 1 requires power_mode = geometric")
         if self.detector not in DETECTORS:
@@ -129,8 +133,8 @@ class SimConfig:
             )
         if self.scheme == "analog" and self.power_mode != "uniform":
             raise ValueError(
-                "the analog baseline repeats one symbol per subcarrier and "
-                "uses a uniform power split"
+                "scheme analog repeats one symbol per subcarrier and needs "
+                "power_mode = uniform"
             )
         if self.scheme in CODED_SCHEMES and self.num_subcarriers != self.bit_depth:
             raise ValueError(
@@ -143,8 +147,6 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.csi_error_radius < 1.0:
             raise ValueError("csi_error_radius must lie in [0, 1)")
-        if not self.p_max > 0:
-            raise ValueError("p_max must be > 0")
         for snr_db in self.snr_db_grid:
             try:
                 noise_ok = 0.0 < self.sigma2(snr_db) < math.inf
@@ -184,12 +186,11 @@ class SimConfig:
     def mimo(self) -> MimoParams:
         return MimoParams(n_tx=self.n_tx, n_rx=self.n_rx)
 
-    def channel_params(self, noise_power: float) -> ChannelParams:
+    def channel_params(self) -> ChannelParams:
         return ChannelParams(
             num_devices=self.num_devices,
             num_subcarriers=self.num_subcarriers,
             num_taps=self.num_taps,
-            noise_power=noise_power,
             csi_error_radius=self.csi_error_radius,
         )
 
@@ -476,9 +477,8 @@ def _batches(config: SimConfig, grid_index: int):
     pipeline evaluated on them cannot change what the next one reads.
     """
     L = config.num_subcarriers
-    # draw_channel_batch never reads noise_power, so 1.0 stands in for every
-    # SNR; the noise is drawn at unit power and each pipeline scales it
-    params = config.channel_params(noise_power=1.0)
+    # the noise is drawn at unit power and each pipeline scales it
+    params = config.channel_params()
     mimo = config.mimo()
     for batch_index, done in enumerate(range(0, config.trials, BATCH)):
         n = min(BATCH, config.trials - done)
@@ -778,25 +778,3 @@ def _gaussian_cell_moments(std: float, lo: float, hi: float) -> tuple[float, flo
     hi_term = 0.0 if math.isinf(hi) else hi * f_hi
     m2 = std**2 * prob + std**2 * (lo_term - hi_term)
     return prob, m1, m2
-
-
-def subcarrier_error_correlation(
-    config: SimConfig, snr_db: float, trials: int = 20000
-) -> np.ndarray:
-    """Correlation matrix of per-subcarrier detection errors.
-
-    The bit-planes of one device are functions of the same lattice value, so
-    per-subcarrier errors are not exactly independent; this measures how far
-    that matters at the detector output.  Diagnostic only.
-    """
-    if config.scheme not in CODED_SCHEMES:
-        raise ValueError("error correlation is defined for coded schemes")
-    spec = config.quantizer()
-    budgets = config.budgets()
-    sigma2 = config.sigma2(snr_db)
-    chunks = []
-    for batch in _batches(replace(config, trials=trials), 0):
-        out = _simulate(config, spec, budgets, *batch, sigma2)
-        chunks.append(out["estimates"] - out["bit_sums"])
-    errors = np.concatenate(chunks, axis=0)
-    return np.corrcoef(errors, rowvar=False)

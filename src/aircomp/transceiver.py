@@ -11,8 +11,6 @@ provided as the conventional baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -28,7 +26,7 @@ def allocate_power(p_max: float, num_planes: int, varpi: float = 1.0) -> np.ndar
         raise ValueError(f"p_max must be positive, got {p_max}")
     if num_planes < 1:
         raise ValueError(f"num_planes must be >= 1, got {num_planes}")
-    if varpi < 1:
+    if not varpi >= 1:  # NaN included
         raise ValueError(f"varpi must be >= 1, got {varpi}")
     if varpi == 1:
         return np.full(num_planes, p_max / num_planes)
@@ -55,66 +53,6 @@ def reallocate_power(budgets: np.ndarray, active: np.ndarray) -> np.ndarray:
     return spent * (1.0 + scale)[..., None]
 
 
-def preprocess(h_est, p, active=True):
-    """Truncated-channel-inversion precoder rho = sqrt(p) h_est* / |h_est|^2.
-
-    Silent devices get rho = 0.  Inverting a zero channel is a contract
-    violation (the scaling should have excluded the device).
-    """
-    h_est = np.asarray(h_est, dtype=np.complex128)
-    p_arr = np.asarray(p, dtype=np.float64)
-    active_arr = np.broadcast_to(np.asarray(active, dtype=bool), h_est.shape)
-    gain = np.abs(h_est) ** 2
-    if np.any(active_arr & (gain == 0) & (p_arr > 0)):
-        raise ValueError("cannot invert a zero channel for an active device")
-    out = np.zeros(np.broadcast_shapes(h_est.shape, p_arr.shape), np.complex128)
-    np.divide(
-        np.sqrt(p_arr) * h_est.conj(), gain, out=out, where=active_arr & (gain > 0)
-    )
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-@dataclass
-class SubcarrierPlan:
-    """Resolved transmission plan for one subcarrier: who sends, at what
-    common received amplitude, and the matching detector coefficients."""
-
-    active: np.ndarray  # (K,) bool
-    p: float
-    noise_power: float
-    num_devices: int
-
-    def __post_init__(self):
-        self.active = np.asarray(self.active, dtype=bool)
-        if self.active.shape != (self.num_devices,):
-            raise ValueError("active mask must have one entry per device")
-        if self.p < 0 or self.noise_power < 0:
-            raise ValueError("p and noise_power must be >= 0")
-
-    @property
-    def n_active(self) -> int:
-        return int(self.active.sum())
-
-    def detector_coefficients(self) -> tuple[float, float]:
-        lam, mu = lmmse_coefficients(
-            self.p, self.n_active, self.num_devices, self.noise_power
-        )
-        return float(lam), float(mu)
-
-
-def transmit_power_check(
-    plan: SubcarrierPlan, h_est: np.ndarray, budgets: np.ndarray
-) -> bool:
-    """Feasibility: every active device's inversion power p/|h_est|^2 fits its
-    budget.  Evaluated in product form (p <= |h|^2 * P) so the boundary case
-    p = |h|^2 * P passes without division rounding."""
-    gains = np.abs(np.asarray(h_est, dtype=np.complex128)) ** 2
-    caps = gains * np.asarray(budgets, dtype=np.float64)
-    return bool(np.all(plan.p <= caps[plan.active]))
-
-
 def lmmse_coefficients(p, n_active, num_devices, noise_power):
     """Affine-MMSE detector r_hat = lam*Re{y} + mu for the bit-position sum.
 
@@ -132,12 +70,6 @@ def lmmse_coefficients(p, n_active, num_devices, noise_power):
     return lam, mu
 
 
-def lmmse_detect(y: complex, plan: SubcarrierPlan) -> float:
-    """Estimate the bit-position sum from one received sample."""
-    lam, mu = plan.detector_coefficients()
-    return lam * np.real(y) + mu
-
-
 def ml_lattice_estimate(re_y, p, n_active):
     """Integer ML estimate of the *active* bit sum on the BPSK lattice.
 
@@ -153,12 +85,6 @@ def ml_lattice_estimate(re_y, p, n_active):
     np.divide(re_y + np.sqrt(p) * n, amp, out=z, where=(amp > 0) & (n > 0))
     r = np.ceil(z - 0.5)  # round half down: lower candidate wins ties
     return np.clip(r, 0.0, n)
-
-
-def ml_detect(y: complex, plan: SubcarrierPlan) -> float:
-    """ML detection of active bits plus the prior mean of truncated ones."""
-    r = ml_lattice_estimate(np.real(y), plan.p, plan.n_active)
-    return float(r) + (plan.num_devices - plan.n_active) / 2.0
 
 
 def mse_closed_form(p, n_active, num_devices, noise_power):

@@ -221,8 +221,8 @@ def test_criterion_6_csi_error_degrades_gracefully():
 
 def test_criterion_7a_single_antenna_reduction_is_bit_identical(tmp_path):
     params = ChannelParams(num_devices=8, num_subcarriers=8, csi_error_radius=0.1)
-    a = draw_channel(params, seed=3)
-    b = draw_channel(params, seed=3, mimo=MimoParams(1, 1))
+    a = draw_channel(params, seed=3, noise_power=1.0)
+    b = draw_channel(params, seed=3, noise_power=1.0, mimo=MimoParams(1, 1))
     channel_ok = np.array_equal(a.h, b.h) and np.array_equal(a.h_est, b.h_est)
 
     base = "trials = 2000\nsnr_db_grid = 0 10\n"

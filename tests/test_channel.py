@@ -10,7 +10,6 @@ from aircomp.channel import (
     NetworkRealization,
     draw_channel,
     draw_channel_batch,
-    exponential_tap_profile,
 )
 
 
@@ -36,7 +35,7 @@ def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
     shape = (n_trials, K, M, n_rx, n_tx)
-    scale = np.sqrt(params.tap_profile / 2.0)[None, :, None, None]
+    scale = np.sqrt(np.full(M, 1.0 / M) / 2.0)[None, :, None, None]
     taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
     delays = rng.integers(0, L, size=(n_trials, K, M))
     delays[..., 0] = 0
@@ -184,25 +183,20 @@ def test_tap_profile_normalization_gives_unit_average_power():
     assert power == pytest.approx(1.0, rel=0.02)
 
 
-def test_exponential_profile_sums_to_one_and_decays():
-    profile = exponential_tap_profile(4, decay=0.5)
-    assert profile.sum() == pytest.approx(1.0, rel=1e-12)
-    assert np.all(profile[:-1] > profile[1:])
-
-
 def test_draw_channel_is_reproducible():
     params = ChannelParams(num_devices=3, num_subcarriers=4, csi_error_radius=0.1)
-    a = draw_channel(params, seed=5)
-    b = draw_channel(params, seed=5)
+    a = draw_channel(params, seed=5, noise_power=0.25)
+    b = draw_channel(params, seed=5, noise_power=0.0)
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.h_est, b.h_est)
-    c = draw_channel(params, seed=6)
+    assert (a.noise_power, b.noise_power) == (0.25, 0.0)
+    c = draw_channel(params, seed=6, noise_power=0.25)
     assert not np.array_equal(a.h, c.h)
 
 
 def test_perfect_csi_estimate_is_bitwise_identical():
     params = ChannelParams(num_devices=6, num_subcarriers=8, csi_error_radius=0.0)
-    real = draw_channel(params, seed=9)
+    real = draw_channel(params, seed=9, noise_power=1.0)
     assert np.array_equal(real.h, real.h_est)
 
 
@@ -228,8 +222,8 @@ def test_sample_disk_radius_and_determinism():
 
 def test_mimo_none_equals_explicit_single_antenna():
     params = ChannelParams(num_devices=4, num_subcarriers=8, csi_error_radius=0.1)
-    a = draw_channel(params, seed=5)
-    b = draw_channel(params, seed=5, mimo=MimoParams(1, 1))
+    a = draw_channel(params, seed=5, noise_power=1.0)
+    b = draw_channel(params, seed=5, noise_power=1.0, mimo=MimoParams(1, 1))
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.h_est, b.h_est)
 
@@ -377,4 +371,8 @@ def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(num_devices=2, num_subcarriers=8, csi_error_radius=1.0)
     with pytest.raises(ValueError):
-        ChannelParams(num_devices=2, num_subcarriers=8, noise_power=0.0)
+        ChannelParams(num_devices=2, num_subcarriers=8, num_taps=0)
+    with pytest.raises(ValueError):
+        ChannelParams(num_devices=2, num_subcarriers=8, csi_error_radius=-0.1)
+    with pytest.raises(ValueError):
+        draw_channel(ChannelParams(num_devices=2, num_subcarriers=8), 1, noise_power=-1.0)

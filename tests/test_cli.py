@@ -65,6 +65,82 @@ def test_parse_rejects_plane_subcarrier_mismatch():
     assert "num_subcarriers" in str(err.value)
 
 
+# one bad value per range or choice rule of SimConfig.validate:
+# (key, bad value, lines the rule needs before the key, part of its message)
+_BAD_VALUES = [
+    ("num_devices", "0", "", "num_devices must be >= 1"),
+    ("bit_depth", "0", "", "bit_depth must be >= 1"),
+    ("num_devices", str(2**60), "", "2^bit_depth must not exceed 2^63"),
+    ("num_subcarriers", "0", "", "num_subcarriers must be >= 1"),
+    ("num_taps", "0", "", "num_taps must be >= 1"),
+    ("source", "laplace", "", "source must be one of"),
+    ("s_max", "0", "", "s_max must be > 0"),
+    ("bit_depth", "49", "", "is too fine for s_max=1.0 in float64"),
+    ("source_std", "0", "", "source_std must be > 0"),
+    ("scheme", "digital", "", "scheme must be one of"),
+    ("power_mode", "random", "", "power_mode must be one of"),
+    ("varpi", "0.5", "power_mode = geometric\n", "varpi must be >= 1, got 0.5"),
+    ("varpi", "nan", "power_mode = geometric\n", "varpi must be >= 1, got nan"),
+    ("varpi", "2", "", "varpi > 1 requires power_mode = geometric"),
+    ("detector", "map", "", "detector must be one of"),
+    ("detector", "lmmse", "scheme = binary_ml\n", "set detector = ml"),
+    ("power_mode", "geometric", "scheme = analog\n", "needs power_mode = uniform"),
+    ("num_subcarriers", "4", "", "num_subcarriers must equal bit_depth"),
+    ("snr_db_grid", "", "", "snr_db_grid must be non-empty"),
+    ("snr_db_grid", "0 nan", "", "snr_db_grid entry nan must be finite"),
+    ("trials", "0", "", "trials must be >= 1"),
+    ("csi_error_radius", "1", "", "csi_error_radius must lie in [0, 1)"),
+    ("p_max", "0", "", "p_max must be positive"),
+    ("seed", "-1", "", "seed must be >= 0"),
+    ("n_tx", "0", "", "n_tx and n_rx must be >= 1"),
+    ("n_rx", "0", "", "n_tx and n_rx must be >= 1"),
+    ("analog_threshold", "-1", "", "analog_threshold must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("key, value, needs, rule", _BAD_VALUES)
+def test_validation_errors_carry_the_key_and_its_line(key, value, needs, rule):
+    # keys that no rule names sit on the lines before and after the bad one
+    text = "# rules\n[x]\nround_estimates = true\n" + needs
+    line = text.count("\n") + 1
+    text += f"{key} = {value}\nallow_empty = true\nreallocate = false\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    message = str(err.value)
+    assert message.startswith(f"experiment [x] (line {line}): "), message
+    assert rule in message and key in message.split(": ", 1)[1], message
+
+
+@pytest.mark.parametrize(
+    "first, second", [("bit_depth", "num_subcarriers"), ("num_subcarriers", "bit_depth")]
+)
+def test_a_rule_on_two_keys_reports_the_later_line(first, second):
+    # a coded scheme needs num_subcarriers == bit_depth: the message names both
+    values = {"bit_depth": 6, "num_subcarriers": 5}
+    text = (
+        f"[x]\nseed = 3\n{first} = {values[first]}\ntrials = 9\n"
+        f"{second} = {values[second]}\nround_estimates = true\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    message = str(err.value)
+    assert message.startswith("experiment [x] (line 5): "), message
+    assert "num_subcarriers must equal bit_depth" in message
+
+
+def test_a_message_naming_no_key_reports_the_section_line(monkeypatch):
+    validate = SimConfig.validate
+
+    def strict(self):
+        validate(self)
+        if self.trials == 7:
+            raise ValueError("seven is unlucky")
+
+    monkeypatch.setattr(SimConfig, "validate", strict)
+    with pytest.raises(ConfigError, match=r"^experiment \[y\] \(line 3\): seven is unlucky$"):
+        parse_config("[x]\n\n[y]\nseed = 2\ntrials = 7\n")
+
+
 def test_parse_rejects_empty_snr_grid():
     with pytest.raises(ConfigError) as err:
         parse_config("[x]\nsnr_db_grid =\n")

@@ -10,7 +10,6 @@ from aircomp.codec import (
     encode,
     encode_offset_binary,
     format_codeword,
-    parse_codeword,
     quantize,
 )
 
@@ -130,8 +129,12 @@ def test_offset_binary_round_trip():
 def test_format_and_parse_codeword():
     word = encode(-3, 4)
     assert format_codeword(word) == "1101"
-    assert np.array_equal(parse_codeword("1101"), word)
     assert format_codeword(encode(5, 4)) == "0101"
+    # parsed as an MSB-first binary number, a 4-bit word is its value mod 2^4
+    for v in range(-8, 8):
+        assert int(format_codeword(encode(v, 4)), 2) == v % 16
+    with pytest.raises(ValueError):
+        format_codeword(np.array([0, 2, 1]))
 
 
 def test_quantization_error_stays_below_one_step():

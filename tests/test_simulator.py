@@ -30,7 +30,6 @@ from aircomp.simulator import (
     nmse,
     quantization_nmse_floor,
     run_trial,
-    subcarrier_error_correlation,
     sweep,
     sweep_to_csv,
 )
@@ -47,8 +46,7 @@ def unit_gain_realization(noise_power=0.0, num_devices=K, num_subcarriers=L):
 
 def random_noiseless_realization(seed):
     params = ChannelParams(num_devices=K, num_subcarriers=L)
-    drawn = draw_channel(params, seed=seed)
-    return NetworkRealization(h=drawn.h, h_est=drawn.h_est, noise_power=0.0)
+    return draw_channel(params, seed=seed, noise_power=0.0)
 
 
 def test_noiseless_unit_gain_trial_is_bit_exact():
@@ -116,8 +114,7 @@ def test_run_trial_validates_realization_shape():
 def test_analog_noiseless_recovery_is_exact():
     config = SimConfig(scheme="analog", analog_threshold=0.0, trials=1)
     params = ChannelParams(num_devices=K, num_subcarriers=L)
-    drawn = draw_channel(params, seed=6)
-    realization = NetworkRealization(h=drawn.h, h_est=drawn.h_est, noise_power=0.0)
+    realization = draw_channel(params, seed=6, noise_power=0.0)
     record = run_trial(config, realization, np.random.default_rng(1))
     assert record.s_hat == pytest.approx(record.s_true, rel=1e-12)
     assert record.squared_error_quantization == 0.0
@@ -262,10 +259,7 @@ def test_gaussian_source_sweep_runs():
 def test_reallocation_never_reduces_received_power():
     params = ChannelParams(num_devices=K, num_subcarriers=L)
     for seed in range(10):
-        drawn = draw_channel(params, seed=seed)
-        realization = NetworkRealization(
-            h=drawn.h, h_est=drawn.h_est, noise_power=0.01
-        )
+        realization = draw_channel(params, seed=seed, noise_power=0.01)
         base = run_trial(
             SimConfig(trials=1), realization, np.random.default_rng(seed)
         )
@@ -306,57 +300,39 @@ def test_sweep_csv_layout_and_reproducibility(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_subcarrier_error_correlation_shape():
-    config = SimConfig(trials=1)
-    corr = subcarrier_error_correlation(config, snr_db=10.0, trials=2_000)
-    assert corr.shape == (L, L)
-    assert np.allclose(np.diag(corr), 1.0)
-    with pytest.raises(ValueError):
-        subcarrier_error_correlation(
-            SimConfig(scheme="analog", trials=1), snr_db=10.0, trials=100
-        )
-
-
-def _correlation_oracle(config, snr_db, trials):
-    """The batch loop subcarrier_error_correlation ran before it consumed the
-    sweep's shared batch generator; kept as its bit-for-bit reference."""
-    spec = config.quantizer()
-    budgets = config.budgets()
-    sigma2 = config.sigma2(snr_db)
-    params = config.channel_params(noise_power=sigma2)
-    mimo = config.mimo()
-    chunks = []
-    done = 0
-    batch_index = 0
-    while done < trials:
-        n = min(BATCH, trials - done)
+def _per_batch_draws(config, grid_index):
+    """The draws of grid point grid_index as a loop over batches that seeds
+    each batch's stream by (seed, grid_index, batch_index) itself."""
+    params, mimo, L = config.channel_params(), config.mimo(), config.num_subcarriers
+    for batch_index, done in enumerate(range(0, config.trials, BATCH)):
+        n = min(BATCH, config.trials - done)
         rng = np.random.default_rng(
-            np.random.SeedSequence((config.seed, 0, batch_index))
+            np.random.SeedSequence((config.seed, grid_index, batch_index))
         )
         sources = _draw_sources(config, n, rng)
         h, h_est = draw_channel_batch(params, n, rng, mimo=mimo)
-        noise = rng.standard_normal((n, config.num_subcarriers)) + (
-            1j * rng.standard_normal((n, config.num_subcarriers))
-        )
-        out = _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2)
-        chunks.append(out["estimates"] - out["bit_sums"])
-        done += n
-        batch_index += 1
-    return np.corrcoef(np.concatenate(chunks, axis=0), rowvar=False)
+        noise = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
+        yield sources, h, h_est, noise
 
 
 @pytest.mark.parametrize(
-    "config, trials",
+    "config",
     [
-        (SimConfig(trials=1, seed=4), 2_000),
-        (SimConfig(num_devices=5, trials=1, csi_error_radius=0.2), BATCH + 8),
-        (SimConfig(num_devices=5, trials=1, scheme="binary_ml", detector="ml"), 300),
+        SimConfig(trials=2_000, seed=4),
+        SimConfig(num_devices=5, trials=BATCH + 8, csi_error_radius=0.2),
+        SimConfig(num_devices=5, trials=300, source="gaussian", n_tx=2, n_rx=2),
     ],
 )
-def test_subcarrier_error_correlation_matches_its_former_loop(config, trials):
-    corr = subcarrier_error_correlation(config, snr_db=5.0, trials=trials)
-    expected = _correlation_oracle(config, 5.0, trials)
-    assert corr.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+def test_batches_follow_the_stream_contract(config):
+    # the batch generator every sweep runs draws exactly what a per-batch
+    # loop seeded by (seed, grid_index, batch_index) draws, bit for bit
+    for grid_index in (0, 3):
+        drawn = list(_batches(config, grid_index))
+        expected = list(_per_batch_draws(config, grid_index))
+        assert len(drawn) == len(expected) == -(-config.trials // BATCH)
+        for batch, ref in zip(drawn, expected):
+            for a, b in zip(batch, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _inversion_coefficients_oracle(h, h_est, active, p):

@@ -5,17 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from aircomp.simulator import SimConfig, _abs2, _back, _batches, _front, _received_sum
 from aircomp.transceiver import (
-    SubcarrierPlan,
     allocate_power,
     lmmse_coefficients,
-    lmmse_detect,
-    ml_detect,
     ml_lattice_estimate,
     mse_closed_form,
-    preprocess,
     reallocate_power,
-    transmit_power_check,
 )
 
 
@@ -64,28 +60,60 @@ def test_reallocation_gives_silent_budget_to_active_planes():
     assert np.allclose((per_device * active).sum(axis=1), 1.0)
 
 
+def _delivered(h, h_est, p, active=True):
+    """Re{h rho} for one device per trial, with the truncated-inversion
+    precoder rho = sqrt(p) conj(h_est) / |h_est|^2, as sweeps form it."""
+    h = np.asarray(h, dtype=complex).reshape(-1, 1, 1)
+    h_est = np.asarray(h_est, dtype=complex).reshape(-1, 1, 1)
+    active = np.broadcast_to(active, h.shape)
+    p = np.full((h.shape[0], 1), p)
+    return _received_sum(h, h_est, _abs2(h_est), active, p, np.ones(h.shape))[:, 0]
+
+
 def test_preprocess_inverts_the_estimated_channel():
-    assert preprocess(2.0 + 0j, 4.0) == pytest.approx(1.0 + 0j)
-    assert preprocess(1j, 1.0) == pytest.approx(-1j)
-    assert preprocess(0.5 + 0j, 1.0, active=False) == 0.0
+    assert _delivered(2.0, 2.0, 4.0).tolist() == [2.0]
+    assert _delivered(1j, 1j, 1.0).tolist() == [1.0]
+    assert _delivered(0.5, 0.5, 1.0, active=False).tolist() == [0.0]
+    # the device inverts its estimate; the air applies the true channel
+    assert _delivered(1.0, 2.0, 4.0).tolist() == [1.0]
+    # a zero estimate cannot be inverted, and its device stays silent
+    assert _delivered(0.0, 0.0, 1.0).tolist() == [0.0]
 
 
 def test_preprocess_compensates_phase_exactly():
     rng = np.random.default_rng(6)
     h = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    rho = preprocess(h, 2.0)
-    assert np.allclose(h * rho, math.sqrt(2.0), rtol=1e-12)
+    assert np.allclose(_delivered(h, h, 2.0), math.sqrt(2.0), rtol=1e-12)
 
 
 def test_transmit_power_check_boundary():
-    h = np.ones(3, dtype=complex)
-    budgets = np.full(3, 4.0)
-    plan = SubcarrierPlan(active=np.array([True, True, True]), p=4.0, noise_power=1.0, num_devices=3)
-    assert transmit_power_check(plan, h, budgets)
-    plan_hot = SubcarrierPlan(active=np.array([True, True, True]), p=4.01, noise_power=1.0, num_devices=3)
-    assert not transmit_power_check(plan_hot, h, budgets)
-    plan_idle = SubcarrierPlan(active=np.zeros(3, dtype=bool), p=0.0, noise_power=1.0, num_devices=3)
-    assert transmit_power_check(plan_idle, h, budgets)
+    # on the front end that sweeps run, every active device's inversion power
+    # p / |h_est|^2 fits its budget P_k, checked in product form
+    # p <= |h_est|^2 P_k, with equality at the weakest active device
+    configs = [
+        SimConfig(num_devices=6, trials=300),
+        SimConfig(num_devices=6, trials=300, power_mode="geometric", varpi=2.0),
+        SimConfig(num_devices=6, trials=300, reallocate=True, csi_error_radius=0.2),
+        SimConfig(num_devices=6, trials=300, scheme="analog", analog_threshold=0.5),
+    ]
+    for config in configs:
+        spec, budgets = config.quantizer(), config.budgets()
+        sources, h, h_est, noise = next(_batches(config, 0))
+        for snr_db in (-10.0, 20.0):
+            sigma2 = config.sigma2(snr_db)
+            front = _front(config, spec, budgets, sources, h, h_est, noise, sigma2)
+            active, p = front["active"], front["p"]
+            if config.reallocate:
+                caps = _abs2(h_est) * reallocate_power(budgets, active)
+            else:
+                caps = _abs2(h_est) * budgets
+            assert np.all(~active | (p[:, None, :] <= caps)), config
+            some = active.any(axis=1)
+            weakest = np.where(active, caps, np.inf).min(axis=1)
+            assert np.array_equal(p[some], weakest[some]), config
+            assert np.all(p[~some] == 0.0), config
+        if config.scheme == "analog":
+            assert (~some).any() and some.any()  # the threshold silences some
 
 
 def test_lmmse_coefficients_known_value():
@@ -98,8 +126,6 @@ def test_lmmse_falls_back_to_prior_mean_without_signal():
     lam, mu = lmmse_coefficients(0.0, 4, 10, 1.0)
     assert lam == 0.0
     assert mu == 5.0
-    plan = SubcarrierPlan(active=np.zeros(10, dtype=bool), p=0.0, noise_power=1.0, num_devices=10)
-    assert lmmse_detect(0.3 + 0.1j, plan) == 5.0
 
 
 def test_noiseless_lmmse_recovers_bit_sum_exactly():
@@ -109,9 +135,9 @@ def test_noiseless_lmmse_recovers_bit_sum_exactly():
         bits = rng.integers(0, 2, size=K)
         p = 0.25
         y = math.sqrt(p) * (2.0 * bits - 1.0).sum()
-        plan = SubcarrierPlan(active=np.ones(K, dtype=bool), p=p, noise_power=0.0, num_devices=K)
-        assert lmmse_detect(complex(y), plan) == float(bits.sum())
-        assert ml_detect(complex(y), plan) == float(bits.sum())
+        lam, mu = lmmse_coefficients(p, K, K, 0.0)
+        assert lam * y + mu == float(bits.sum())
+        assert ml_lattice_estimate(y, p, K) == float(bits.sum())
 
 
 def test_ml_lattice_estimate_rounds_and_clips():
@@ -168,12 +194,15 @@ def test_ml_loses_to_lmmse_in_deep_noise():
 
 
 def test_plan_detector_coefficients_match_free_function():
-    plan = SubcarrierPlan(
-        active=np.array([True, True, True, True, False]),
-        p=0.7,
-        noise_power=0.3,
-        num_devices=5,
-    )
-    lam, mu = plan.detector_coefficients()
-    lam2, mu2 = lmmse_coefficients(0.7, 4, 5, 0.3)
-    assert (lam, mu) == (lam2, mu2)
+    # the sweeps' LMMSE back end applies lmmse_coefficients to each
+    # subcarrier's plan (p, n_active) with the config's K and noise power
+    config = SimConfig(num_devices=5, trials=1)
+    rng = np.random.default_rng(4)
+    p = rng.uniform(0.0, 2.0, size=(3, 8))
+    p[0, 0] = 0.0
+    n_active = rng.integers(0, 6, size=(3, 8))
+    received = rng.standard_normal((3, 8))
+    front = {"p": p, "n_active": n_active, "received": received}
+    out = _back(config, config.quantizer(), front, 0.3)
+    lam, mu = lmmse_coefficients(p, n_active, 5, 0.3)
+    assert np.array_equal(out["estimates"], lam * received + mu)
