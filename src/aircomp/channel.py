@@ -20,7 +20,11 @@ to about 1e-14 relative, not bit for bit.
 
 Estimated CSI is modelled multiplicatively, h_est = h * (1 + delta) with
 delta uniform on a complex disk; transmitters invert h_est, the medium applies
-the true h.
+the true h, and the receiver reads only the real part.  So the draw returns
+the two real numbers per (device, subcarrier) that the pipeline reads: the
+estimated power |h_est|^2, which drives selection and inversion, and the
+residual Re{h / h_est} = Re{1 / (1 + delta)}, which inversion leaves on each
+symbol.  No complex channel outlives the draw.
 """
 
 from __future__ import annotations
@@ -50,27 +54,28 @@ class ChannelParams:
 
 @dataclass
 class NetworkRealization:
-    """One draw of the K x L channel: true h, estimated h_est, noise power."""
+    """One draw of the K x L channel as the receiver sees it: the estimated
+    power |h_est|^2, the residual Re{h / h_est} and the noise power."""
 
-    h: np.ndarray
-    h_est: np.ndarray
+    power_est: np.ndarray
+    residual: np.ndarray
     noise_power: float
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=np.complex128)
-        self.h_est = np.asarray(self.h_est, dtype=np.complex128)
-        if self.h.shape != self.h_est.shape or self.h.ndim != 2:
-            raise ValueError("h and h_est must be matching (K, L) arrays")
+        self.power_est = np.asarray(self.power_est, dtype=np.float64)
+        self.residual = np.asarray(self.residual, dtype=np.float64)
+        if self.power_est.shape != self.residual.shape or self.power_est.ndim != 2:
+            raise ValueError("power_est and residual must be matching (K, L) arrays")
         if self.noise_power < 0:
             raise ValueError("noise_power must be >= 0")
 
     @property
     def num_devices(self) -> int:
-        return self.h.shape[0]
+        return self.power_est.shape[0]
 
     @property
     def num_subcarriers(self) -> int:
-        return self.h.shape[1]
+        return self.power_est.shape[1]
 
 
 @dataclass(frozen=True)
@@ -85,23 +90,11 @@ class MimoParams:
             raise ValueError("antenna counts must be >= 1")
 
 
-def _disk(radius: float, u_abs: np.ndarray, u_arg: np.ndarray) -> np.ndarray:
-    # the point of the disk that the uniforms (u_abs, u_arg) in [0, 1) select
-    return radius * np.sqrt(u_abs) * np.exp(2j * np.pi * u_arg)
-
-
 # Byte budget for one chunk of the delay-domain taps, an (n_rx n_tx, trials,
-# K, L) complex array.  The scatter, the inverse FFT and the beams treat each
-# trial on its own, so the chunk size bounds memory without changing a bit.
+# K, L) complex array.  The scatter, the inverse FFT, the beams and the CSI
+# error treat each trial on its own, so the chunk size bounds memory without
+# changing a bit.
 _DRAW_BYTES = 1 << 20
-
-# Byte budget for one chunk of h in the CSI-error step.  Each chunk of trials
-# evaluates h * (1.0 + delta), the expression of a whole-batch draw, and holds
-# at least half this budget.  NumPy reuses a temporary of 256 KiB or more as
-# the output of that product, which fixes the operand order of its fused
-# multiply-add; chunks of at least 512 KiB, or one chunk for small batches,
-# take the same path as the whole batch, so their bits match it.
-_CSI_BYTES = 1 << 20
 
 
 def _spans(n: int, size: int) -> list[tuple[int, int]]:
@@ -145,10 +138,11 @@ def _receive_beam(S: np.ndarray) -> np.ndarray:
 
 
 def _matched_gains(H: np.ndarray) -> np.ndarray:
-    """The gains ||w^H H_k|| of H, (n_rx, n_tx, trials, K, L) antenna planes.
+    """The power gains ||w^H H_k||^2 of H, (n_rx, n_tx, trials, K, L) planes.
 
     The receive beam w is the principal left singular vector of the device
-    sum; each device's transmit beam is matched to w^H H_k.  The products
+    sum; each device's transmit beam is matched to w^H H_k, and the power of
+    their product is summed over the transmit antennas.  The complex products
     take views, never a temporary that NumPy could reuse as their output, so
     their bits do not depend on the number of trials.
     """
@@ -159,7 +153,7 @@ def _matched_gains(H: np.ndarray) -> np.ndarray:
         for r in range(1, H.shape[0]):
             projected += w[r] * H[r, c]
         power += projected.real**2 + projected.imag**2
-    return np.sqrt(power)
+    return power
 
 
 def draw_channel_batch(
@@ -170,29 +164,35 @@ def draw_channel_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n_trials independent network realizations, vectorized.
 
-    Returns (h, h_est), both complex (n_trials, K, L).  Draw order is fixed
-    (taps_re, taps_im, delays, then the CSI uniforms) so runs that differ only
-    in downstream choices consume identical randomness and stay trial-paired.
+    Returns (power_est, residual), both float64 (n_trials, K, L): the
+    estimated power |h_est|^2 and the residual Re{h / h_est} that channel
+    inversion leaves.  Draw order is fixed (taps_re, taps_im, delays, the
+    moduli of the CSI error for the whole batch, then its angles chunk by
+    chunk) so runs that differ only in downstream choices consume identical
+    randomness and stay trial-paired.
 
     The taps are summed in the delay domain: each tap is added into the bin
     of its delay (taps of one device that share a delay add together), and
     one inverse FFT per device and antenna pair, np.fft.ifft with
-    norm="forward", gives h_{k,l} = sum_d x_d exp(j 2 pi d l / L).  Its
-    rounding differs from a direct sum over the taps by up to about 1e-14
-    of the unit mean power; relative to a gain where the taps nearly cancel
-    it can be larger.  For antenna arrays each (r, c) plane is a contiguous
-    (trials, K, L) array, and the gain is ||w^H H_k|| (`_matched_gains`),
-    with the receive beam w from `_receive_beam`: in closed form at
-    n_rx = 2, by eigh otherwise.  It does not depend on the phase of w.
+    norm="forward", gives h_{k,l} = sum_d x_d exp(j 2 pi d l / L), whose
+    power is re^2 + im^2.  Its rounding differs from a direct sum over the
+    taps by up to about 1e-14 of the unit mean power; relative to a gain
+    where the taps nearly cancel it can be larger.  For antenna arrays each
+    (r, c) plane is a contiguous (trials, K, L) array, and the power is
+    ||w^H H_k||^2 (`_matched_gains`), with the receive beam w from
+    `_receive_beam`: in closed form at n_rx = 2, by eigh otherwise.  It does
+    not depend on the phase of w.
 
-    The arithmetic runs over chunks of trials: the taps over chunks of about
-    1 MiB of delay bins, the CSI error over chunks of about 1 MiB of h.  The
-    random draws keep the order of a whole-batch draw and every element sees
-    the same operations, so chunking does not change a bit.  With
-    csi_error_radius = 0 the CSI error is exactly zero: h_est is h itself,
-    returned read-only so neither can be changed through the other, and the
-    disk uniforms are still consumed, so whatever is drawn next from `rng` is
-    the same as at any other radius.
+    The CSI error delta = rho exp(j theta) has rho = r sqrt(u_abs) and
+    theta = 2 pi u_arg.  With c = rho cos(theta), |1 + delta|^2 = 1 + 2c +
+    rho^2 scales the power, and the residual is (1 + c) / |1 + delta|^2;
+    the sine is never needed.  With csi_error_radius = 0 the residual is
+    exactly 1, a read-only broadcast, and the uniforms are still consumed,
+    so whatever is drawn next from `rng` is the same as at any other radius.
+
+    The arithmetic runs over chunks of trials of about 1 MiB of delay bins.
+    The random draws keep the order of a whole-batch draw and every element
+    sees the same operations, so chunking does not change a bit.
     """
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
@@ -205,8 +205,9 @@ def draw_channel_batch(
     delays = rng.integers(0, L, size=(n_trials, K, M))
     delays[..., 0] = 0  # first path always at zero delay
 
-    h = np.empty((n_trials, K, L), dtype=np.complex128)
-    for s, e in _spans(n_trials, max(1, _DRAW_BYTES // (A * K * L * h.itemsize))):
+    power = np.empty((n_trials, K, L))
+    spans = _spans(n_trials, max(1, _DRAW_BYTES // (A * K * L * 16)))
+    for s, e in spans:
         n = e - s
         taps = ((taps_re[s:e] + 1j * taps_im[s:e]) * scale).reshape(n * K, M, A)
         # x[a, t, k, d]: the taps of antenna pair a that arrive with delay d
@@ -216,27 +217,29 @@ def draw_channel_batch(
             x[:, first_bin + delays[s:e, :, m].ravel()] += taps[:, m].T
         x = x.reshape(A, n, K, L)
         if A == 1:
-            np.fft.ifft(x[0], axis=-1, norm="forward", out=h[s:e])
+            h = np.fft.ifft(x[0], axis=-1, norm="forward")
+            np.square(h.real, out=power[s:e])
+            power[s:e] += np.square(h.imag)
         else:
-            H = np.fft.ifft(x, axis=-1, norm="forward").reshape(n_rx, n_tx, n, K, L)
-            h[s:e] = _matched_gains(H)
-            del H
-        del taps, x  # release this chunk's arrays before the next one allocates
+            h = np.fft.ifft(x, axis=-1, norm="forward").reshape(n_rx, n_tx, n, K, L)
+            power[s:e] = _matched_gains(h)
+        del taps, x, h  # release this chunk's arrays before the next one allocates
+    del taps_re, taps_im, delays  # released before the CSI uniforms allocate
 
-    # the disk uniforms: the moduli of the whole batch, then its angles
     radius = params.csi_error_radius
-    spans = _spans(n_trials, max(1, _CSI_BYTES // (K * L * h.itemsize)))
     if radius == 0:
         for s, e in spans:
             rng.random((2, e - s, K, L))  # the uniforms a nonzero radius uses
-        h.flags.writeable = False
-        return h, h
-    u_abs = rng.random(h.shape)
-    h_est = np.empty_like(h)
+        return power, np.broadcast_to(1.0, power.shape)
+    # the moduli of the whole batch; each chunk's residual overwrites them
+    residual = rng.random(power.shape)
     for s, e in spans:
-        delta = _disk(radius, u_abs[s:e], rng.random((e - s, K, L)))
-        h_est[s:e] = h[s:e] * (1.0 + delta)
-    return h, h_est
+        rho = radius * np.sqrt(residual[s:e])
+        c = rho * np.cos(2.0 * np.pi * rng.random((e - s, K, L)))
+        gain = 1.0 + 2.0 * c + np.square(rho)  # |1 + delta|^2
+        power[s:e] *= gain
+        np.divide(1.0 + c, gain, out=residual[s:e])
+    return power, residual
 
 
 def draw_channel(
@@ -248,5 +251,5 @@ def draw_channel(
     """Draw a single realization, deterministic in the seed, with the given
     receiver noise power (0 for noiseless operation)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    h, h_est = draw_channel_batch(params, 1, rng, mimo)
-    return NetworkRealization(h[0], h_est[0], noise_power)
+    power_est, residual = draw_channel_batch(params, 1, rng, mimo)
+    return NetworkRealization(power_est[0], residual[0], noise_power)

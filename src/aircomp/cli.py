@@ -253,8 +253,8 @@ def oracle_greedy_optimality(seed: int = 1, quick: bool = False) -> tuple[bool, 
     checked = 0
     for num_devices, group in zip(sizes, per):
         params = ChannelParams(num_devices=num_devices, num_subcarriers=8)
-        h, _ = draw_channel_batch(params, group, rng)
-        gains = (np.square(h.real) + np.square(h.imag))[:, :, 0] / 8.0
+        power, _ = draw_channel_batch(params, group, rng)
+        gains = power[:, :, 0] / 8.0
         noise = 10.0 ** rng.uniform(-2.0, 2.0, size=group)
         for t in range(group):
             inst = SelectionInstance(gains[t], float(noise[t]))

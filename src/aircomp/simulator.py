@@ -237,45 +237,27 @@ class SweepResult:
     points: list[SweepPoint]
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    # re^2 + im^2, not abs()**2, which rounds differently: the selection gains
-    # and the inversion divisor, and so every sweep CSV, carry these bits
-    return np.square(z.real) + np.square(z.imag)
-
-
 def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     if config.source == "uniform":
         return rng.uniform(-config.s_max, config.s_max, size=(n, config.num_devices))
     return config.effective_source_std * rng.standard_normal((n, config.num_devices))
 
 
-# Byte budget for one chunk of h in _front.  The chunks depend on K and L
-# only and hold at least half of it (channel._spans), or the whole batch when
-# it is small.  Once the temporary conj(h_est) holds 256 KiB, NumPy may reuse
-# it as the output of h * conj(h_est), which swaps the operands of the complex
-# kernel.  With NumPy 2.4 on AVX-512 that moves only the imaginary part, which
-# _received_sum drops (one-trial chunks give the same bits); chunks of 512 KiB
-# or more take the whole batch's path on a build where the real part moves too.
-_CHUNK_BYTES = 1 << 20
+# Byte budget for one chunk of the estimated power in _front: every step is
+# independent per trial, so the chunk bounds the (T, K, L) temporaries and
+# keeps them in cache without changing a bit.
+_CHUNK_BYTES = 1 << 19
 
 
-def _received_sum(h, h_est, a2, active, p, weights) -> np.ndarray:
+def _received_sum(residual, active, p, weights) -> np.ndarray:
     """Re{sum_k sqrt(p) (h_k / h_est_k) weights_k} over the active devices.
 
     Each active device inverts its estimated channel and sends its weight
-    (a BPSK symbol or an analog amplitude); the air applies the true channel.
-    Only the real part is formed, rounded as NumPy's complex arithmetic
-    rounds it: Re{h conj(h_est)} from the complex product, times 1 / a2, as
-    complex division by a real divisor a2 = |h_est|^2 rounds.  Under perfect
-    CSI the ratio is 1 only to within about 2e-16, not exactly: where the
-    complex product fuses a multiply-add (NumPy 2.4 on AVX-512 does), it
-    rounds differently from a2, and it leaves an imaginary part of order
-    1e-17, which the receiver never reads.
+    (a BPSK symbol or an analog amplitude); the air applies the true channel,
+    which leaves the residual Re{h_k / h_est_k} on the real part.  A device
+    whose estimate is zero never adds anything: it caps p at zero.
     """
-    live = active & (a2 > 0)
-    # silent entries give 0.0 * (1.0 / inf) = +0.0, the zero of the complex path
-    inverse = 1.0 / np.where(live, a2, np.inf)
-    ratio = np.where(live, (h * np.conj(h_est)).real, 0.0) * inverse
+    ratio = np.where(active, residual, 0.0)
     terms = np.sqrt(p)[:, None, :] * ratio * weights
     # a (K, chunk, L) copy adds the devices in the same order as axis=1 does,
     # so every bit holds, but in runs of chunk * L elements instead of L
@@ -294,18 +276,18 @@ def _front_key(config: SimConfig, sigma2: float) -> tuple:
     return (config.scheme, config.p_max, config.varpi, sigma2, options)
 
 
-def _front(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
+def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2) -> dict:
     """One config's physical layer on a batch (leading axis = trials).
 
     Coded schemes quantize and encode each device's value and select the
     active devices per subcarrier; the analog baseline repeats the
     amplitude-scaled value on all subcarriers, with every device whose
     estimated gain clears the threshold inverting its channel.  The (T, K, L)
-    steps run over chunks of trials of about 1 MiB of h and write their
-    per-trial results, up to the received sum Re{y}, into whole-batch arrays,
-    so every result is that of a whole-batch evaluation.
+    steps run over chunks of trials of about 512 KiB of power_est and write
+    their per-trial results, up to the received sum Re{y}, into whole-batch
+    arrays, so every result is that of a whole-batch evaluation.
     """
-    T, K, L = h.shape
+    T, K, L = power_est.shape
     coded = config.scheme in CODED_SCHEMES
     bit_sums = np.full((T, L), np.nan)  # NaN for analog: no bit-planes
     if coded:
@@ -320,8 +302,8 @@ def _front(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
     received = np.empty((T, L))
     active = np.empty((T, K, L), dtype=bool)
     noise_scale = np.sqrt(sigma2 / 2.0)
-    for s, e in _spans(T, max(1, _CHUNK_BYTES // (K * L * h.itemsize))):
-        a2 = _abs2(h_est[s:e])
+    for s, e in _spans(T, max(1, _CHUNK_BYTES // (K * L * power_est.itemsize))):
+        a2 = power_est[s:e]
         if coded:
             bits = encode(v[s:e], L)
             bit_sums[s:e] = np.einsum("tkl->tl", bits)  # int64: exact in any order
@@ -338,7 +320,7 @@ def _front(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
             pc = np.where(np.isfinite(pc), pc, 0.0)
             weights = u[s:e, :, None]
         n_act[s:e], p[s:e], active[s:e] = n, pc, act
-        received[s:e] = _received_sum(h[s:e], h_est[s:e], a2, act, pc, weights)
+        received[s:e] = _received_sum(residual[s:e], act, pc, weights)
         received[s:e] += noise_scale * noise[s:e].real
 
     s_true = sources.sum(axis=1)
@@ -381,9 +363,9 @@ def _back(config, spec, front, sigma2) -> dict:
     return front | {"s_hat": s_hat, "estimates": r_hat}
 
 
-def _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2) -> dict:
+def _simulate(config, spec, budgets, sources, power_est, residual, noise, sigma2) -> dict:
     """One config's whole pipeline on a batch: its back end on its front end."""
-    front = _front(config, spec, budgets, sources, h, h_est, noise, sigma2)
+    front = _front(config, spec, budgets, sources, power_est, residual, noise, sigma2)
     return _back(config, spec, front, sigma2)
 
 
@@ -397,9 +379,9 @@ def run_trial(
     expressed by a realization with noise_power = 0.
     """
     K, L = config.num_devices, config.num_subcarriers
-    if realization.h.shape != (K, L):
+    if realization.power_est.shape != (K, L):
         raise ValueError(
-            f"realization shape {realization.h.shape} does not match config "
+            f"realization shape {realization.power_est.shape} does not match config "
             f"({K} devices, {L} subcarriers)"
         )
     spec = config.quantizer()
@@ -411,8 +393,8 @@ def run_trial(
         spec,
         budgets,
         sources,
-        realization.h[None],
-        realization.h_est[None],
+        realization.power_est[None],
+        realization.residual[None],
         noise,
         realization.noise_power,
     )
@@ -469,7 +451,7 @@ def _draw_key(config: SimConfig) -> tuple:
 
 
 def _batches(config: SimConfig, grid_index: int):
-    """Yield (sources, h, h_est, noise) for each batch of one grid point.
+    """Yield (sources, power_est, residual, noise) per batch of a grid point.
 
     Batch j uses the stream seeded by (seed, grid_index, j) and draws, in
     this order, the sources, the channel taps and delays with their CSI
@@ -486,12 +468,12 @@ def _batches(config: SimConfig, grid_index: int):
             np.random.SeedSequence((config.seed, grid_index, batch_index))
         )
         sources = _draw_sources(config, n, rng)
-        h, h_est = draw_channel_batch(params, n, rng, mimo=mimo)
+        power_est, residual = draw_channel_batch(params, n, rng, mimo=mimo)
         noise = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
-        for array in (sources, h, h_est, noise):
+        for array in (sources, power_est, residual, noise):
             array.flags.writeable = False
-        yield sources, h, h_est, noise
-        del sources, h, h_est, noise, array  # freed before the next draw allocates
+        yield sources, power_est, residual, noise
+        del sources, power_est, residual, noise, array  # freed before the next draw
 
 
 @dataclass

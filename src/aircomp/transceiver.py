@@ -20,7 +20,8 @@ def allocate_power(p_max: float, num_planes: int, varpi: float = 1.0) -> np.ndar
     varpi = 1 is the uniform split; varpi > 1 weights later (more significant)
     planes, with P_1 = p_max*(varpi-1)/(varpi^b - 1) so the total meets p_max
     with equality.  varpi < 1 would starve the most significant plane and is
-    rejected.
+    rejected, and so is any split with a budget that is not finite and
+    positive (an infinite p_max or varpi, or a varpi^b beyond float range).
     """
     if not p_max > 0:
         raise ValueError(f"p_max must be positive, got {p_max}")
@@ -29,9 +30,19 @@ def allocate_power(p_max: float, num_planes: int, varpi: float = 1.0) -> np.ndar
     if not varpi >= 1:  # NaN included
         raise ValueError(f"varpi must be >= 1, got {varpi}")
     if varpi == 1:
-        return np.full(num_planes, p_max / num_planes)
-    first = p_max * (varpi - 1.0) / (varpi**num_planes - 1.0)
-    return first * varpi ** np.arange(num_planes)
+        budgets = np.full(num_planes, p_max / num_planes)
+    else:
+        try:
+            first = p_max * (varpi - 1.0) / (varpi**num_planes - 1.0)
+            budgets = first * varpi ** np.arange(num_planes)
+        except OverflowError:  # varpi^b beyond float range
+            budgets = np.full(num_planes, np.inf)
+    if not np.all(np.isfinite(budgets) & (budgets > 0)):
+        raise ValueError(
+            f"p_max = {p_max} and varpi = {varpi} over {num_planes} planes must "
+            "give finite, positive power budgets"
+        )
+    return budgets
 
 
 def reallocate_power(budgets: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -98,8 +109,11 @@ def mse_closed_form(p, n_active, num_devices, noise_power):
     p = np.asarray(p, dtype=np.float64)
     n = np.asarray(n_active, dtype=np.float64)
     K = num_devices
-    num = 2.0 * p * n * (K - n) + K * noise_power
-    denom = 8.0 * p * n + 4.0 * noise_power
+    # the factors of n alone first: one pass over p each in a selection scan
+    num = p * (2.0 * n * (K - n))
+    num += K * noise_power
+    denom = p * (8.0 * n)
+    denom += 4.0 * noise_power
     out = np.full(denom.shape, K / 4.0)
     np.divide(num, denom, out=out, where=denom > 0)
     if out.ndim == 0:

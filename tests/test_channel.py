@@ -1,5 +1,7 @@
 """Multipath channel model, CSI perturbation, and MIMO reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,18 +21,29 @@ def _phase_table(num_subcarriers):
     return np.exp(2j * np.pi * np.outer(l, l) / num_subcarriers)
 
 
+def _disk(radius, u_abs, u_arg):
+    # the point of the disk that the uniforms (u_abs, u_arg) in [0, 1) select
+    return radius * np.sqrt(u_abs) * np.exp(2j * np.pi * u_arg)
+
+
 def _sample_disk(radius, shape, rng):
     """Uniform samples on the complex disk of the given radius (|z| < radius):
     all moduli uniforms, then all angle uniforms, as the draw consumes them."""
     u = rng.random((2,) + tuple(shape))
-    return channel._disk(radius, u[0], u[1])
+    return _disk(radius, u[0], u[1])
+
+
+def _abs2(z):
+    return np.square(z.real) + np.square(z.imag)
 
 
 def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
     """Reference draw: a direct sum over the taps and one beamformer SVD per
-    subcarrier, with the CSI error applied unconditionally.  The draw must
-    leave the generator in the same state and match the gains to rounding:
-    it sums the taps by an FFT, and its receive beam is not an SVD."""
+    subcarrier, with the complex CSI error h_est = h (1 + delta) applied
+    unconditionally.  Returns (|h_est|^2, Re{h / h_est}) = (|h (1 + delta)|^2,
+    Re{1 / (1 + delta)}).  The draw must leave the generator in the same
+    state and match both to rounding: it sums the taps by an FFT, its receive
+    beam is not an SVD, and it forms the CSI error from real numbers."""
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
@@ -51,12 +64,12 @@ def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
             projected = np.einsum("tr,tkrc->tkc", w.conj(), H_l)
             h[:, :, l] = np.linalg.norm(projected, axis=2)
     delta = _sample_disk(params.csi_error_radius, h.shape, rng)
-    return h, h * (1.0 + delta)
+    return _abs2(h * (1.0 + delta)), (1.0 / (1.0 + delta)).real
 
 
 def _assert_matches_oracle(drawn, oracle):
-    # h has unit mean power; where the taps of a gain nearly cancel, the two
-    # orders of summation have no relative error bound, hence the atol
+    # the power has unit mean; where the taps of a gain nearly cancel, the
+    # two orders of summation have no relative error bound, hence the atol
     for a, b in zip(drawn, oracle):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
@@ -68,8 +81,8 @@ def _same_bits(a, b):
 def test_single_tap_channel_is_flat_across_subcarriers():
     params = ChannelParams(num_devices=5, num_subcarriers=8, num_taps=1)
     rng = np.random.default_rng(2)
-    h, _ = draw_channel_batch(params, 100, rng)
-    assert np.allclose(h, h[:, :, :1])
+    power, _ = draw_channel_batch(params, 100, rng)
+    assert np.allclose(power, power[:, :, :1])
 
 
 def _draw_with_oracle(mimo, radius):
@@ -80,6 +93,10 @@ def _draw_with_oracle(mimo, radius):
     slow = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
     drawn = draw_channel_batch(params, n_trials, fast, mimo)
     oracle = _draw_channel_batch_per_subcarrier(params, n_trials, slow, mimo)
+    for array in drawn:
+        assert array.dtype == np.float64 and array.shape == (n_trials, 20, 8)
+    if radius == 0:  # perfect CSI leaves no residual at all
+        assert np.all(drawn[1] == 1.0)
     # the stream after the draw is untouched, so noise drawn next is too
     assert _same_bits(fast.standard_normal(64), slow.standard_normal(64))
     return drawn, oracle
@@ -114,17 +131,18 @@ def test_taps_that_share_a_delay_add_together(mimo):
 
 def _draw_and_next(params, n_trials, mimo):
     rng = np.random.default_rng(8)
-    h, h_est = draw_channel_batch(params, n_trials, rng, mimo)
-    return h, h_est, rng.integers(1 << 62)
+    power_est, residual = draw_channel_batch(params, n_trials, rng, mimo)
+    return power_est, residual, rng.integers(1 << 62)
 
 
 @pytest.mark.parametrize("budget", [1, 3000])
 def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
     # budget 1 gives one trial per chunk; 3000 bytes give two trials (1440 B
     # each) of the small MIMO networks, 12 of the small SISO one (one chunk)
-    # and one of the large ones.  The one-chunk draw of the large 3x2 network
-    # holds 700 trials, enough for the closed-form beam's (n_tx, T, L)
-    # temporaries to cross NumPy's 256 KiB reuse threshold
+    # and one of the large ones, whose CSI error then runs trial by trial.
+    # The one-chunk draw of the large 3x2 network holds 700 trials, enough
+    # for the closed-form beam's (n_tx, T, L) temporaries to cross NumPy's
+    # 256 KiB reuse threshold
     small = ChannelParams(num_devices=3, num_subcarriers=5, num_taps=5)
     large = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
     siso, eigh, closed_form = MimoParams(), MimoParams(n_tx=2, n_rx=3), MimoParams(n_tx=3, n_rx=2)
@@ -133,25 +151,25 @@ def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
     monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 40)
     whole = [_draw_and_next(p, n, mimo) for p, n, mimo in cases]
     monkeypatch.setattr(channel, "_DRAW_BYTES", budget)
-    for (p, n, mimo), (h_ref, h_est_ref, next_ref) in zip(cases, whole):
-        h, h_est, next_value = _draw_and_next(p, n, mimo)
-        assert _same_bits(h, h_ref)
-        assert _same_bits(h_est, h_est_ref)
+    for (p, n, mimo), (power_ref, residual_ref, next_ref) in zip(cases, whole):
+        power_est, residual, next_value = _draw_and_next(p, n, mimo)
+        assert _same_bits(power_est, power_ref)
+        assert _same_bits(residual, residual_ref)
         assert next_value == next_ref
 
 
 @pytest.mark.parametrize("n_trials", [1, 50, 1000])
 def test_csi_error_chunks_match_the_whole_batch_draw(monkeypatch, n_trials):
-    # against one CSI chunk, the whole-batch product: 50 trials keep h below
-    # 256 KiB, one chunk; 1000 trials give two, the second holding the rest
+    # against one chunk, the whole-batch CSI error: 50 trials fit one chunk
+    # of 409 trials; 1000 trials give two, the second holding the rest
     params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
     fast = np.random.default_rng(n_trials)
-    h, h_est = draw_channel_batch(params, n_trials, fast)
-    monkeypatch.setattr(channel, "_CSI_BYTES", 1 << 40)
+    power_est, residual = draw_channel_batch(params, n_trials, fast)
+    monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 40)
     slow = np.random.default_rng(n_trials)
-    h_ref, h_est_ref = draw_channel_batch(params, n_trials, slow)
-    assert _same_bits(h, h_ref)
-    assert _same_bits(h_est, h_est_ref)
+    power_ref, residual_ref = draw_channel_batch(params, n_trials, slow)
+    assert _same_bits(power_est, power_ref)
+    assert _same_bits(residual, residual_ref)
     assert _same_bits(fast.random(64), slow.random(64))
 
 
@@ -167,47 +185,71 @@ def test_spans_cover_every_item_in_chunks_of_at_least_size(n, size):
 
 
 def test_perfect_csi_estimate_cannot_be_changed_through_the_channel():
+    # the residual of perfect CSI is one read-only value that every entry
+    # shares: writing to it fails instead of changing them all
     params = ChannelParams(num_devices=2, num_subcarriers=4)
-    h, h_est = draw_channel_batch(params, 3, np.random.default_rng(0))
+    power_est, residual = draw_channel_batch(params, 3, np.random.default_rng(0))
+    assert residual.shape == power_est.shape and residual.strides == (0, 0, 0)
     with pytest.raises(ValueError):
-        h[0, 0, 0] += 1.0
-    with pytest.raises(ValueError):
-        h_est[0, 0, 0] += 1.0
+        residual[0, 0, 0] += 1.0
+    power_est[0, 0, 0] += 1.0  # the power is the caller's own array
+    assert np.all(residual == 1.0)
 
 
 def test_tap_profile_normalization_gives_unit_average_power():
     params = ChannelParams(num_devices=4, num_subcarriers=8, num_taps=4)
     rng = np.random.default_rng(7)
-    h, _ = draw_channel_batch(params, 100_000 // 4, rng)
-    power = np.mean(np.abs(h) ** 2)
-    assert power == pytest.approx(1.0, rel=0.02)
+    power_est, _ = draw_channel_batch(params, 100_000 // 4, rng)
+    assert np.mean(power_est) == pytest.approx(1.0, rel=0.02)
 
 
 def test_draw_channel_is_reproducible():
     params = ChannelParams(num_devices=3, num_subcarriers=4, csi_error_radius=0.1)
     a = draw_channel(params, seed=5, noise_power=0.25)
     b = draw_channel(params, seed=5, noise_power=0.0)
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.h_est, b.h_est)
+    assert np.array_equal(a.power_est, b.power_est)
+    assert np.array_equal(a.residual, b.residual)
     assert (a.noise_power, b.noise_power) == (0.25, 0.0)
     c = draw_channel(params, seed=6, noise_power=0.25)
-    assert not np.array_equal(a.h, c.h)
+    assert not np.array_equal(a.power_est, c.power_est)
+    assert not np.array_equal(a.residual, c.residual)
 
 
 def test_perfect_csi_estimate_is_bitwise_identical():
-    params = ChannelParams(num_devices=6, num_subcarriers=8, csi_error_radius=0.0)
-    real = draw_channel(params, seed=9, noise_power=1.0)
-    assert np.array_equal(real.h, real.h_est)
+    # at radius 0 the residual is exactly 1, the power is that of the true
+    # channel, and the uniforms a nonzero radius uses are still consumed
+    exact = ChannelParams(num_devices=6, num_subcarriers=8, csi_error_radius=0.0)
+    noisy = ChannelParams(num_devices=6, num_subcarriers=8, csi_error_radius=0.2)
+    for mimo in (MimoParams(1, 1), MimoParams(2, 2)):
+        rngs = [np.random.default_rng(9) for _ in range(3)]
+        power_est, residual = draw_channel_batch(exact, 40, rngs[0], mimo)
+        draw_channel_batch(noisy, 40, rngs[1], mimo)
+        assert np.all(residual == 1.0)
+        oracle = _draw_channel_batch_per_subcarrier(exact, 40, rngs[2], mimo)
+        np.testing.assert_allclose(power_est, oracle[0], rtol=1e-12, atol=1e-13)
+        assert _same_bits(oracle[1], np.ones_like(power_est))
+        following = [rng.random(64) for rng in rngs]
+        assert _same_bits(following[0], following[1])
+        assert _same_bits(following[0], following[2])
+    real = draw_channel(exact, seed=9, noise_power=1.0)
+    assert np.all(real.residual == 1.0)
 
 
 def test_csi_perturbation_stays_inside_radius():
+    # the same taps at radius 0 give |h|^2, so power_est / |h|^2 = |1 + delta|^2
+    # and residual |1 + delta|^2 = 1 + c recover c = Re{delta} and |delta|
     radius = 0.2
     params = ChannelParams(num_devices=10, num_subcarriers=8, csi_error_radius=radius)
-    rng = np.random.default_rng(1)
-    h, h_est = draw_channel_batch(params, 500, rng)
-    rel = np.abs(h_est / h - 1.0)
-    assert rel.max() <= radius
+    exact = ChannelParams(num_devices=10, num_subcarriers=8)
+    power_est, residual = draw_channel_batch(params, 500, np.random.default_rng(1))
+    power, _ = draw_channel_batch(exact, 500, np.random.default_rng(1))
+    gain = power_est / power
+    c = residual * gain - 1.0
+    rel = np.sqrt(np.maximum(gain - 1.0 - 2.0 * c, 0.0))
+    assert rel.max() <= radius + 1e-12
     assert rel.max() > 0.5 * radius  # the disk is actually being used
+    assert np.abs(c).max() > 0.5 * radius
+    assert residual.min() >= 1.0 / (1.0 + radius) and residual.max() <= 1.0 / (1.0 - radius)
 
 
 def test_sample_disk_radius_and_determinism():
@@ -224,26 +266,26 @@ def test_mimo_none_equals_explicit_single_antenna():
     params = ChannelParams(num_devices=4, num_subcarriers=8, csi_error_radius=0.1)
     a = draw_channel(params, seed=5, noise_power=1.0)
     b = draw_channel(params, seed=5, noise_power=1.0, mimo=MimoParams(1, 1))
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.h_est, b.h_est)
+    assert np.array_equal(a.power_est, b.power_est)
+    assert np.array_equal(a.residual, b.residual)
 
 
 def test_multi_antenna_effective_gains_are_nonnegative_reals():
     params = ChannelParams(num_devices=4, num_subcarriers=8)
     rng = np.random.default_rng(3)
-    h, _ = draw_channel_batch(params, 50, rng, mimo=MimoParams(2, 2))
-    assert np.all(h.imag == 0.0)
-    assert np.all(h.real >= 0.0)
+    power_est, _ = draw_channel_batch(params, 50, rng, mimo=MimoParams(2, 2))
+    assert power_est.dtype == np.float64
+    assert np.all(power_est >= 0.0)
 
 
 def test_scalarize_single_antenna_returns_entry_itself():
-    # at (1,1) no beam is applied: the gain is the complex tap itself, not
-    # its modulus, on every subcarrier of a one-tap channel
+    # at (1,1) no beam is applied: the power is that of the complex tap
+    # itself, re^2 + im^2, on every subcarrier of a one-tap channel
     S = np.array([[0.3 - 0.4j]])
     params = ChannelParams(num_devices=2, num_subcarriers=4, num_taps=1)
-    h, _ = draw_channel_batch(params, 3, _FixedTaps(S), MimoParams(1, 1))
+    power_est, _ = draw_channel_batch(params, 3, _FixedTaps(S), MimoParams(1, 1))
     tap = (0.3 - 0.4j) * np.sqrt(0.5)
-    np.testing.assert_allclose(h, tap, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(power_est, _abs2(tap), rtol=1e-15, atol=0)
 
 
 def test_matched_beamformers_beat_random_beams():
@@ -251,14 +293,15 @@ def test_matched_beamformers_beat_random_beams():
     # a replay of the generator gives back
     K, shape = 5, (1, 5, 1, 2, 2)
     params = ChannelParams(num_devices=K, num_subcarriers=4, num_taps=1)
-    h, _ = draw_channel_batch(params, 1, np.random.default_rng(8), MimoParams(2, 2))
+    power_est, _ = draw_channel_batch(params, 1, np.random.default_rng(8), MimoParams(2, 2))
     replay = np.random.default_rng(8)
     stack = (replay.standard_normal(shape) + 1j * replay.standard_normal(shape))[0, :, 0]
     stack *= np.sqrt(0.5)
     w = np.linalg.svd(stack.sum(axis=0))[0][:, 0]
     projected = w.conj() @ stack  # w^H H_k per device, (K, n_tx)
     matched = np.linalg.norm(projected, axis=1)
-    np.testing.assert_allclose(h[0], np.repeat(matched[:, None], 4, axis=1), rtol=1e-12)
+    expected = np.repeat(matched[:, None] ** 2, 4, axis=1)
+    np.testing.assert_allclose(power_est[0], expected, rtol=1e-12)
     for _ in range(100):
         f = replay.standard_normal(2) + 1j * replay.standard_normal(2)
         assert np.all(np.abs(projected @ (f / np.linalg.norm(f))) <= matched + 1e-12)
@@ -327,12 +370,14 @@ def test_receive_beam_handles_degenerate_matrices(S):
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     sigma = _top_singular_value(S)
     assert _beam_gain(w, S) == pytest.approx(sigma, rel=1e-12, abs=1e-12)
-    # two devices with one tap each, both equal to S: every gain is sigma / sqrt(2)
+    # two devices with one tap each, both equal to S: every power gain is
+    # (sigma / sqrt(2))^2
     n_rx, n_tx = S.shape
     params = ChannelParams(num_devices=2, num_subcarriers=4, num_taps=1)
-    h, _ = draw_channel_batch(params, 3, _FixedTaps(S), MimoParams(n_tx=n_tx, n_rx=n_rx))
-    assert not np.any(np.isnan(h))
-    np.testing.assert_allclose(h, sigma / np.sqrt(2), rtol=1e-12, atol=1e-12)
+    mimo = MimoParams(n_tx=n_tx, n_rx=n_rx)
+    power_est, _ = draw_channel_batch(params, 3, _FixedTaps(S), mimo)
+    assert not np.any(np.isnan(power_est))
+    np.testing.assert_allclose(power_est, sigma**2 / 2, rtol=1e-12, atol=1e-12)
 
 
 def test_mac_superposition_sums_scaled_symbols():
@@ -340,29 +385,33 @@ def test_mac_superposition_sums_scaled_symbols():
     # symbols: each inverts its estimate, the air applies the true channel
     h = np.array([[[1.0 + 1.0j], [2.0 - 1.0j], [0.5j]]])  # (trials, K, L)
     h_est = h * np.array([[[1.0], [1.0], [1.0 + 0.1j]]])
-    a2 = np.abs(h_est) ** 2
+    residual = (h / h_est).real
     symbols = np.array([[[1.0], [-1.0], [1.0]]])
     p = np.array([[4.0]])
-    y = simulator._received_sum(h, h, np.abs(h) ** 2, np.ones_like(a2, bool), p, symbols)
+    perfect = np.ones(h.shape)
+    y = simulator._received_sum(perfect, np.ones(h.shape, bool), p, symbols)
     np.testing.assert_allclose(y, [[2.0]], rtol=1e-15)
     silent = np.array([[[True], [False], [True]]])
-    y = simulator._received_sum(h, h_est, a2, silent, p, symbols)
+    y = simulator._received_sum(residual, silent, p, symbols)
     np.testing.assert_allclose(y, [[2.0 + 2.0 / 1.01]], rtol=1e-15)
 
 
 def test_network_realization_validates_shapes():
     with pytest.raises(ValueError):
         NetworkRealization(
-            h=np.zeros((2, 3), dtype=complex),
-            h_est=np.zeros((3, 2), dtype=complex),
-            noise_power=1.0,
+            power_est=np.zeros((2, 3)), residual=np.ones((3, 2)), noise_power=1.0
         )
     with pytest.raises(ValueError):
         NetworkRealization(
-            h=np.zeros((2, 3), dtype=complex),
-            h_est=np.zeros((2, 3), dtype=complex),
-            noise_power=-1.0,
+            power_est=np.zeros((2, 3)), residual=np.ones((2, 3)), noise_power=-1.0
         )
+    with pytest.raises(ValueError):
+        NetworkRealization(
+            power_est=np.zeros((1, 2, 3)), residual=np.ones((1, 2, 3)), noise_power=1.0
+        )
+    real = NetworkRealization(power_est=[[1, 2, 3]], residual=[[1, 1, 1]], noise_power=0.0)
+    assert real.power_est.dtype == real.residual.dtype == np.float64
+    assert (real.num_devices, real.num_subcarriers) == (1, 3)
 
 
 def test_channel_params_validation():
@@ -376,3 +425,24 @@ def test_channel_params_validation():
         ChannelParams(num_devices=2, num_subcarriers=8, csi_error_radius=-0.1)
     with pytest.raises(ValueError):
         draw_channel(ChannelParams(num_devices=2, num_subcarriers=8), 1, noise_power=-1.0)
+
+
+@pytest.mark.parametrize("mimo", [MimoParams(1, 1), MimoParams(2, 2)], ids=["siso", "2x2"])
+def test_draw_memory_stays_within_its_real_arrays(monkeypatch, mimo):
+    # the draw holds at most the taps, the delays, the CSI moduli and one
+    # real output at a time, plus the arrays of one chunk (64 KiB of delay
+    # bins here, so that they count for little): one whole-batch complex
+    # channel, 16 bytes per trial, device and subcarrier, would not fit
+    T, K, M, L = 2048, 50, 4, 8
+    params = ChannelParams(num_devices=K, num_subcarriers=L, num_taps=M, csi_error_radius=0.2)
+    monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        draw_channel_batch(params, T, np.random.default_rng(1), mimo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    taps = 2 * T * K * M * mimo.n_rx * mimo.n_tx * 8
+    delays = T * K * M * 8
+    moduli = output = T * K * L * 8
+    assert peak < taps + delays + moduli + output + 8 * channel._DRAW_BYTES

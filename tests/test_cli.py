@@ -81,6 +81,8 @@ _BAD_VALUES = [
     ("power_mode", "random", "", "power_mode must be one of"),
     ("varpi", "0.5", "power_mode = geometric\n", "varpi must be >= 1, got 0.5"),
     ("varpi", "nan", "power_mode = geometric\n", "varpi must be >= 1, got nan"),
+    ("varpi", "inf", "power_mode = geometric\n", "must give finite, positive power budgets"),
+    ("varpi", "1e300", "power_mode = geometric\n", "must give finite, positive power budgets"),
     ("varpi", "2", "", "varpi > 1 requires power_mode = geometric"),
     ("detector", "map", "", "detector must be one of"),
     ("detector", "lmmse", "scheme = binary_ml\n", "set detector = ml"),
@@ -210,6 +212,23 @@ def test_sweep_command_reports_config_errors(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("varpi", ["inf", "1e300"])
+def test_sweep_command_rejects_budgets_beyond_float_range(tmp_path, capsys, varpi):
+    # an infinite varpi gives NaN budgets and 1e300^8 overflows: both stop
+    # before any sweep, with one error line and exit status 1
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[g]\npower_mode = geometric\nvarpi = {varpi}\ntrials = 100\n")
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: experiment [g] (line 3): p_max = 1.0 and varpi = {float(varpi)} over 8 "
+        "planes must give finite, positive power budgets"
+    ]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_command_writes_csv_per_experiment(tmp_path, capsys):

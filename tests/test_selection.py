@@ -116,8 +116,8 @@ def test_batch_selection_matches_scalar_path():
     # subset search on that slice alone
     rng = np.random.default_rng(31)
     params = ChannelParams(num_devices=6, num_subcarriers=4)
-    h, _ = draw_channel_batch(params, 50, rng)
-    gains = np.abs(h) ** 2 * 0.25
+    power_est, _ = draw_channel_batch(params, 50, rng)
+    gains = power_est * 0.25
     sigma2 = 0.3
     n_act, p, active = greedy_select_batch(gains, sigma2)
     for t in range(50):

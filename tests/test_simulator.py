@@ -21,7 +21,6 @@ from aircomp.simulator import (
     BATCH,
     SharedSweeps,
     SimConfig,
-    _abs2,
     _batches,
     _draw_key,
     _draw_sources,
@@ -40,8 +39,8 @@ K, L = 20, 8
 
 
 def unit_gain_realization(noise_power=0.0, num_devices=K, num_subcarriers=L):
-    ones = np.ones((num_devices, num_subcarriers), dtype=np.complex128)
-    return NetworkRealization(h=ones, h_est=ones.copy(), noise_power=noise_power)
+    ones = np.ones((num_devices, num_subcarriers))
+    return NetworkRealization(power_est=ones, residual=ones.copy(), noise_power=noise_power)
 
 
 def random_noiseless_realization(seed):
@@ -85,8 +84,10 @@ def test_noiseless_offset_binary_is_exact():
 
 
 def test_dead_channel_returns_prior_mean():
-    zeros = np.zeros((K, L), dtype=np.complex128)
-    realization = NetworkRealization(h=zeros, h_est=zeros.copy(), noise_power=0.5)
+    # a dead channel is estimated as dead; perfect CSI leaves a residual of 1
+    realization = NetworkRealization(
+        power_est=np.zeros((K, L)), residual=np.ones((K, L)), noise_power=0.5
+    )
     config = SimConfig(trials=1)
     record = run_trial(config, realization, np.random.default_rng(5))
     zeta = config.quantizer().zeta
@@ -310,9 +311,9 @@ def _per_batch_draws(config, grid_index):
             np.random.SeedSequence((config.seed, grid_index, batch_index))
         )
         sources = _draw_sources(config, n, rng)
-        h, h_est = draw_channel_batch(params, n, rng, mimo=mimo)
+        power_est, residual = draw_channel_batch(params, n, rng, mimo=mimo)
         noise = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
-        yield sources, h, h_est, noise
+        yield sources, power_est, residual, noise
 
 
 @pytest.mark.parametrize(
@@ -333,16 +334,19 @@ def test_batches_follow_the_stream_contract(config):
         for batch, ref in zip(drawn, expected):
             for a, b in zip(batch, ref):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            # the channel arrives as two real (T, K, L) arrays, never complex
+            T = len(batch[0])
+            assert not any(
+                np.iscomplexobj(a) and a.shape == (T, config.num_devices, L)
+                for a in batch
+            )
 
 
-def _inversion_coefficients_oracle(h, h_est, active, p):
-    a2 = _abs2(h_est)
-    ratio = np.zeros_like(h)
-    np.divide(h * np.conj(h_est), a2, out=ratio, where=active & (a2 > 0))
-    return np.sqrt(p)[:, None, :] * ratio
+def _inversion_coefficients_oracle(residual, active, p):
+    return np.sqrt(p)[:, None, :] * np.where(active, residual, 0.0)
 
 
-def _coded_batch_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2):
+def _coded_batch_oracle(config, spec, budgets, sources, power_est, residual, noise, sigma2):
     K = config.num_devices
     L = config.num_subcarriers
     v = codec.quantize(sources, spec, clamp=config.effective_clamp)
@@ -351,14 +355,14 @@ def _coded_batch_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2)
     else:
         bits = codec.encode(v, L)
 
-    gains = _abs2(h_est) * budgets
+    gains = power_est * budgets
     n_act, p, active = greedy_select_batch(gains, sigma2, config.allow_empty)
     if config.reallocate:
         per_device = reallocate_power(budgets, active)
-        regained = np.where(active, _abs2(h_est) * per_device, np.inf).min(axis=1)
+        regained = np.where(active, power_est * per_device, np.inf).min(axis=1)
         p = np.where(n_act > 0, regained, 0.0)
 
-    amp = _inversion_coefficients_oracle(h, h_est, active, p)
+    amp = _inversion_coefficients_oracle(residual, active, p)
     symbols = 2 * bits - 1
     y = (amp * symbols).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
 
@@ -392,15 +396,14 @@ def _coded_batch_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2)
     }
 
 
-def _analog_batch_oracle(config, sources, h, h_est, noise, sigma2):
+def _analog_batch_oracle(config, sources, power_est, residual, noise, sigma2):
     L = config.num_subcarriers
     budget = config.p_max / L
-    a2 = _abs2(h_est)
-    active = a2 >= config.analog_threshold
-    p = np.where(active, a2 * budget, np.inf).min(axis=1)
+    active = power_est >= config.analog_threshold
+    p = np.where(active, power_est * budget, np.inf).min(axis=1)
     p = np.where(np.isfinite(p), p, 0.0)
 
-    amp = _inversion_coefficients_oracle(h, h_est, active, p)
+    amp = _inversion_coefficients_oracle(residual, active, p)
     u = sources / config.s_max
     y = (amp * u[:, :, None]).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
 
@@ -422,13 +425,15 @@ def _analog_batch_oracle(config, sources, h, h_est, noise, sigma2):
     }
 
 
-def _simulate_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2):
-    """The whole-batch complex pipeline _simulate replaced: it formed the
-    full complex superposition over (T, K, L) arrays.  _simulate must return
-    the same bits, with Re{y} as its received output."""
+def _simulate_oracle(config, spec, budgets, sources, power_est, residual, noise, sigma2):
+    """The whole-batch pipeline that _simulate's chunks replaced: it forms
+    the superposition, with the complex noise, over (T, K, L) arrays in one
+    piece.  _simulate must return the same bits, with Re{y} as its received
+    output."""
+    args = (sources, power_est, residual, noise, sigma2)
     if config.scheme == "analog":
-        return _analog_batch_oracle(config, sources, h, h_est, noise, sigma2)
-    return _coded_batch_oracle(config, spec, budgets, sources, h, h_est, noise, sigma2)
+        return _analog_batch_oracle(config, *args)
+    return _coded_batch_oracle(config, spec, budgets, *args)
 
 
 def _oracle_configs() -> list[SimConfig]:
@@ -482,7 +487,7 @@ def _assert_matches_oracle(configs, trials):
 
 
 # trials per chunk of _simulate at the default 20 devices and 8 subcarriers
-CHUNK = simulator._CHUNK_BYTES // (K * L * 16)
+CHUNK = simulator._CHUNK_BYTES // (K * L * 8)
 
 
 @pytest.mark.parametrize(
@@ -497,7 +502,7 @@ def test_simulate_matches_the_oracle_at_100_devices():
         SimConfig(num_devices=100, csi_error_radius=0.2, reallocate=True, allow_empty=True),
         SimConfig(num_devices=100, scheme="analog"),
     ]
-    assert simulator._CHUNK_BYTES // (100 * L * 16) == 81
+    assert simulator._CHUNK_BYTES // (100 * L * 8) == 81
     _assert_matches_oracle(configs, 300)  # chunks of 81, 81 and 138 trials
 
 
@@ -505,15 +510,17 @@ def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     config = SimConfig(
         num_devices=100, trials=BATCH, csi_error_radius=0.2, reallocate=True, allow_empty=True
     )
-    sources, h, h_est, noise = next(_batches(config, 0))
+    sources, power_est, residual, noise = next(_batches(config, 0))
     spec, budgets, sigma2 = config.quantizer(), config.budgets(), config.sigma2(0.0)
     tracemalloc.start()
     try:
-        _simulate(config, spec, budgets, sources, h, h_est, noise, sigma2)
+        _simulate(config, spec, budgets, sources, power_est, residual, noise, sigma2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * h.nbytes
+    # half the bytes of a complex channel of the batch: 8 per (trial, device,
+    # subcarrier)
+    assert peak < power_est.nbytes
 
 
 def test_a_sweep_holds_one_batch_at_a_time():
@@ -530,7 +537,7 @@ def test_a_sweep_holds_one_batch_at_a_time():
         finally:
             tracemalloc.stop()
 
-    batch_bytes = 2 * BATCH * 2 * L * 16  # h and h_est
+    batch_bytes = 2 * BATCH * 2 * L * 8  # power_est and residual
     assert peak(2 * BATCH, (0.0, 10.0)) < peak(BATCH, (0.0,)) + batch_bytes / 4
 
 
@@ -591,10 +598,10 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         draws[drawn[0]] += 1
         return draw_channel_batch(params, n, rng, mimo=mimo)
 
-    def counted_front(config, spec, budgets, sources, h, h_est, noise, sigma2):
+    def counted_front(config, spec, budgets, sources, power_est, residual, noise, sigma2):
         fronts[drawn[0]] += 1
         front_keys[drawn[0], _front_key(config, sigma2)] += 1
-        return front(config, spec, budgets, sources, h, h_est, noise, sigma2)
+        return front(config, spec, budgets, sources, power_est, residual, noise, sigma2)
 
     front = simulator._front
     monkeypatch.setattr(simulator, "draw_channel_batch", counted)

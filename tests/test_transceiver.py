@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aircomp.simulator import SimConfig, _abs2, _back, _batches, _front, _received_sum
+from aircomp.simulator import SimConfig, _back, _batches, _front, _received_sum
 from aircomp.transceiver import (
     allocate_power,
     lmmse_coefficients,
@@ -62,12 +62,15 @@ def test_reallocation_gives_silent_budget_to_active_planes():
 
 def _delivered(h, h_est, p, active=True):
     """Re{h rho} for one device per trial, with the truncated-inversion
-    precoder rho = sqrt(p) conj(h_est) / |h_est|^2, as sweeps form it."""
+    precoder rho = sqrt(p) conj(h_est) / |h_est|^2, as sweeps form it: from
+    the residual Re{h / h_est}, taken as 1 for a zero channel, as the draw
+    gives it under perfect CSI."""
     h = np.asarray(h, dtype=complex).reshape(-1, 1, 1)
     h_est = np.asarray(h_est, dtype=complex).reshape(-1, 1, 1)
+    residual = np.divide(h, h_est, out=np.ones(h.shape, complex), where=h_est != 0).real
     active = np.broadcast_to(active, h.shape)
     p = np.full((h.shape[0], 1), p)
-    return _received_sum(h, h_est, _abs2(h_est), active, p, np.ones(h.shape))[:, 0]
+    return _received_sum(residual, active, p, np.ones(h.shape))[:, 0]
 
 
 def test_preprocess_inverts_the_estimated_channel():
@@ -76,8 +79,10 @@ def test_preprocess_inverts_the_estimated_channel():
     assert _delivered(0.5, 0.5, 1.0, active=False).tolist() == [0.0]
     # the device inverts its estimate; the air applies the true channel
     assert _delivered(1.0, 2.0, 4.0).tolist() == [1.0]
-    # a zero estimate cannot be inverted, and its device stays silent
-    assert _delivered(0.0, 0.0, 1.0).tolist() == [0.0]
+    assert _delivered(1.0 + 1.0j, 2.0, 4.0).tolist() == [1.0]
+    # a zero estimate cannot be inverted: it caps p at 0 (p <= |h_est|^2 P_k,
+    # test_transmit_power_check_boundary), and its device adds nothing
+    assert _delivered(0.0, 0.0, 0.0).tolist() == [0.0]
 
 
 def test_preprocess_compensates_phase_exactly():
@@ -98,15 +103,16 @@ def test_transmit_power_check_boundary():
     ]
     for config in configs:
         spec, budgets = config.quantizer(), config.budgets()
-        sources, h, h_est, noise = next(_batches(config, 0))
+        sources, power_est, residual, noise = next(_batches(config, 0))
         for snr_db in (-10.0, 20.0):
             sigma2 = config.sigma2(snr_db)
-            front = _front(config, spec, budgets, sources, h, h_est, noise, sigma2)
+            batch = (sources, power_est, residual, noise, sigma2)
+            front = _front(config, spec, budgets, *batch)
             active, p = front["active"], front["p"]
             if config.reallocate:
-                caps = _abs2(h_est) * reallocate_power(budgets, active)
+                caps = power_est * reallocate_power(budgets, active)
             else:
-                caps = _abs2(h_est) * budgets
+                caps = power_est * budgets
             assert np.all(~active | (p[:, None, :] <= caps)), config
             some = active.any(axis=1)
             weakest = np.where(active, caps, np.inf).min(axis=1)
