@@ -187,8 +187,9 @@ def draw_channel_batch(
     theta = 2 pi u_arg.  With c = rho cos(theta), |1 + delta|^2 = 1 + 2c +
     rho^2 scales the power, and the residual is (1 + c) / |1 + delta|^2;
     the sine is never needed.  With csi_error_radius = 0 the residual is
-    exactly 1, a read-only broadcast, and the uniforms are still consumed,
-    so whatever is drawn next from `rng` is the same as at any other radius.
+    exactly 1, a read-only broadcast, and the uniforms are still consumed
+    (a PCG64 generator, as `np.random.default_rng` builds, skips them in one
+    step), so whatever is drawn next from `rng` is the same as at any radius.
 
     The arithmetic runs over chunks of trials of about 1 MiB of delay bins.
     The random draws keep the order of a whole-batch draw and every element
@@ -228,8 +229,14 @@ def draw_channel_batch(
 
     radius = params.csi_error_radius
     if radius == 0:
-        for s, e in spans:
-            rng.random((2, e - s, K, L))  # the uniforms a nonzero radius uses
+        bits = getattr(rng, "bit_generator", None)
+        if isinstance(bits, np.random.PCG64):  # one word per uniform: skip them
+            kept = bits.state  # advance() clears the buffered 32-bit half-word
+            bits.advance(2 * n_trials * K * L)
+            bits.state = kept | {"state": bits.state["state"]}
+        else:
+            for s, e in spans:
+                rng.random((2, e - s, K, L))  # the uniforms a nonzero radius uses
         return power, np.broadcast_to(1.0, power.shape)
     # the moduli of the whole batch; each chunk's residual overwrites them
     residual = rng.random(power.shape)

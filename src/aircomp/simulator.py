@@ -321,7 +321,7 @@ def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2) -
             weights = u[s:e, :, None]
         n_act[s:e], p[s:e], active[s:e] = n, pc, act
         received[s:e] = _received_sum(residual[s:e], act, pc, weights)
-        received[s:e] += noise_scale * noise[s:e].real
+        received[s:e] += noise_scale * noise[s:e]
 
     s_true = sources.sum(axis=1)
     return {
@@ -395,7 +395,7 @@ def run_trial(
         sources,
         realization.power_est[None],
         realization.residual[None],
-        noise,
+        noise.real,  # the receiver reads Re{y} only
         realization.noise_power,
     )
     s_true = float(out["s_true"][0])
@@ -432,8 +432,8 @@ def nmse(records: Iterable[TrialRecord]) -> float:
 
 def _draw_key(config: SimConfig) -> tuple:
     """Every field that changes what a batch draws.  Configs with equal keys
-    draw identical sources, channels and noise at each (grid index, batch);
-    the SNR is not part of it (see ``_batches``)."""
+    draw identical sources, channels and noise in each batch; the SNR grid is
+    not part of it (see ``_batches``)."""
     std = config.effective_source_std if config.source == "gaussian" else None
     return (
         config.seed,
@@ -450,26 +450,27 @@ def _draw_key(config: SimConfig) -> tuple:
     )
 
 
-def _batches(config: SimConfig, grid_index: int):
-    """Yield (sources, power_est, residual, noise) per batch of a grid point.
+def _batches(config: SimConfig):
+    """Yield (sources, power_est, residual, noise) per batch of a sweep.
 
-    Batch j uses the stream seeded by (seed, grid_index, j) and draws, in
-    this order, the sources, the channel taps and delays with their CSI
-    perturbations, and the receiver noise.  The arrays are read-only, so a
-    pipeline evaluated on them cannot change what the next one reads.
+    Every grid point reads the same batches.  Batch j uses the stream seeded
+    by (seed, 0, j) and draws, in this order, the sources, the channel taps
+    and delays with their CSI perturbations, and the real part of the
+    unit-power receiver noise, the only part the receiver reads.  The arrays
+    are read-only, so a pipeline evaluated on them cannot change what the
+    next one reads.
     """
     L = config.num_subcarriers
-    # the noise is drawn at unit power and each pipeline scales it
     params = config.channel_params()
     mimo = config.mimo()
     for batch_index, done in enumerate(range(0, config.trials, BATCH)):
         n = min(BATCH, config.trials - done)
         rng = np.random.default_rng(
-            np.random.SeedSequence((config.seed, grid_index, batch_index))
+            np.random.SeedSequence((config.seed, 0, batch_index))
         )
         sources = _draw_sources(config, n, rng)
         power_est, residual = draw_channel_batch(params, n, rng, mimo=mimo)
-        noise = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
+        noise = rng.standard_normal((n, L))
         for array in (sources, power_est, residual, noise):
             array.flags.writeable = False
         yield sources, power_est, residual, noise
@@ -478,7 +479,7 @@ def _batches(config: SimConfig, grid_index: int):
 
 @dataclass
 class _Tally:
-    """Running sums of one config's grid point over its batches."""
+    """Running sums of one (config, grid index) point over its batches."""
 
     total: float = 0.0
     total_sq: float = 0.0
@@ -499,7 +500,7 @@ class _Tally:
         self.n += out["n_active"].sum()
         self.p += out["p"].sum()
 
-    def point(self, config: SimConfig, snr_db: float, runtime: float) -> SweepPoint:
+    def point(self, config: SimConfig, snr_db: float, draw_share: float) -> SweepPoint:
         T = config.trials
         mean_sq = self.total / T
         var_sq = max(self.total_sq / T - mean_sq**2, 0.0)
@@ -512,70 +513,63 @@ class _Tally:
             mean_p=self.p / (T * config.num_subcarriers),
             trials=T,
             seed=config.seed,
-            runtime=runtime,
+            runtime=self.busy + draw_share,
             mse_total=mean_sq,
             mse_quantization=self.quant / T,
             mse_transmission=self.tx / T,
         )
 
 
-def _sweep_group(
-    configs: list[SimConfig], progress: Callable[[SweepPoint], None] | None
-) -> list[SweepResult]:
+def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     """Sweep configs of one draw key, drawing each batch once for all.
 
-    Grid point i is evaluated for every config whose grid has an entry i, one
-    batch at a time: the batch is drawn, then each distinct front end
-    (``_front_key``) runs once on it, feeds the back ends of the configs that
-    share it and is freed.  A point's runtime is the config's back-end time
-    plus equal shares of its front end's time and of the draw time, so the
-    runtimes of one grid index add up to its wall time.  progress receives
-    configs[0]'s points as they finish.
+    Every (config, grid index) point reads the same batches, one at a time:
+    the batch is drawn, then each distinct front end (``_front_key``) runs
+    once on it, feeds the back ends of the points that share it and is freed.
+    A point's runtime is its back-end time plus equal shares of its front
+    end's time and of the draw time over all points, so the runtimes of the
+    group add up to its wall time.
     """
     specs = [c.quantizer() for c in configs]
     budgets = [c.budgets() for c in configs]
-    points: list[list[SweepPoint]] = [[] for _ in configs]
-    for i in range(max(len(c.snr_db_grid) for c in configs)):
-        members = [m for m, c in enumerate(configs) if i < len(c.snr_db_grid)]
-        sigma2 = {m: configs[m].sigma2(configs[m].snr_db_grid[i]) for m in members}
-        sharers: dict[tuple, list[int]] = {}
-        for m in members:
-            sharers.setdefault(_front_key(configs[m], sigma2[m]), []).append(m)
-        tallies = {m: _Tally() for m in members}
-        t0 = time.perf_counter()
-        for batch in _batches(configs[members[0]], i):
-            for users in sharers.values():
+    sigma2: dict[tuple[int, int], float] = {}
+    sharers: dict[tuple, list[tuple[int, int]]] = {}
+    for m, config in enumerate(configs):
+        for i, snr_db in enumerate(config.snr_db_grid):
+            sigma2[m, i] = config.sigma2(snr_db)
+            sharers.setdefault(_front_key(config, sigma2[m, i]), []).append((m, i))
+    tallies = {point: _Tally() for point in sigma2}
+    t0 = time.perf_counter()
+    for batch in _batches(configs[0]):
+        for users in sharers.values():
+            t = time.perf_counter()
+            f, i = users[0]
+            front = _front(configs[f], specs[f], budgets[f], *batch, sigma2[f, i])
+            share = (time.perf_counter() - t) / len(users)
+            for m, i in users:
                 t = time.perf_counter()
-                f = users[0]
-                front = _front(configs[f], specs[f], budgets[f], *batch, sigma2[f])
-                share = (time.perf_counter() - t) / len(users)
-                for m in users:
-                    t = time.perf_counter()
-                    # unnamed, the output is freed before the next pipeline or
-                    # draw allocates; holding it raised peak memory
-                    tallies[m].add(_back(configs[m], specs[m], front, sigma2[m]))
-                    tallies[m].busy += share + time.perf_counter() - t
-                del front  # freed before the next front end or draw allocates
-            del batch  # freed before the next draw allocates
-        busy = sum(tally.busy for tally in tallies.values())
-        draw_share = (time.perf_counter() - t0 - busy) / len(members)
-        for m in members:
-            config = configs[m]
-            point = tallies[m].point(
-                config, config.snr_db_grid[i], tallies[m].busy + draw_share
-            )
-            points[m].append(point)
-            if m == 0 and progress is not None:
-                progress(point)
-    return [SweepResult(config=c, points=p) for c, p in zip(configs, points)]
+                # unnamed, the output is freed before the next pipeline or
+                # draw allocates; holding it raised peak memory
+                tallies[m, i].add(_back(configs[m], specs[m], front, sigma2[m, i]))
+                tallies[m, i].busy += share + time.perf_counter() - t
+            del front  # freed before the next front end or draw allocates
+        del batch  # freed before the next draw allocates
+    busy = sum(tally.busy for tally in tallies.values())
+    draw_share = (time.perf_counter() - t0 - busy) / len(tallies)
+    return [
+        SweepResult(
+            c, [tallies[m, i].point(c, snr, draw_share) for i, snr in enumerate(c.snr_db_grid)]
+        )
+        for m, c in enumerate(configs)
+    ]
 
 
 class SharedSweeps:
     """Sweeps of several configs that draw each batch once per draw key.
 
     Configs with equal draw keys (``_draw_key``) form a group.  The first
-    ``sweep(config, shared=self)`` of a group evaluates every member on one
-    draw per (seed, grid index, batch), running each distinct front end
+    ``sweep(config, shared=self)`` of a group evaluates every grid point of
+    every member on one draw per batch, running each distinct front end
     (``_front_key``) once per batch, and keeps the other members' results for
     their own calls; each result's CSV matches a separate sweep byte for byte.
     One batch and one front end are held at a time, whatever the group size.
@@ -592,18 +586,16 @@ class SharedSweeps:
     def _sweep(
         self, config: SimConfig, progress: Callable[[SweepPoint], None] | None
     ) -> SweepResult:
-        if config in self._results:
-            result = self._results[config]
-            if progress is not None:
-                for point in result.points:
-                    progress(point)
-            return result
-        group = self._groups.get(_draw_key(config), [])
-        if config not in group:
-            raise ValueError("config is not one of the configs of this SharedSweeps")
-        members = [config] + [c for c in group if c != config]
-        self._results.update(zip(members, _sweep_group(members, progress)))
-        return self._results[config]
+        if config not in self._results:
+            group = self._groups.get(_draw_key(config), [])
+            if config not in group:
+                raise ValueError("config is not one of the configs of this SharedSweeps")
+            self._results.update(zip(group, _sweep_group(group)))
+        result = self._results[config]
+        if progress is not None:
+            for point in result.points:
+                progress(point)
+        return result
 
 
 def sweep(
@@ -613,14 +605,15 @@ def sweep(
 ) -> SweepResult:
     """Monte Carlo NMSE-versus-SNR sweep with fresh channels every trial.
 
-    Randomness: batch j of grid point i uses the stream seeded by the tuple
-    (seed, i, j), and every batch draws sources, channel taps/delays, CSI
+    Randomness: batch j of every grid point uses the stream seeded by the
+    tuple (seed, 0, j) and draws sources, channel taps/delays, CSI
     perturbations, and receiver noise in a fixed order with fixed shapes
-    (see ``_batches``).  Two configs with the same draw key therefore see
-    identical draws wherever their pipelines coincide, which makes scheme
-    and detector comparisons trial-paired; passing ``shared`` evaluates the
-    configs of one ``SharedSweeps`` on a single draw per batch, with the
-    same results.  progress is called with each point in grid order.  The
+    (see ``_batches``).  The points of a curve share these draws (common
+    random numbers), and so do configs with the same draw key wherever their
+    pipelines coincide, which makes SNR, scheme and detector comparisons
+    trial-paired; passing ``shared`` evaluates the configs of one
+    ``SharedSweeps`` on a single draw per batch, with the same results.
+    progress is called with each point in grid order after the last batch.  The
     reported stderr is the standard error of the mean squared error divided
     by the mean squared true sum (the denominator's own fluctuation is
     second-order and ignored).

@@ -45,7 +45,7 @@ def record(criterion: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def reference_sweeps():
-    """The four reference sweeps shared by criterion 5 (seed 1, 100k trials
+    """The five reference sweeps shared by criterion 5 (seed 1, 100k trials
     per grid point), evaluated on one shared draw per batch."""
     t0 = time.perf_counter()
     configs = {
@@ -59,6 +59,9 @@ def reference_sweeps():
             snr_db_grid=GRID,
             scheme="analog",
             analog_threshold=0.02,
+        ),
+        "binary_ml": SimConfig(
+            trials=TRIALS, snr_db_grid=GRID, scheme="binary_ml", detector="ml"
         ),
     }
     shared = SharedSweeps(configs.values())
@@ -202,6 +205,23 @@ def test_criterion_5e_analog_crossover(reference_sweeps):
         ok,
         f"-10dB: analog {analog[-10.0].nmse:.3f} > coded {coded[-10.0].nmse:.3f}; "
         f"+20dB: analog {analog[20.0].nmse:.5f} < coded {coded[20.0].nmse:.5f}",
+    )
+
+
+def test_criterion_5f_proposed_beats_the_existing_digital_scheme_at_low_snr(reference_sweeps):
+    results, _ = reference_sweeps
+    proposed = {pt.snr_db: pt for pt in results["uniform_lmmse"].points}
+    existing = {pt.snr_db: pt for pt in results["binary_ml"].points}
+    margins = []
+    ok = True
+    for snr in (-10.0, -5.0, 0.0):
+        gain = existing[snr].nmse - proposed[snr].nmse
+        ok = ok and gain > _se_pair(existing[snr], proposed[snr])
+        margins.append(f"{snr:g}dB: {proposed[snr].nmse:.4f} vs {existing[snr].nmse:.4f}")
+    record(
+        "5f (proposed beats offset-binary ML at low SNR)",
+        ok,
+        "proposed lmmse vs binary_ml NMSE " + "; ".join(margins),
     )
 
 

@@ -184,6 +184,28 @@ def test_spans_cover_every_item_in_chunks_of_at_least_size(n, size):
         assert len(spans) == 1
 
 
+def test_perfect_csi_estimate_leaves_the_generator_as_a_draw_does():
+    # an odd count of delays leaves half of a 64-bit word buffered for the
+    # next 32-bit draw; skipping the CSI uniforms keeps it, as drawing does
+    exact = ChannelParams(num_devices=5, num_subcarriers=6, num_taps=3)
+    noisy = ChannelParams(num_devices=5, num_subcarriers=6, num_taps=3, csi_error_radius=0.2)
+    buffered = set()
+    for trials in (1, 2, 3):
+        rngs = [np.random.default_rng(4) for _ in range(2)]
+        draw_channel_batch(exact, trials, rngs[0])
+        draw_channel_batch(noisy, trials, rngs[1])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        buffered.add(rngs[0].bit_generator.state["has_uint32"])
+        following = [rng.integers(0, 6, size=5) for rng in rngs]
+        assert np.array_equal(following[0], following[1])
+    assert buffered == {0, 1}
+    # a generator that cannot skip draws the uniforms instead
+    rngs = [np.random.Generator(np.random.MT19937(4)) for _ in range(2)]
+    draw_channel_batch(exact, 3, rngs[0])
+    draw_channel_batch(noisy, 3, rngs[1])
+    assert _same_bits(rngs[0].random(64), rngs[1].random(64))
+
+
 def test_perfect_csi_estimate_cannot_be_changed_through_the_channel():
     # the residual of perfect CSI is one read-only value that every entry
     # shares: writing to it fails instead of changing them all

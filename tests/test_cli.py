@@ -1,6 +1,11 @@
 """Config parsing, serialization round-trips, and the command-line surface."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,8 @@ from aircomp.cli import (
     serialize_config,
 )
 from aircomp.simulator import SimConfig
+
+WORKLOADS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "workloads").glob("*.ini"))
 
 
 def test_empty_config_yields_one_default_experiment():
@@ -245,6 +252,31 @@ def test_sweep_command_writes_csv_per_experiment(tmp_path, capsys):
     assert "wrote" in out
     header = (tmp_path / "first.csv").read_text().splitlines()[1]
     assert header == "scheme,snr_db,nmse,stderr,mean_active,mean_p,trials,seed"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=[w.stem for w in WORKLOADS])
+def test_sweep_runs_each_benchmark_workload(workload, tmp_path):
+    # the benchmark's configs, read in place, at 64 trials per grid point
+    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRCOMP_")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aircomp", "sweep", str(workload), "--trials", "64",
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    experiments = parse_config(workload.read_text(encoding="utf-8")).experiments
+    assert sorted(p.stem for p in tmp_path.glob("*.csv")) == sorted(experiments)
+    for name, config in experiments.items():
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+        assert [float(row["snr_db"]) for row in rows] == list(config.snr_db_grid), name
+        for row in rows:
+            assert math.isfinite(float(row["nmse"])), (name, row)
+            assert math.isfinite(float(row["stderr"])), (name, row)
+            assert row["trials"] == "64", (name, row)
 
 
 def test_sweep_command_is_reproducible(tmp_path):

@@ -301,15 +301,14 @@ def test_sweep_csv_layout_and_reproducibility(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def _per_batch_draws(config, grid_index):
-    """The draws of grid point grid_index as a loop over batches that seeds
-    each batch's stream by (seed, grid_index, batch_index) itself."""
+def _per_batch_draws(config):
+    """The draws of a sweep as a loop over batches that seeds each batch's
+    stream by (seed, 0, batch_index) itself and draws the complex receiver
+    noise; every grid point reads these batches."""
     params, mimo, L = config.channel_params(), config.mimo(), config.num_subcarriers
     for batch_index, done in enumerate(range(0, config.trials, BATCH)):
         n = min(BATCH, config.trials - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence((config.seed, grid_index, batch_index))
-        )
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0, batch_index)))
         sources = _draw_sources(config, n, rng)
         power_est, residual = draw_channel_batch(params, n, rng, mimo=mimo)
         noise = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
@@ -326,20 +325,17 @@ def _per_batch_draws(config, grid_index):
 )
 def test_batches_follow_the_stream_contract(config):
     # the batch generator every sweep runs draws exactly what a per-batch
-    # loop seeded by (seed, grid_index, batch_index) draws, bit for bit
-    for grid_index in (0, 3):
-        drawn = list(_batches(config, grid_index))
-        expected = list(_per_batch_draws(config, grid_index))
-        assert len(drawn) == len(expected) == -(-config.trials // BATCH)
-        for batch, ref in zip(drawn, expected):
-            for a, b in zip(batch, ref):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            # the channel arrives as two real (T, K, L) arrays, never complex
-            T = len(batch[0])
-            assert not any(
-                np.iscomplexobj(a) and a.shape == (T, config.num_devices, L)
-                for a in batch
-            )
+    # loop seeded by (seed, 0, batch_index) draws, bit for bit; its noise is
+    # the real part of that loop's complex noise, drawn first
+    drawn = list(_batches(config))
+    expected = list(_per_batch_draws(config))
+    assert len(drawn) == len(expected) == -(-config.trials // BATCH)
+    for batch, ref in zip(drawn, expected):
+        ref = ref[:3] + (ref[3].real,)
+        for a, b in zip(batch, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # the channel and the noise arrive as real arrays, never complex
+        assert not any(np.iscomplexobj(a) for a in batch)
 
 
 def _inversion_coefficients_oracle(residual, active, p):
@@ -464,7 +460,7 @@ def _assert_matches_oracle(configs, trials):
     for config in configs:
         groups.setdefault(_draw_key(replace(config, trials=trials)), []).append(config)
     for members in groups.values():
-        for batch in _batches(replace(members[0], trials=trials), 0):
+        for batch in _batches(replace(members[0], trials=trials)):
             for config in members:
                 spec, budgets = config.quantizer(), config.budgets()
                 for sigma2 in (config.sigma2(-10.0), config.sigma2(20.0), 0.0):
@@ -510,7 +506,7 @@ def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     config = SimConfig(
         num_devices=100, trials=BATCH, csi_error_radius=0.2, reallocate=True, allow_empty=True
     )
-    sources, power_est, residual, noise = next(_batches(config, 0))
+    sources, power_est, residual, noise = next(_batches(config))
     spec, budgets, sigma2 = config.quantizer(), config.budgets(), config.sigma2(0.0)
     tracemalloc.start()
     try:
@@ -620,19 +616,17 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         assert [pt.snr_db for pt in seen[name]] == list(config.snr_db_grid)
         assert all(pt.runtime > 0.0 for pt in seen[name])
 
-    # every draw key draws each (grid index, batch) exactly once
-    one = [((3, i, 0), 3_000, 1, 1, 0.0) for i in range(4)]
-    mimo = [((3, i, 0), 3_000, 2, 2, 0.0) for i in range(2)]
-    csi = [((3, 0, 0), 3_000, 1, 1, 0.2)]
-    two = [[((3, i, 0), BATCH, 1, 1, 0.2), ((3, i, 1), 1, 1, 1, 0.2)] for i in range(3)]
-    assert draws == Counter(one + mimo + csi + two[0] + two[1] + two[2])
-    # and runs each distinct front end once on it: at index 0 of the first
-    # key, lmmse/ml/rounded share one and the other nine configs run their own
+    # every draw key draws each batch exactly once, for all its grid points
+    one = ((3, 0, 0), 3_000, 1, 1, 0.0)
+    mimo = ((3, 0, 0), 3_000, 2, 2, 0.0)
+    csi = ((3, 0, 0), 3_000, 1, 1, 0.2)
+    two = [((3, 0, 0), BATCH, 1, 1, 0.2), ((3, 0, 1), 1, 1, 1, 0.2)]
+    assert draws == Counter([one, mimo, csi] + two)
+    # and runs each distinct front end once on it: of the first key's 25
+    # points, lmmse/ml/rounded share one at -10 dB and one at 10 dB, and the
+    # other 19 run their own; the gaussian key's 7 points run 7
     assert front_keys and set(front_keys.values()) == {1}
-    expected = dict.fromkeys(mimo + csi, 1)
-    expected |= {one[0]: 10, one[1]: 9, one[2]: 1, one[3]: 1}
-    expected |= dict.fromkeys(two[0] + two[1], 3) | dict.fromkeys(two[2], 1)
-    assert fronts == Counter(expected)
+    assert fronts == Counter({one: 21, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
 
 
 def test_an_unclamped_member_fails_in_a_group_as_it_does_alone():
@@ -672,11 +666,100 @@ def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
     assert lmmse[2].runtime >= pause
 
 
+def _csv_rows(config, path):
+    sweep_to_csv(sweep(config), path)
+    return path.read_text().splitlines()[2:]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(num_devices=6, trials=BATCH + 5, seed=2, snr_db_grid=(-10.0, 0.0, 20.0)),
+        SimConfig(
+            num_devices=6,
+            trials=1_500,
+            seed=2,
+            csi_error_radius=0.2,
+            reallocate=True,
+            snr_db_grid=(-5.0, 5.0, 15.0),
+        ),
+    ],
+)
+def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, monkeypatch):
+    # row i of a sweep is byte for byte a one-point sweep at its SNR, with
+    # the grid in either order
+    grid = config.snr_db_grid
+    forward = _csv_rows(config, tmp_path / "forward.csv")
+    backward = _csv_rows(replace(config, snr_db_grid=grid[::-1]), tmp_path / "backward.csv")
+    for i, snr_db in enumerate(grid):
+        alone = _csv_rows(replace(config, snr_db_grid=(snr_db,)), tmp_path / "alone.csv")
+        assert forward[i] == backward[-1 - i] == alone[0], snr_db
+
+    # the two orders share one front end per SNR across grid indices
+    fronts = Counter()
+    front = simulator._front
+
+    def counted_front(*args):
+        fronts[len(args[3])] += 1
+        return front(*args)
+
+    monkeypatch.setattr(simulator, "_front", counted_front)
+    configs = [config, replace(config, snr_db_grid=grid[::-1])]
+    shared = SharedSweeps(configs)
+    results = [sweep(c, shared=shared) for c in configs]
+    untimed = [[replace(pt, runtime=0.0) for pt in r.points] for r in results]
+    assert untimed[1][::-1] == untimed[0]
+    batches = [len(sources) for sources, *_ in _batches(config)]
+    assert fronts == Counter(dict.fromkeys(batches, len(grid)))
+
+
+def test_progress_reports_points_in_grid_order_after_the_last_batch(monkeypatch):
+    config = SimConfig(num_devices=4, trials=BATCH + 3, snr_db_grid=(10.0, -5.0, 0.0))
+    drawn = []
+    draw = simulator.draw_channel_batch
+
+    def counted(params, n, rng, mimo=None):
+        drawn.append(n)
+        return draw(params, n, rng, mimo=mimo)
+
+    monkeypatch.setattr(simulator, "draw_channel_batch", counted)
+    seen = []
+    result = sweep(config, progress=lambda pt: seen.append((pt, list(drawn))))
+    assert [pt for pt, _ in seen] == result.points
+    assert [pt.snr_db for pt, _ in seen] == [10.0, -5.0, 0.0]
+    assert all(batches == [BATCH, 3] for _, batches in seen)
+
+
+def test_runtimes_share_the_draw_over_every_point_of_the_group(monkeypatch):
+    draw = simulator.draw_channel_batch
+    pause = 0.05
+
+    def slow_draw(*args, **kwargs):
+        time.sleep(pause)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "draw_channel_batch", slow_draw)
+    one = dict(num_devices=4, trials=BATCH + 3)
+    configs = [
+        SimConfig(**one, snr_db_grid=(0.0, 10.0)),
+        SimConfig(**one, snr_db_grid=(-5.0, 5.0, 15.0), detector="ml"),
+    ]
+    shared = SharedSweeps(configs)
+    t0 = time.perf_counter()
+    results = [sweep(c, shared=shared) for c in configs]
+    wall = time.perf_counter() - t0
+    runtimes = [pt.runtime for r in results for pt in r.points]
+    # the group's runtimes add up to its wall time, and each of the five
+    # points carries an equal share of the two draws
+    assert 0.8 * wall < sum(runtimes) <= wall
+    assert min(runtimes) >= 2 * pause / 5
+
+
 def test_shared_batches_are_read_only():
     for radius in (0.0, 0.2):
         config = SimConfig(trials=BATCH + 3, snr_db_grid=(0.0,), csi_error_radius=radius)
         sizes = []
-        for batch in _batches(config, 0):
+        for batch in _batches(config):
             for array in batch:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):

@@ -103,7 +103,7 @@ def test_transmit_power_check_boundary():
     ]
     for config in configs:
         spec, budgets = config.quantizer(), config.budgets()
-        sources, power_est, residual, noise = next(_batches(config, 0))
+        sources, power_est, residual, noise = next(_batches(config))
         for snr_db in (-10.0, 20.0):
             sigma2 = config.sigma2(snr_db)
             batch = (sources, power_est, residual, noise, sigma2)
