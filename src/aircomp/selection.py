@@ -102,57 +102,63 @@ _SELECT_BYTES = 1 << 20
 
 
 def greedy_select_batch(
-    effective_gains: np.ndarray, noise_power: float, allow_empty: bool = False
+    effective_gains: np.ndarray, noise_power, allow_empty: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized greedy selection with devices on axis 1.
 
-    effective_gains is (T, K, L); noise_power a scalar.  Returns
-    (n_active (T, L), p (T, L), active mask (T, K, L)), the scan of
-    greedy_select on every (trial, subcarrier) slice.  The scan runs over
-    chunks of trials whose gains fill about 1 MiB.
+    effective_gains is (T, K, L); noise_power a scalar or a 1-D array of G
+    noise powers.  Returns (n_active, p, active mask), of shapes
+    noise_power.shape + (T, L), (T, L) and (T, K, L): the scan of
+    greedy_select on every (trial, subcarrier) slice at every noise power.
+    The scan runs over chunks of trials whose gains fill about 1 MiB, and
+    sorts each chunk once for all noise powers.
     """
+    shape = np.shape(noise_power)
+    noise_powers = np.asarray(noise_power, dtype=np.float64).reshape(-1).tolist()
     T, K, L = effective_gains.shape
-    n = np.empty((T, L), dtype=np.intp)
-    p = np.empty((T, L))
-    active = np.empty((T, K, L), dtype=bool)
+    n = np.empty((len(noise_powers), T, L), dtype=np.intp)
+    p = np.empty(n.shape)
+    active = np.empty((len(noise_powers), T, K, L), dtype=bool)
     chunk = max(1, _SELECT_BYTES // (K * L * 8))
     for s in range(0, T, chunk):
         e = min(s + chunk, T)
-        n[s:e], p[s:e], active[s:e] = _greedy_select_chunk(
-            effective_gains[s:e], float(noise_power), allow_empty
-        )
-    return n, p, active
+        scans = _greedy_select_chunk(effective_gains[s:e], noise_powers, allow_empty)
+        for j, scan in enumerate(scans):
+            n[j, s:e], p[j, s:e], active[j, s:e] = scan
+    return tuple(a.reshape(shape + a.shape[1:]) for a in (n, p, active))
 
 
-def _greedy_select_chunk(g_tkl: np.ndarray, noise_power: float, allow_empty: bool):
-    """greedy_select_batch on one chunk of trials.
+def _greedy_select_chunk(g_tkl: np.ndarray, noise_powers: list, allow_empty: bool):
+    """greedy_select_batch on one chunk of trials: yields (n, p, active) at
+    each noise power in turn.
 
     The scan sorts the gain values along the last axis of a contiguous
-    (T, L, K) copy; sorted values do not depend on how ties are ordered, so
-    no permutation is kept.  The active set is every device with gain >= p,
-    except where devices tie at p beyond the n-th place: there the tie rule
-    (ascending index among equal gains) keeps the lowest indices, as many as
-    the prefix needs.
+    (T, L, K) copy, once for all noise powers; sorted values do not depend on
+    how ties are ordered, so no permutation is kept.  The active set is every
+    device with gain >= p, except where devices tie at p beyond the n-th
+    place: there the tie rule (ascending index among equal gains) keeps the
+    lowest indices, as many as the prefix needs.
     """
     K = g_tkl.shape[1]
     g = np.ascontiguousarray(g_tkl.transpose(0, 2, 1))
     sorted_g = np.sort(g, axis=-1)[..., ::-1]
-    mse = mse_closed_form(sorted_g, np.arange(1, K + 1), K, noise_power)
-    i = np.argmin(mse, axis=-1)  # first minimum: smaller set on ties
-    n = i + 1
-    p = np.take_along_axis(sorted_g, i[..., None], axis=-1)[..., 0]
-    active = g_tkl >= p[:, None, :]
-    t, l = np.nonzero(active.sum(axis=1) > n)
-    if t.size:
-        rows = g_tkl[t, :, l]  # (rows, K)
-        above = rows > p[t, l][:, None]
-        tied = rows == p[t, l][:, None]
-        need = n[t, l][:, None] - above.sum(axis=1, keepdims=True)
-        active[t, :, l] = above | (tied & (np.cumsum(tied, axis=1) <= need))
-    if allow_empty:
-        best = np.take_along_axis(mse, i[..., None], axis=-1)[..., 0]
-        fallback = best >= K / 4.0
-        n = np.where(fallback, 0, n)
-        p = np.where(fallback, 0.0, p)
-        active &= ~fallback[:, None, :]
-    return n, p, active
+    for noise_power in noise_powers:
+        mse = mse_closed_form(sorted_g, np.arange(1, K + 1), K, noise_power)
+        i = np.argmin(mse, axis=-1)  # first minimum: smaller set on ties
+        n = i + 1
+        p = np.take_along_axis(sorted_g, i[..., None], axis=-1)[..., 0]
+        active = g_tkl >= p[:, None, :]
+        t, l = np.nonzero(active.sum(axis=1) > n)
+        if t.size:
+            rows = g_tkl[t, :, l]  # (rows, K)
+            above = rows > p[t, l][:, None]
+            tied = rows == p[t, l][:, None]
+            need = n[t, l][:, None] - above.sum(axis=1, keepdims=True)
+            active[t, :, l] = above | (tied & (np.cumsum(tied, axis=1) <= need))
+        if allow_empty:
+            best = np.take_along_axis(mse, i[..., None], axis=-1)[..., 0]
+            fallback = best >= K / 4.0
+            n = np.where(fallback, 0, n)
+            p = np.where(fallback, 0.0, p)
+            active &= ~fallback[:, None, :]
+        yield n, p, active

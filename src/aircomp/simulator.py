@@ -264,28 +264,48 @@ def _received_sum(residual, active, p, weights) -> np.ndarray:
     return np.ascontiguousarray(terms.transpose(1, 0, 2)).sum(axis=0)
 
 
-def _front_key(config: SimConfig, sigma2: float) -> tuple:
-    """Every field that changes a front end (``_front``) on a given draw:
-    members of a draw group with equal keys at a grid index form the same
-    Re{y} and differ at most in their back ends (``_back``).  The budgets
-    depend on p_max, varpi and num_subcarriers only, and a coded bit depth
-    equals num_subcarriers, which the draw key holds."""
+def _front_key(config: SimConfig) -> tuple:
+    """Every field that changes a front end (``_front``) on a given draw and
+    noise power: members of a draw group with equal keys form the same Re{y}
+    at equal noise powers and differ at most in their back ends (``_back``).
+    The budgets depend on p_max, varpi and num_subcarriers only, and a coded
+    bit depth equals num_subcarriers, which the draw key holds."""
     if config.scheme == "analog":
-        return (config.scheme, config.p_max, sigma2, config.analog_threshold)
+        return (config.scheme, config.p_max, config.analog_threshold)
     options = (config.effective_clamp, config.allow_empty, config.reallocate)
-    return (config.scheme, config.p_max, config.varpi, sigma2, options)
+    return (config.scheme, config.p_max, config.varpi, options)
 
 
-def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2) -> dict:
-    """One config's physical layer on a batch (leading axis = trials).
+def _select(config, budgets, a2, sigma2s):
+    """(n_active, p, active mask) on a chunk of estimated powers a2 (T, K, L),
+    with a leading axis of one entry per noise power for coded schemes and
+    one entry for all of them for analog, whose threshold ignores the noise."""
+    if config.scheme == "analog":
+        act = a2 >= config.analog_threshold
+        p = np.where(act, a2 * (config.p_max / config.num_subcarriers), np.inf).min(axis=1)
+        return act.sum(axis=1)[None], np.where(np.isfinite(p), p, 0.0)[None], act[None]
+    n, p, act = greedy_select_batch(a2 * budgets, sigma2s, config.allow_empty)
+    if config.reallocate:
+        for j, act_j in enumerate(act):
+            gained = np.where(act_j, a2 * reallocate_power(budgets, act_j), np.inf)
+            # a minimum is exact in any order: take it over a (K, T, L) copy
+            regained = np.ascontiguousarray(gained.transpose(1, 0, 2)).min(axis=0)
+            p[j] = np.where(n[j] > 0, regained, 0.0)
+    return n, p, act
+
+
+def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2s) -> list:
+    """One config's physical layer on a batch (leading axis = trials): one
+    front end per noise power in sigma2s.
 
     Coded schemes quantize and encode each device's value and select the
-    active devices per subcarrier; the analog baseline repeats the
-    amplitude-scaled value on all subcarriers, with every device whose
-    estimated gain clears the threshold inverting its channel.  The (T, K, L)
-    steps run over chunks of trials of about 512 KiB of power_est and write
-    their per-trial results, up to the received sum Re{y}, into whole-batch
-    arrays, so every result is that of a whole-batch evaluation.
+    active devices per subcarrier (``_select``); the analog baseline repeats
+    the amplitude-scaled value on all subcarriers.  The (T, K, L) steps run
+    over chunks of trials of about 512 KiB of power_est: per chunk, the
+    encoding and the gain sort (analog: the selection and the noiseless sum)
+    run once, and the scan, the reallocation and Re{y} once per noise power.
+    Per-trial results go into whole-batch arrays, so each front end is that
+    of a whole-batch evaluation; no (T, K, L) mask is kept.
     """
     T, K, L = power_est.shape
     coded = config.scheme in CODED_SCHEMES
@@ -296,44 +316,37 @@ def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2) -
         encode = codec.encode_offset_binary if binary else codec.encode
     else:
         u = sources / config.s_max
-        budget = config.p_max / L
-    n_act = np.empty((T, L), dtype=np.intp)
-    p = np.empty((T, L))
-    received = np.empty((T, L))
-    active = np.empty((T, K, L), dtype=bool)
-    noise_scale = np.sqrt(sigma2 / 2.0)
+    G = len(sigma2s)
+    n_act = np.empty((G if coded else 1, T, L), dtype=np.intp)
+    p = np.empty(n_act.shape)
+    received = np.empty((G, T, L))
     for s, e in _spans(T, max(1, _CHUNK_BYTES // (K * L * power_est.itemsize))):
-        a2 = power_est[s:e]
         if coded:
             bits = encode(v[s:e], L)
             bit_sums[s:e] = np.einsum("tkl->tl", bits)  # int64: exact in any order
-            n, pc, act = greedy_select_batch(a2 * budgets, sigma2, config.allow_empty)
-            if config.reallocate:
-                per_device = reallocate_power(budgets, act)
-                regained = np.where(act, a2 * per_device, np.inf).min(axis=1)
-                pc = np.where(n > 0, regained, 0.0)
             weights = 2 * bits - 1
         else:
-            act = a2 >= config.analog_threshold
-            n = act.sum(axis=1)
-            pc = np.where(act, a2 * budget, np.inf).min(axis=1)
-            pc = np.where(np.isfinite(pc), pc, 0.0)
             weights = u[s:e, :, None]
-        n_act[s:e], p[s:e], active[s:e] = n, pc, act
-        received[s:e] = _received_sum(residual[s:e], act, pc, weights)
-        received[s:e] += noise_scale * noise[s:e]
+        n, pc, act = _select(config, budgets, power_est[s:e], sigma2s)
+        n_act[:, s:e], p[:, s:e] = n, pc
+        for j, sigma2 in enumerate(sigma2s):
+            if j < len(act):  # analog: one noiseless sum for every noise power
+                clean = _received_sum(residual[s:e], act[j], pc[j], weights)
+            received[j, s:e] = clean
+            received[j, s:e] += np.sqrt(sigma2 / 2.0) * noise[s:e]
 
     s_true = sources.sum(axis=1)
-    return {
+    shared = {
         "s_true": s_true,
         "s_quant": v.sum(axis=1) / spec.zeta if coded else s_true.copy(),
         "lattice": v if coded else None,
         "bit_sums": bit_sums,
-        "n_active": n_act,
-        "p": p,
-        "received": received,
-        "active": active,
     }
+    rows = range(G) if coded else [0] * G  # analog: one selection for all
+    return [
+        shared | {"n_active": n_act[i], "p": p[i], "received": received[j]}
+        for j, i in enumerate(rows)
+    ]
 
 
 def _back(config, spec, front, sigma2) -> dict:
@@ -364,9 +377,10 @@ def _back(config, spec, front, sigma2) -> dict:
 
 
 def _simulate(config, spec, budgets, sources, power_est, residual, noise, sigma2) -> dict:
-    """One config's whole pipeline on a batch: its back end on its front end."""
-    front = _front(config, spec, budgets, sources, power_est, residual, noise, sigma2)
-    return _back(config, spec, front, sigma2)
+    """One config's whole pipeline on a batch at one noise power: its back
+    end on its front end."""
+    front = _front(config, spec, budgets, sources, power_est, residual, noise, [sigma2])
+    return _back(config, spec, front[0], sigma2)
 
 
 def run_trial(
@@ -388,16 +402,11 @@ def run_trial(
     budgets = config.budgets()
     sources = _draw_sources(config, 1, rng)
     noise = rng.standard_normal((1, L)) + 1j * rng.standard_normal((1, L))
-    out = _simulate(
-        config,
-        spec,
-        budgets,
-        sources,
-        realization.power_est[None],
-        realization.residual[None],
-        noise.real,  # the receiver reads Re{y} only
-        realization.noise_power,
-    )
+    power_est, residual = realization.power_est[None], realization.residual[None]
+    sigma2 = realization.noise_power
+    # the receiver reads Re{y} only
+    out = _simulate(config, spec, budgets, sources, power_est, residual, noise.real, sigma2)
+    active = _select(config, budgets, power_est, [sigma2])[2][0, 0]
     s_true = float(out["s_true"][0])
     s_quant = float(out["s_quant"][0])
     s_hat = float(out["s_hat"][0])
@@ -412,7 +421,7 @@ def run_trial(
         bit_sums=out["bit_sums"][0],
         estimates=out["estimates"][0],
         received=out["received"][0],
-        active=out["active"][0],
+        active=active,
         squared_error_total=(s_hat - s_true) ** 2,
         squared_error_quantization=(s_quant - s_true) ** 2,
         squared_error_transmission=(s_hat - s_quant) ** 2,
@@ -523,36 +532,48 @@ class _Tally:
 def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     """Sweep configs of one draw key, drawing each batch once for all.
 
-    Every (config, grid index) point reads the same batches, one at a time:
-    the batch is drawn, then each distinct front end (``_front_key``) runs
-    once on it, feeds the back ends of the points that share it and is freed.
-    A point's runtime is its back-end time plus equal shares of its front
-    end's time and of the draw time over all points, so the runtimes of the
-    group add up to its wall time.
+    Every (config, grid index) point reads the same batches, one at a time.
+    Points with equal front keys (``_front_key``) and noise powers share a
+    front end.  Each front key's noise powers are split evenly into blocks
+    of at most K // 3 (at least 1): a block's whole-batch outputs, n_active,
+    p and Re{y} at 24 bytes per trial and subcarrier each, then take no more
+    than the batch's 8 K of power_est, whatever the grid length.  Per batch,
+    each block runs one ``_front`` call, feeds the back ends of its points
+    and is freed.  A point's runtime is its back-end time plus equal shares
+    of its block's front-end time and of the draw time over all points, so
+    the runtimes of the group add up to its wall time.
     """
     specs = [c.quantizer() for c in configs]
     budgets = [c.budgets() for c in configs]
-    sigma2: dict[tuple[int, int], float] = {}
-    sharers: dict[tuple, list[tuple[int, int]]] = {}
+    tallies: dict[tuple[int, int], _Tally] = {}
+    # front key -> noise power -> the (member, grid index) points at it
+    sharers: dict[tuple, dict[float, list[tuple[int, int]]]] = {}
     for m, config in enumerate(configs):
         for i, snr_db in enumerate(config.snr_db_grid):
-            sigma2[m, i] = config.sigma2(snr_db)
-            sharers.setdefault(_front_key(config, sigma2[m, i]), []).append((m, i))
-    tallies = {point: _Tally() for point in sigma2}
+            tallies[m, i] = _Tally()
+            by_noise = sharers.setdefault(_front_key(config), {})
+            by_noise.setdefault(config.sigma2(snr_db), []).append((m, i))
+    size = max(1, configs[0].num_devices // 3)
+    blocks = []  # (noise powers, their points) per front key and block
+    for by_noise in sharers.values():
+        for part in np.array_split(list(by_noise), -(-len(by_noise) // size)):
+            sigma2s = part.tolist()
+            blocks.append((sigma2s, [by_noise[sigma2] for sigma2 in sigma2s]))
     t0 = time.perf_counter()
     for batch in _batches(configs[0]):
-        for users in sharers.values():
+        for sigma2s, users in blocks:
             t = time.perf_counter()
-            f, i = users[0]
-            front = _front(configs[f], specs[f], budgets[f], *batch, sigma2[f, i])
-            share = (time.perf_counter() - t) / len(users)
-            for m, i in users:
-                t = time.perf_counter()
-                # unnamed, the output is freed before the next pipeline or
-                # draw allocates; holding it raised peak memory
-                tallies[m, i].add(_back(configs[m], specs[m], front, sigma2[m, i]))
-                tallies[m, i].busy += share + time.perf_counter() - t
-            del front  # freed before the next front end or draw allocates
+            f = users[0][0][0]  # any member with the key forms these fronts
+            fronts = _front(configs[f], specs[f], budgets[f], *batch, sigma2s)
+            share = (time.perf_counter() - t) / sum(map(len, users))
+            for front, sigma2, points in zip(fronts, sigma2s, users):
+                for m, i in points:
+                    t = time.perf_counter()
+                    # unnamed, the output is freed before the next pipeline or
+                    # draw allocates; holding it raised peak memory
+                    tallies[m, i].add(_back(configs[m], specs[m], front, sigma2))
+                    tallies[m, i].busy += share + time.perf_counter() - t
+            del fronts, front  # freed before the next block or draw allocates
         del batch  # freed before the next draw allocates
     busy = sum(tally.busy for tally in tallies.values())
     draw_share = (time.perf_counter() - t0 - busy) / len(tallies)
@@ -570,9 +591,10 @@ class SharedSweeps:
     Configs with equal draw keys (``_draw_key``) form a group.  The first
     ``sweep(config, shared=self)`` of a group evaluates every grid point of
     every member on one draw per batch, running each distinct front end
-    (``_front_key``) once per batch, and keeps the other members' results for
-    their own calls; each result's CSV matches a separate sweep byte for byte.
-    One batch and one front end are held at a time, whatever the group size.
+    (``_front_key`` and noise power) once per batch, in blocks of noise
+    powers, and keeps the other members' results for their own calls; each
+    result's CSV matches a separate sweep byte for byte.  One batch and one
+    block are held at a time, whatever the group size and grid length.
     """
 
     def __init__(self, configs: Iterable[SimConfig]):
@@ -615,8 +637,10 @@ def sweep(
     ``SharedSweeps`` on a single draw per batch, with the same results.
     progress is called with each point in grid order after the last batch.  The
     reported stderr is the standard error of the mean squared error divided
-    by the mean squared true sum (the denominator's own fluctuation is
-    second-order and ignored).
+    by the mean squared true sum.  It leaves out that denominator's own
+    fluctuation, which points sharing their draws share, but which dominates
+    at the quantization floor: there the NMSE's full standard error is about
+    5 times stderr (README, output CSVs).
     """
     if shared is None:
         shared = SharedSweeps([config])

@@ -55,10 +55,9 @@ def reallocate_power(budgets: np.ndarray, active: np.ndarray) -> np.ndarray:
     """
     budgets = np.asarray(budgets, dtype=np.float64)
     active = np.asarray(active, dtype=bool)
-    full = np.broadcast_to(budgets, active.shape)
-    spent = np.where(active, full, 0.0)
-    freed = full.sum(axis=-1) - spent.sum(axis=-1)
+    spent = np.where(active, budgets, 0.0)
     base = spent.sum(axis=-1)
+    freed = budgets.sum() - base  # the row sum of a full row, the same bits
     scale = np.ones_like(base)
     np.divide(freed, base, out=scale, where=base > 0)
     return spent * (1.0 + scale)[..., None]

@@ -155,6 +155,25 @@ def test_trial_chunks_do_not_change_the_selection(monkeypatch, budget, allow_emp
         assert np.array_equal(active, active_ref)
 
 
+@pytest.mark.parametrize("budget", [7 * 12 * 8 * 8, 1 << 20])
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_an_array_of_noise_powers_matches_the_scalar_calls(monkeypatch, budget, allow_empty):
+    # one sort per chunk serves every noise power: result[j] is the scalar
+    # call at noise_powers[j], bit for bit, with one chunk or several
+    monkeypatch.setattr(selection, "_SELECT_BYTES", budget)
+    noise_powers = np.array([30.0, 0.02, 1.0, 0.02])
+    for gains in _gain_cases().values():
+        T, K, L = gains.shape
+        n, p, active = greedy_select_batch(gains, noise_powers, allow_empty)
+        assert n.shape == p.shape == (4, T, L) and active.shape == (4, T, K, L)
+        for j, noise_power in enumerate(noise_powers):
+            n_j, p_j, active_j = greedy_select_batch(gains, noise_power, allow_empty)
+            assert n_j.shape == (T, L) and n.dtype == n_j.dtype
+            assert np.array_equal(n[j], n_j)
+            assert np.array_equal(p[j].view(np.uint64), p_j.view(np.uint64))
+            assert np.array_equal(active[j], active_j)
+
+
 @pytest.mark.parametrize("case", ["zero", "tiny_tied"])
 def test_oracle_cases_include_ties_beyond_the_prefix(case):
     # without such rows the bit-identity test would not reach the tie fix-up

@@ -273,6 +273,28 @@ def test_reallocation_never_reduces_received_power():
         assert np.all(realloc.scalings >= base.scalings - 1e-15)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(trials=1, reallocate=True, allow_empty=True),
+        SimConfig(trials=1, scheme="analog", analog_threshold=0.5),
+    ],
+)
+def test_a_trial_reports_the_active_set_its_front_end_used(config):
+    # the record's mask counts the active devices and caps p at the weakest
+    # of them, after reallocation where it is on
+    params = ChannelParams(num_devices=K, num_subcarriers=L, csi_error_radius=0.2)
+    budgets = config.budgets()
+    for seed in range(5):
+        realization = draw_channel(params, seed=seed, noise_power=config.sigma2(-10.0))
+        record = run_trial(config, realization, np.random.default_rng(seed))
+        active = record.active
+        assert np.array_equal(active.sum(axis=0), record.active_counts)
+        per_device = reallocate_power(budgets, active) if config.reallocate else budgets
+        caps = np.where(active, realization.power_est * per_device, np.inf).min(axis=0)
+        assert np.array_equal(record.scalings, np.where(active.any(axis=0), caps, 0.0))
+
+
 def test_round_estimates_keeps_noiseless_exactness():
     config = SimConfig(p_max=2.0, trials=1, round_estimates=True)
     rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
@@ -472,7 +494,8 @@ def _assert_matches_oracle(configs, trials):
                     for key in ("n_active", "bit_sums"):
                         assert out[key].dtype == ref[key].dtype, where
                         assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
-                    assert np.array_equal(out["active"], ref["active"]), where
+                    active = simulator._select(config, budgets, batch[1], [sigma2])[2][0]
+                    assert np.array_equal(active, ref["active"]), where
                     assert out["received"].dtype == np.float64, where
                     received = _bits(ref["received"].real)
                     assert np.array_equal(_bits(out["received"]), received), where
@@ -502,6 +525,31 @@ def test_simulate_matches_the_oracle_at_100_devices():
     _assert_matches_oracle(configs, 300)  # chunks of 81, 81 and 138 trials
 
 
+@pytest.mark.parametrize("trials", [1, 2 * CHUNK + 1])
+def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
+    # front j of a block is bit for bit the front end at its noise power
+    # alone, for every scheme and receiver option of the oracle configs
+    groups: dict[tuple, list[SimConfig]] = {}
+    for config in _oracle_configs():
+        groups.setdefault(_draw_key(replace(config, trials=trials)), []).append(config)
+    for members in groups.values():
+        batch = next(_batches(replace(members[0], trials=trials)))
+        for config in members:
+            spec, budgets = config.quantizer(), config.budgets()
+            sigma2s = [config.sigma2(-10.0), config.sigma2(20.0), config.sigma2(5.0)]
+            fronts = simulator._front(config, spec, budgets, *batch, sigma2s)
+            assert len(fronts) == len(sigma2s)
+            for sigma2, front in zip(sigma2s, fronts):
+                (alone,) = simulator._front(config, spec, budgets, *batch, [sigma2])
+                assert front.keys() == alone.keys(), config
+                for key, value in alone.items():
+                    if value is None:
+                        assert front[key] is None, (config, key)
+                    else:
+                        assert front[key].dtype == value.dtype, (config, key)
+                        assert front[key].tobytes() == value.tobytes(), (config, key)
+
+
 def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     config = SimConfig(
         num_devices=100, trials=BATCH, csi_error_radius=0.2, reallocate=True, allow_empty=True
@@ -519,22 +567,40 @@ def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     assert peak < power_est.nbytes
 
 
+def _sweep_peak(config: SimConfig) -> int:
+    """tracemalloc's peak over a sweep of config, after an untraced sweep of
+    it has made every one-time allocation of the process."""
+    sweep(config)
+    tracemalloc.start()
+    try:
+        sweep(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_sweep_holds_one_batch_at_a_time():
     # a sweep of four full batches over two grid points peaks no higher than
     # a sweep of one batch: each batch is freed before the next is drawn
     def peak(trials, grid):
-        config = SimConfig(
-            num_devices=2, trials=trials, snr_db_grid=grid, csi_error_radius=0.2
+        return _sweep_peak(
+            SimConfig(num_devices=2, trials=trials, snr_db_grid=grid, csi_error_radius=0.2)
         )
-        tracemalloc.start()
-        try:
-            sweep(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
     batch_bytes = 2 * BATCH * 2 * L * 8  # power_est and residual
     assert peak(2 * BATCH, (0.0, 10.0)) < peak(BATCH, (0.0,)) + batch_bytes / 4
+
+
+def test_a_sweep_peak_does_not_grow_with_the_grid():
+    # at K = 20 an 18-point grid runs in three blocks of 6 noise powers, whose
+    # whole-batch outputs take no more bytes than one batch's power_est; in
+    # one block they would exceed it, beyond what the draw's own peak hides
+    config = SimConfig(trials=BATCH, snr_db_grid=(0.0,))
+    grid = tuple(np.linspace(-10.0, 75.0, 18))
+    power_est_bytes = BATCH * K * L * 8
+    assert _sweep_peak(replace(config, snr_db_grid=grid)) <= (
+        _sweep_peak(config) + power_est_bytes
+    )
 
 
 def _mixed_configs() -> dict[str, SimConfig]:
@@ -594,10 +660,11 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         draws[drawn[0]] += 1
         return draw_channel_batch(params, n, rng, mimo=mimo)
 
-    def counted_front(config, spec, budgets, sources, power_est, residual, noise, sigma2):
+    def counted_front(config, spec, budgets, sources, power_est, residual, noise, sigma2s):
         fronts[drawn[0]] += 1
-        front_keys[drawn[0], _front_key(config, sigma2)] += 1
-        return front(config, spec, budgets, sources, power_est, residual, noise, sigma2)
+        for sigma2 in sigma2s:
+            front_keys[drawn[0], _front_key(config), sigma2] += 1
+        return front(config, spec, budgets, sources, power_est, residual, noise, sigma2s)
 
     front = simulator._front
     monkeypatch.setattr(simulator, "draw_channel_batch", counted)
@@ -622,11 +689,16 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     csi = ((3, 0, 0), 3_000, 1, 1, 0.2)
     two = [((3, 0, 0), BATCH, 1, 1, 0.2), ((3, 0, 1), 1, 1, 1, 0.2)]
     assert draws == Counter([one, mimo, csi] + two)
-    # and runs each distinct front end once on it: of the first key's 25
-    # points, lmmse/ml/rounded share one at -10 dB and one at 10 dB, and the
-    # other 19 run their own; the gaussian key's 7 points run 7
+    # and evaluates each distinct (front key, noise power) once on it: of the
+    # first key's 25 points, lmmse/ml/rounded share -10 dB and 10 dB, and the
+    # other 19 are their own, 21 in all; the gaussian key's 7 points are 7
     assert front_keys and set(front_keys.values()) == {1}
-    assert fronts == Counter({one: 21, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
+    per_draw = Counter(key[0] for key in front_keys)
+    assert per_draw == Counter({one: 21, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
+    # with at most K // 3 = 6 noise powers per block, one _front call per
+    # front key serves all its noise powers: 8 front keys on the first draw
+    # key, and 3 on the gaussian one
+    assert fronts == Counter({one: 8, mimo: 1, csi: 1, two[0]: 3, two[1]: 3})
 
 
 def test_an_unclamped_member_fails_in_a_group_as_it_does_alone():
@@ -658,12 +730,13 @@ def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
     assert all(t > 0.0 for t in runtimes)
     # the first call ran the whole group; the others only returned results
     assert 0.8 * wall < sum(runtimes) <= wall
-    # lmmse and ml share a front end at indices 0 and 1 and split its time
+    # lmmse and ml share one block of four noise powers over their six
+    # points and split its time; analog's block serves its two points
     lmmse, ml, analog = (r.points for r in results)
     for i in range(2):
-        assert lmmse[i].runtime >= pause / 2 and ml[i].runtime >= pause / 2
-        assert analog[i].runtime >= pause
-    assert lmmse[2].runtime >= pause
+        assert lmmse[i].runtime >= pause / 6 and ml[i].runtime >= pause / 6
+        assert analog[i].runtime >= pause / 2
+    assert lmmse[2].runtime >= pause / 6 and lmmse[3].runtime >= pause / 6
 
 
 def _csv_rows(config, path):
@@ -695,12 +768,13 @@ def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, 
         alone = _csv_rows(replace(config, snr_db_grid=(snr_db,)), tmp_path / "alone.csv")
         assert forward[i] == backward[-1 - i] == alone[0], snr_db
 
-    # the two orders share one front end per SNR across grid indices
+    # the two orders share each SNR's front end across grid indices: at
+    # K = 6, blocks of at most 2 noise powers, split evenly, 1 + 2
     fronts = Counter()
     front = simulator._front
 
     def counted_front(*args):
-        fronts[len(args[3])] += 1
+        fronts[len(args[3]), len(args[7])] += 1
         return front(*args)
 
     monkeypatch.setattr(simulator, "_front", counted_front)
@@ -710,7 +784,7 @@ def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, 
     untimed = [[replace(pt, runtime=0.0) for pt in r.points] for r in results]
     assert untimed[1][::-1] == untimed[0]
     batches = [len(sources) for sources, *_ in _batches(config)]
-    assert fronts == Counter(dict.fromkeys(batches, len(grid)))
+    assert fronts == Counter({(n, size): 1 for n in batches for size in (1, 2)})
 
 
 def test_progress_reports_points_in_grid_order_after_the_last_batch(monkeypatch):

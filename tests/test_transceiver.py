@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aircomp.simulator import SimConfig, _back, _batches, _front, _received_sum
+from aircomp.simulator import SimConfig, _back, _batches, _front, _received_sum, _select
 from aircomp.transceiver import (
     allocate_power,
     lmmse_coefficients,
@@ -103,12 +103,12 @@ def test_transmit_power_check_boundary():
     ]
     for config in configs:
         spec, budgets = config.quantizer(), config.budgets()
-        sources, power_est, residual, noise = next(_batches(config))
-        for snr_db in (-10.0, 20.0):
-            sigma2 = config.sigma2(snr_db)
-            batch = (sources, power_est, residual, noise, sigma2)
-            front = _front(config, spec, budgets, *batch)
-            active, p = front["active"], front["p"]
+        batch = next(_batches(config))
+        power_est = batch[1]
+        sigma2s = [config.sigma2(-10.0), config.sigma2(20.0)]
+        fronts = _front(config, spec, budgets, *batch, sigma2s)
+        for sigma2, front in zip(sigma2s, fronts):
+            active, p = _select(config, budgets, power_est, [sigma2])[2][0], front["p"]
             if config.reallocate:
                 caps = power_est * reallocate_power(budgets, active)
             else:
