@@ -45,8 +45,9 @@ class ChannelParams:
     csi_error_radius: float = 0.0
 
     def __post_init__(self):
-        if self.num_devices < 1 or self.num_subcarriers < 1 or self.num_taps < 1:
-            raise ValueError("num_devices, num_subcarriers, num_taps must be >= 1")
+        for key in ("num_devices", "num_subcarriers", "num_taps"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if not 0 <= self.csi_error_radius < 1:
             # radius >= 1 could place h_est at 0, breaking inversion
             raise ValueError("csi_error_radius must lie in [0, 1)")
@@ -66,8 +67,8 @@ class NetworkRealization:
         self.residual = np.asarray(self.residual, dtype=np.float64)
         if self.power_est.shape != self.residual.shape or self.power_est.ndim != 2:
             raise ValueError("power_est and residual must be matching (K, L) arrays")
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be >= 0")
+        if not 0 <= self.noise_power < np.inf:  # NaN included
+            raise ValueError(f"noise_power must be finite and >= 0, got {self.noise_power}")
 
     @property
     def num_devices(self) -> int:
@@ -87,7 +88,7 @@ class MimoParams:
 
     def __post_init__(self):
         if self.n_tx < 1 or self.n_rx < 1:
-            raise ValueError("antenna counts must be >= 1")
+            raise ValueError("n_tx and n_rx must be >= 1")
 
 
 # Byte budget for one chunk of the delay-domain taps, an (n_rx n_tx, trials,

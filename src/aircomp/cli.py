@@ -27,7 +27,7 @@ import numpy as np
 
 from . import codec
 from .channel import ChannelParams, draw_channel, draw_channel_batch
-from .selection import SelectionInstance, brute_force_select, greedy_select
+from .selection import brute_force_select, greedy_select_batch
 from .simulator import (
     SCHEMES,
     SharedSweeps,
@@ -257,10 +257,11 @@ def oracle_greedy_optimality(seed: int = 1, quick: bool = False) -> tuple[bool, 
         gains = power[:, :, 0] / 8.0
         noise = 10.0 ** rng.uniform(-2.0, 2.0, size=group)
         for t in range(group):
-            inst = SelectionInstance(gains[t], float(noise[t]))
-            greedy = greedy_select(inst)
-            brute = brute_force_select(inst)
-            rel = abs(greedy.mse - brute.mse) / max(brute.mse, 1e-300)
+            sigma2 = float(noise[t])
+            n, p, _ = greedy_select_batch(gains[t, None, :, None], sigma2)
+            greedy = mse_closed_form(float(p[0, 0]), int(n[0, 0]), num_devices, sigma2)
+            brute = brute_force_select(gains[t], sigma2)[2]
+            rel = abs(greedy - brute) / max(brute, 1e-300)
             worst = max(worst, rel)
             checked += 1
     ok = worst <= 1e-12
@@ -386,12 +387,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"power_mode={config.power_mode} trials={config.trials} "
             f"seed={config.seed}"
         )
-        progress = None
+        result = sweep(config, shared=shared)
         if verbose:
-            progress = lambda pt: print(  # noqa: E731
-                f"    snr {pt.snr_db:+6.1f} dB done in {pt.runtime:.1f}s"
-            )
-        result = sweep(config, progress=progress, shared=shared)
+            for pt in result.points:
+                print(f"    snr {pt.snr_db:+6.1f} dB done in {pt.runtime:.1f}s")
         for pt in result.points:
             print(
                 f"  snr {pt.snr_db:+7.1f} dB   nmse {pt.nmse:.6e}   "

@@ -16,7 +16,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
+        self.channel_params()  # num_devices, num_subcarriers, num_taps, csi_error_radius
+        self.mimo()  # n_tx, n_rx
         if self.bit_depth < 1:
             raise ValueError("bit_depth must be >= 1")
         if self.bit_depth > 63 or self.num_devices * 2**self.bit_depth > 2**63:
@@ -98,10 +98,6 @@ class SimConfig:
                 "num_devices * 2^bit_depth must not exceed 2^63 (int64 decode), "
                 f"got num_devices={self.num_devices}, bit_depth={self.bit_depth}"
             )
-        if self.num_subcarriers < 1:
-            raise ValueError("num_subcarriers must be >= 1")
-        if self.num_taps < 1:
-            raise ValueError("num_taps must be >= 1")
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.s_max > 0:
@@ -110,8 +106,12 @@ class SimConfig:
             self.quantizer()
         except ValueError as exc:  # name the key: the quantizer calls it b
             raise ValueError(f"bit_depth = {self.bit_depth}: {exc}") from None
-        if self.source_std is not None and not self.source_std > 0:
-            raise ValueError("source_std must be > 0")
+        if self.source_std is not None and not 0 < self.source_std < math.inf:
+            raise ValueError(f"source_std must be > 0 and finite, got {self.source_std}")
+        if self.source == "gaussian" and not self.effective_clamp:
+            # the quantizer rejects any value beyond s_max, which a gaussian
+            # reaches with positive probability
+            raise ValueError("source = gaussian needs clamp = true (or none)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.power_mode not in POWER_MODES:
@@ -145,8 +145,6 @@ class SimConfig:
             raise ValueError("snr_db_grid must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 <= self.csi_error_radius < 1.0:
-            raise ValueError("csi_error_radius must lie in [0, 1)")
         for snr_db in self.snr_db_grid:
             try:
                 noise_ok = 0.0 < self.sigma2(snr_db) < math.inf
@@ -159,8 +157,6 @@ class SimConfig:
                 )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ValueError("n_tx and n_rx must be >= 1")
         if not self.analog_threshold >= 0:
             raise ValueError("analog_threshold must be >= 0")
 
@@ -276,21 +272,27 @@ def _front_key(config: SimConfig) -> tuple:
     return (config.scheme, config.p_max, config.varpi, options)
 
 
+def _weakest(gains, active) -> np.ndarray:
+    """The common received power p per (trial, subcarrier): the weakest
+    active gain, 0 if none.  A minimum is exact in any order, so it runs over
+    a contiguous (K, T, L) copy."""
+    masked = np.ascontiguousarray(np.where(active, gains, np.inf).transpose(1, 0, 2))
+    p = masked.min(axis=0)
+    return np.where(np.isfinite(p), p, 0.0)
+
+
 def _select(config, budgets, a2, sigma2s):
     """(n_active, p, active mask) on a chunk of estimated powers a2 (T, K, L),
     with a leading axis of one entry per noise power for coded schemes and
     one entry for all of them for analog, whose threshold ignores the noise."""
     if config.scheme == "analog":
         act = a2 >= config.analog_threshold
-        p = np.where(act, a2 * (config.p_max / config.num_subcarriers), np.inf).min(axis=1)
-        return act.sum(axis=1)[None], np.where(np.isfinite(p), p, 0.0)[None], act[None]
+        p = _weakest(a2 * (config.p_max / config.num_subcarriers), act)
+        return act.sum(axis=1)[None], p[None], act[None]
     n, p, act = greedy_select_batch(a2 * budgets, sigma2s, config.allow_empty)
     if config.reallocate:
         for j, act_j in enumerate(act):
-            gained = np.where(act_j, a2 * reallocate_power(budgets, act_j), np.inf)
-            # a minimum is exact in any order: take it over a (K, T, L) copy
-            regained = np.ascontiguousarray(gained.transpose(1, 0, 2)).min(axis=0)
-            p[j] = np.where(n[j] > 0, regained, 0.0)
+            p[j] = _weakest(a2 * reallocate_power(budgets, act_j), act_j)
     return n, p, act
 
 
@@ -426,17 +428,6 @@ def run_trial(
         squared_error_quantization=(s_quant - s_true) ** 2,
         squared_error_transmission=(s_hat - s_quant) ** 2,
     )
-
-
-def nmse(records: Iterable[TrialRecord]) -> float:
-    """Ratio of summed squared decoding errors to summed squared true sums."""
-    records = list(records)
-    if not records:
-        raise ValueError("need at least one trial record")
-    den = sum(r.s_true**2 for r in records)
-    if den == 0.0:
-        raise ValueError("all true sums are zero; NMSE is undefined")
-    return sum(r.squared_error_total for r in records) / den
 
 
 def _draw_key(config: SimConfig) -> tuple:
@@ -605,26 +596,16 @@ class SharedSweeps:
                 group.append(config)
         self._results: dict[SimConfig, SweepResult] = {}
 
-    def _sweep(
-        self, config: SimConfig, progress: Callable[[SweepPoint], None] | None
-    ) -> SweepResult:
+    def _sweep(self, config: SimConfig) -> SweepResult:
         if config not in self._results:
             group = self._groups.get(_draw_key(config), [])
             if config not in group:
                 raise ValueError("config is not one of the configs of this SharedSweeps")
             self._results.update(zip(group, _sweep_group(group)))
-        result = self._results[config]
-        if progress is not None:
-            for point in result.points:
-                progress(point)
-        return result
+        return self._results[config]
 
 
-def sweep(
-    config: SimConfig,
-    progress: Callable[[SweepPoint], None] | None = None,
-    shared: SharedSweeps | None = None,
-) -> SweepResult:
+def sweep(config: SimConfig, *, shared: SharedSweeps | None = None) -> SweepResult:
     """Monte Carlo NMSE-versus-SNR sweep with fresh channels every trial.
 
     Randomness: batch j of every grid point uses the stream seeded by the
@@ -634,8 +615,7 @@ def sweep(
     random numbers), and so do configs with the same draw key wherever their
     pipelines coincide, which makes SNR, scheme and detector comparisons
     trial-paired; passing ``shared`` evaluates the configs of one
-    ``SharedSweeps`` on a single draw per batch, with the same results.
-    progress is called with each point in grid order after the last batch.  The
+    ``SharedSweeps`` on a single draw per batch, with the same results.  The
     reported stderr is the standard error of the mean squared error divided
     by the mean squared true sum.  It leaves out that denominator's own
     fluctuation, which points sharing their draws share, but which dominates
@@ -644,7 +624,7 @@ def sweep(
     """
     if shared is None:
         shared = SharedSweeps([config])
-    return shared._sweep(config, progress)
+    return shared._sweep(config)
 
 
 CSV_COLUMNS = (
@@ -707,11 +687,6 @@ def quantization_nmse_floor(config: SimConfig) -> float:
         mean_e, second_e = _uniform_truncation_moments(spec)
         source_power = config.s_max**2 / 3.0
     else:
-        if not config.effective_clamp:
-            raise ValueError(
-                "an unclamped gaussian source can leave the representable "
-                "range; no finite quantization floor exists"
-            )
         mean_e, second_e = _gaussian_truncation_moments(
             spec, config.effective_source_std
         )

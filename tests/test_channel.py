@@ -1,5 +1,6 @@
 """Multipath channel model, CSI perturbation, and MIMO reduction."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -436,13 +437,27 @@ def test_network_realization_validates_shapes():
     assert (real.num_devices, real.num_subcarriers) == (1, 3)
 
 
+@pytest.mark.parametrize("noise_power", [math.nan, math.inf])
+def test_network_realization_rejects_a_noise_power_that_is_not_finite(noise_power):
+    # both once passed and made run_trial return NaN estimates
+    with pytest.raises(ValueError, match=r"^noise_power must be finite and >= 0, got"):
+        NetworkRealization(
+            power_est=np.ones((2, 3)), residual=np.ones((2, 3)), noise_power=noise_power
+        )
+
+
 def test_channel_params_validation():
-    with pytest.raises(ValueError):
+    # one message per key: SimConfig.validate reports them as its own
+    with pytest.raises(ValueError, match=r"^num_devices must be >= 1$"):
         ChannelParams(num_devices=0, num_subcarriers=8)
+    with pytest.raises(ValueError, match=r"^num_subcarriers must be >= 1$"):
+        ChannelParams(num_devices=2, num_subcarriers=0)
     with pytest.raises(ValueError):
         ChannelParams(num_devices=2, num_subcarriers=8, csi_error_radius=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^num_taps must be >= 1$"):
         ChannelParams(num_devices=2, num_subcarriers=8, num_taps=0)
+    with pytest.raises(ValueError, match=r"^n_tx and n_rx must be >= 1$"):
+        MimoParams(n_tx=1, n_rx=0)
     with pytest.raises(ValueError):
         ChannelParams(num_devices=2, num_subcarriers=8, csi_error_radius=-0.1)
     with pytest.raises(ValueError):

@@ -84,6 +84,9 @@ _BAD_VALUES = [
     ("s_max", "0", "", "s_max must be > 0"),
     ("bit_depth", "49", "", "is too fine for s_max=1.0 in float64"),
     ("source_std", "0", "", "source_std must be > 0"),
+    ("source_std", "inf", "", "source_std must be > 0 and finite, got inf"),
+    ("source_std", "nan", "", "source_std must be > 0 and finite, got nan"),
+    ("clamp", "false", "source = gaussian\n", "source = gaussian needs clamp = true"),
     ("scheme", "digital", "", "scheme must be one of"),
     ("power_mode", "random", "", "power_mode must be one of"),
     ("varpi", "0.5", "power_mode = geometric\n", "varpi must be >= 1, got 0.5"),
@@ -375,6 +378,55 @@ def test_bad_input_is_one_error_line_and_status_1(argv, env, expected, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert expected in lines[0]
     assert list(tmp_path.iterdir()) == []  # nothing was run or written
+
+
+@pytest.mark.parametrize(
+    "keys, expected",
+    [
+        ("source = gaussian\nclamp = false\n", "(line 3): source = gaussian needs clamp"),
+        ("source = gaussian\nsource_std = inf\n", "(line 3): source_std must be > 0 and finite"),
+    ],
+)
+def test_a_source_the_quantizer_cannot_take_is_one_error_line(keys, expected, tmp_path, capsys):
+    # each once ended a sweep in a traceback from the quantizer or in a NaN row
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[x]\n" + keys + "trials = 100\nsnr_db_grid = 0\n")
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: experiment [x] ")
+    assert expected in lines[0]
+    assert captured.out == "" and not out.exists()
+
+
+def test_verbose_sweep_prints_each_point_before_the_rows_and_writes_the_same_csv(
+    tmp_path, capsys
+):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[a]\ntrials = 300\nsnr_db_grid = 10 -5 0\n"
+        "[b]\ndetector = ml\ntrials = 300\nsnr_db_grid = 20 5\n"
+    )
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "quiet")]) == 0
+    quiet = capsys.readouterr().out.splitlines()
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "loud"), "-v"]) == 0
+    loud = capsys.readouterr().out.splitlines()
+    timings = [line for line in loud if "done in" in line]
+    # per section: its header, one timing line per grid point in grid order,
+    # then the rows and the path that the quiet run prints
+    for name, grid in (("a", (10.0, -5.0, 0.0)), ("b", (20.0, 5.0))):
+        start = loud.index(next(line for line in loud if line.startswith(f"[{name}]")))
+        mine = loud[start + 1 : start + 1 + len(grid)]
+        assert all("done in" in line for line in mine), mine
+        assert [float(line.split()[1]) for line in mine] == list(grid)
+    assert len(timings) == 5
+    assert [line for line in loud if line not in timings] == [
+        line.replace("quiet", "loud") for line in quiet
+    ]
+    for name in ("a", "b"):
+        csv = (tmp_path / "loud" / f"{name}.csv").read_bytes()
+        assert csv == (tmp_path / "quiet" / f"{name}.csv").read_bytes()
 
 
 def test_verify_honours_seed_zero_from_the_environment(monkeypatch):

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
-from aircomp import selection
 from aircomp.channel import ChannelParams, draw_channel_batch
-from aircomp.selection import (
-    SelectionInstance,
-    brute_force_select,
-    greedy_select,
-    greedy_select_batch,
-)
+from aircomp.selection import brute_force_select, greedy_select_batch
 from aircomp.transceiver import mse_closed_form
+
+
+def _greedy_one(gains, noise_power, allow_empty=False):
+    """greedy_select_batch on one subcarrier's gains as a (1, K, 1) batch:
+    (active device indices, p, closed-form MSE; K/4 for the empty set)."""
+    gains = np.asarray(gains, dtype=np.float64)
+    n, p, active = greedy_select_batch(gains[None, :, None], noise_power, allow_empty)
+    n, p = int(n[0, 0]), float(p[0, 0])
+    mse = mse_closed_form(p, n, gains.size, noise_power) if n else gains.size / 4.0
+    return np.flatnonzero(active[0, :, 0]), p, mse
 
 
 def _greedy_select_batch_argsort(effective_gains, noise_power, allow_empty=False):
@@ -54,40 +58,36 @@ def _gain_cases():
 
 
 def test_known_instance_activates_everyone():
-    inst = SelectionInstance(np.array([9.0, 4.0, 1.0]), noise_power=1.0)
     # prefix MSEs: 39/76 (n=1), 19/68 (n=2), 3/28 (n=3)
     assert mse_closed_form(9.0, 1, 3, 1.0) == pytest.approx(39.0 / 76.0)
     assert mse_closed_form(4.0, 2, 3, 1.0) == pytest.approx(19.0 / 68.0)
     assert mse_closed_form(1.0, 3, 3, 1.0) == pytest.approx(3.0 / 28.0)
-    result = greedy_select(inst)
-    assert result.active.tolist() == [0, 1, 2]
-    assert result.p == 1.0
-    assert result.mse == pytest.approx(3.0 / 28.0)
+    active, p, mse = _greedy_one([9.0, 4.0, 1.0], noise_power=1.0)
+    assert active.tolist() == [0, 1, 2]
+    assert p == 1.0
+    assert mse == pytest.approx(3.0 / 28.0)
 
 
 def test_weak_straggler_is_dropped():
-    inst = SelectionInstance(np.array([100.0, 1e-4]), noise_power=1.0)
-    result = greedy_select(inst)
-    assert result.active.tolist() == [0]
-    assert result.p == 100.0
+    active, p, _ = _greedy_one([100.0, 1e-4], noise_power=1.0)
+    assert active.tolist() == [0]
+    assert p == 100.0
 
 
 def test_non_prefix_sets_are_never_better():
     gains = np.array([9.0, 4.0, 1.0])
-    inst = SelectionInstance(gains, noise_power=1.0)
     # the set {0, 2} is capped by the weakest member and loses to the prefix
     p = gains[[0, 2]].min()
     assert p == 1.0
     assert mse_closed_form(p, 2, 3, 1.0) == pytest.approx(7.0 / 20.0)
-    assert greedy_select(inst).mse < 7.0 / 20.0
+    assert _greedy_one(gains, noise_power=1.0)[2] < 7.0 / 20.0
 
 
 def test_single_device_instance():
-    inst = SelectionInstance(np.array([0.7]), noise_power=0.5)
-    result = greedy_select(inst)
-    assert result.active.tolist() == [0]
-    assert result.p == 0.7
-    assert result.mse == pytest.approx(mse_closed_form(0.7, 1, 1, 0.5))
+    active, p, mse = _greedy_one([0.7], noise_power=0.5)
+    assert active.tolist() == [0]
+    assert p == 0.7
+    assert mse == pytest.approx(mse_closed_form(0.7, 1, 1, 0.5))
 
 
 def test_greedy_matches_brute_force_on_random_instances():
@@ -95,20 +95,19 @@ def test_greedy_matches_brute_force_on_random_instances():
     for _ in range(300):
         num_devices = int(rng.integers(2, 11))
         gains = 10.0 ** rng.uniform(-2.0, 2.0, size=num_devices)
-        inst = SelectionInstance(gains, noise_power=float(10.0 ** rng.uniform(-1, 1)))
-        greedy = greedy_select(inst)
-        brute = brute_force_select(inst)
-        assert greedy.mse == pytest.approx(brute.mse, rel=1e-12)
-        assert np.array_equal(greedy.active, brute.active)
+        noise_power = float(10.0 ** rng.uniform(-1, 1))
+        active, _, mse = _greedy_one(gains, noise_power)
+        brute_active, _, brute_mse = brute_force_select(gains, noise_power)
+        assert mse == pytest.approx(brute_mse, rel=1e-12)
+        assert np.array_equal(active, brute_active)
 
 
 def test_stronger_gains_never_hurt():
     rng = np.random.default_rng(9)
     for _ in range(100):
         gains = 10.0 ** rng.uniform(-1.5, 1.5, size=8)
-        inst = SelectionInstance(gains, noise_power=1.0)
-        boosted = SelectionInstance(3.0 * gains, noise_power=1.0)
-        assert greedy_select(boosted).mse <= greedy_select(inst).mse + 1e-15
+        boosted = _greedy_one(3.0 * gains, noise_power=1.0)[2]
+        assert boosted <= _greedy_one(gains, noise_power=1.0)[2] + 1e-15
 
 
 def test_batch_selection_matches_scalar_path():
@@ -122,11 +121,10 @@ def test_batch_selection_matches_scalar_path():
     n_act, p, active = greedy_select_batch(gains, sigma2)
     for t in range(50):
         for l in range(4):
-            inst = SelectionInstance(gains[t, :, l], noise_power=sigma2)
-            result = brute_force_select(inst)
-            assert n_act[t, l] == len(result.active)
-            assert p[t, l] == result.p
-            assert np.array_equal(np.flatnonzero(active[t, :, l]), result.active)
+            best, best_p, _ = brute_force_select(gains[t, :, l], sigma2)
+            assert n_act[t, l] == len(best)
+            assert p[t, l] == best_p
+            assert np.array_equal(np.flatnonzero(active[t, :, l]), best)
 
 
 @pytest.mark.parametrize("allow_empty", [False, True])
@@ -141,30 +139,24 @@ def test_batch_selection_is_bit_identical_to_argsort_oracle(case, noise_power, a
     assert active.shape == active_ref.shape and np.array_equal(active, active_ref)
 
 
-@pytest.mark.parametrize("budget", [1, 7 * 12 * 8 * 8])
-@pytest.mark.parametrize("allow_empty", [False, True])
-def test_trial_chunks_do_not_change_the_selection(monkeypatch, budget, allow_empty):
-    # budget 1 gives one trial per chunk; the other budget gives 7 trials per
-    # chunk at 12 devices, so 300 trials end in a partial chunk of 6
-    monkeypatch.setattr(selection, "_SELECT_BYTES", budget)
-    for gains in _gain_cases().values():
-        n, p, active = greedy_select_batch(gains, 1.0, allow_empty)
-        n_ref, p_ref, active_ref = _greedy_select_batch_argsort(gains, 1.0, allow_empty)
-        assert n.dtype == n_ref.dtype and np.array_equal(n, n_ref)
-        assert np.array_equal(p.view(np.uint64), p_ref.view(np.uint64))
-        assert np.array_equal(active, active_ref)
-
-
 @pytest.mark.parametrize("budget", [7 * 12 * 8 * 8, 1 << 20])
 @pytest.mark.parametrize("allow_empty", [False, True])
-def test_an_array_of_noise_powers_matches_the_scalar_calls(monkeypatch, budget, allow_empty):
-    # one sort per chunk serves every noise power: result[j] is the scalar
-    # call at noise_powers[j], bit for bit, with one chunk or several
-    monkeypatch.setattr(selection, "_SELECT_BYTES", budget)
+def test_an_array_of_noise_powers_matches_the_scalar_calls(budget, allow_empty):
+    # one sort serves every noise power: result[j] is the scalar call at
+    # noise_powers[j] on the whole batch, bit for bit, also when the trials
+    # are passed in chunks of at most `budget` bytes of gains per call, as a
+    # caller bounding memory does.  At 12 devices and 8 subcarriers the
+    # smaller budget gives 7 trials per call, so 300 trials end in a
+    # partial chunk of 6; the larger one passes every case in one call.
     noise_powers = np.array([30.0, 0.02, 1.0, 0.02])
     for gains in _gain_cases().values():
         T, K, L = gains.shape
-        n, p, active = greedy_select_batch(gains, noise_powers, allow_empty)
+        per_call = max(1, budget // (K * L * gains.itemsize))
+        parts = [
+            greedy_select_batch(gains[t : t + per_call], noise_powers, allow_empty)
+            for t in range(0, T, per_call)
+        ]
+        n, p, active = (np.concatenate(a, axis=1) for a in zip(*parts))
         assert n.shape == p.shape == (4, T, L) and active.shape == (4, T, K, L)
         for j, noise_power in enumerate(noise_powers):
             n_j, p_j, active_j = greedy_select_batch(gains, noise_power, allow_empty)
@@ -190,12 +182,11 @@ def test_allow_empty_silences_dead_subcarriers():
     assert n_act[0, 0] == 0
     assert p[0, 0] == 0.0
     assert not active.any()
-    inst = SelectionInstance(gains[0, :, 0], noise_power=1.0)
-    result = greedy_select(inst, allow_empty=True)
-    assert len(result.active) == 0
-    assert result.mse == pytest.approx(4.0 / 4.0)
-    alive = SelectionInstance(np.full(4, 1e-9), noise_power=1.0)
-    assert len(greedy_select(alive, allow_empty=True).active) >= 1
+    active, _, mse = _greedy_one(gains[0, :, 0], noise_power=1.0, allow_empty=True)
+    assert len(active) == 0
+    assert mse == pytest.approx(4.0 / 4.0)
+    alive = _greedy_one(np.full(4, 1e-9), noise_power=1.0, allow_empty=True)[0]
+    assert len(alive) >= 1
 
 
 def test_without_allow_empty_someone_always_transmits():
@@ -208,9 +199,14 @@ def test_without_allow_empty_someone_always_transmits():
 def test_equal_gains_activate_everyone():
     # noise averaging makes the full set optimal when gains tie:
     # e(1) = 6/20, e(2) = 2/36 for gains (2, 2) at unit noise
-    inst = SelectionInstance(np.array([2.0, 2.0]), noise_power=1.0)
-    greedy = greedy_select(inst)
-    brute = brute_force_select(inst)
-    assert greedy.active.tolist() == [0, 1]
-    assert greedy.mse == pytest.approx(2.0 / 36.0)
-    assert greedy.mse == pytest.approx(brute.mse, rel=1e-15)
+    active, _, mse = _greedy_one([2.0, 2.0], noise_power=1.0)
+    brute_mse = brute_force_select([2.0, 2.0], 1.0)[2]
+    assert active.tolist() == [0, 1]
+    assert mse == pytest.approx(2.0 / 36.0)
+    assert mse == pytest.approx(brute_mse, rel=1e-15)
+
+
+@pytest.mark.parametrize("num_devices", [0, 21])
+def test_subset_enumeration_rejects_empty_and_oversized_instances(num_devices):
+    with pytest.raises(ValueError, match=rf"limited to 1 <= K <= 20, got {num_devices}$"):
+        brute_force_select(np.ones(num_devices), 1.0)

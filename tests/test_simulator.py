@@ -26,7 +26,6 @@ from aircomp.simulator import (
     _draw_sources,
     _front_key,
     _simulate,
-    nmse,
     quantization_nmse_floor,
     run_trial,
     sweep,
@@ -137,7 +136,8 @@ def test_analog_with_everyone_silent_estimates_zero():
         )
         for s in range(50)
     ]
-    assert nmse(records) == 1.0
+    nmse = sum(r.squared_error_total for r in records) / sum(r.s_true**2 for r in records)
+    assert nmse == 1.0
 
 
 def test_analog_noise_variance_matches_closed_form():
@@ -168,21 +168,6 @@ def test_analog_noise_variance_matches_closed_form():
         assert errs.var() == pytest.approx(
             expected, abs=3.0 * expected * math.sqrt(2.0 / 4000)
         )
-
-
-def test_nmse_is_a_ratio_of_sums():
-    config = SimConfig(p_max=2.0, trials=1)
-    rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
-    records = [
-        run_trial(config, unit_gain_realization(noise_power=0.05), rng)
-        for _ in range(4)
-    ]
-    expected = sum(r.squared_error_total for r in records) / sum(
-        r.s_true**2 for r in records
-    )
-    assert nmse(records) == pytest.approx(expected, rel=1e-15)
-    with pytest.raises(ValueError):
-        nmse([])
 
 
 def test_quantization_floor_uniform_matches_monte_carlo():
@@ -217,8 +202,9 @@ def test_quantization_floor_gaussian_matches_monte_carlo():
 
 
 def test_quantization_floor_rejects_unclamped_gaussian():
-    with pytest.raises(ValueError):
-        quantization_nmse_floor(SimConfig(source="gaussian", clamp=False))
+    # no finite floor exists for an unclamped gaussian, so no such config does
+    with pytest.raises(ValueError, match=r"^source = gaussian needs clamp = true"):
+        SimConfig(source="gaussian", clamp=False)
 
 
 def test_sweep_is_deterministic_across_runs():
@@ -242,13 +228,6 @@ def test_sweep_point_fields_are_sane():
     assert pt.mean_p > 0.0
     assert pt.trials == 5_000
     assert pt.mse_total > pt.mse_quantization  # transmission noise dominates
-
-
-def test_sweep_progress_callback_runs_per_point():
-    seen = []
-    config = SimConfig(trials=1_000, snr_db_grid=(0.0, 10.0))
-    sweep(config, progress=seen.append)
-    assert [pt.snr_db for pt in seen] == [0.0, 10.0]
 
 
 def test_gaussian_source_sweep_runs():
@@ -670,18 +649,18 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     monkeypatch.setattr(simulator, "draw_channel_batch", counted)
     monkeypatch.setattr(simulator, "_front", counted_front)
     shared = SharedSweeps(configs.values())
-    seen = {}
+    points = {}
     # reversed, so a group's first call is not always for its first member
     for name in reversed(configs):
-        seen[name] = []
-        result = sweep(configs[name], progress=seen[name].append, shared=shared)
+        result = sweep(configs[name], shared=shared)
+        points[name] = result.points
         sweep_to_csv(result, tmp_path / f"{name}-shared.csv")
 
     for name, config in configs.items():
         alone = (tmp_path / f"{name}-alone.csv").read_bytes()
         assert (tmp_path / f"{name}-shared.csv").read_bytes() == alone, name
-        assert [pt.snr_db for pt in seen[name]] == list(config.snr_db_grid)
-        assert all(pt.runtime > 0.0 for pt in seen[name])
+        assert [pt.snr_db for pt in points[name]] == list(config.snr_db_grid)
+        assert all(pt.runtime > 0.0 for pt in points[name])
 
     # every draw key draws each batch exactly once, for all its grid points
     one = ((3, 0, 0), 3_000, 1, 1, 0.0)
@@ -702,14 +681,11 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
 
 
 def test_an_unclamped_member_fails_in_a_group_as_it_does_alone():
-    # unclamped gaussian values beyond s_max are rejected by the quantizer;
-    # a clamped member's front end must not stand in for the unclamped one
+    # unclamped gaussian values can leave the quantizer's range, so such a
+    # member is rejected as a config, before it can join a group or sweep
     clamped = SimConfig(source="gaussian", trials=2_000, snr_db_grid=(0.0,))
-    unclamped = replace(clamped, clamp=False)
-    with pytest.raises(ValueError, match="s_max"):
-        sweep(unclamped)
-    with pytest.raises(ValueError, match="s_max"):
-        sweep(clamped, shared=SharedSweeps([clamped, unclamped]))
+    with pytest.raises(ValueError, match=r"^source = gaussian needs clamp = true"):
+        replace(clamped, clamp=False)
 
 
 def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
@@ -785,23 +761,6 @@ def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, 
     assert untimed[1][::-1] == untimed[0]
     batches = [len(sources) for sources, *_ in _batches(config)]
     assert fronts == Counter({(n, size): 1 for n in batches for size in (1, 2)})
-
-
-def test_progress_reports_points_in_grid_order_after_the_last_batch(monkeypatch):
-    config = SimConfig(num_devices=4, trials=BATCH + 3, snr_db_grid=(10.0, -5.0, 0.0))
-    drawn = []
-    draw = simulator.draw_channel_batch
-
-    def counted(params, n, rng, mimo=None):
-        drawn.append(n)
-        return draw(params, n, rng, mimo=mimo)
-
-    monkeypatch.setattr(simulator, "draw_channel_batch", counted)
-    seen = []
-    result = sweep(config, progress=lambda pt: seen.append((pt, list(drawn))))
-    assert [pt for pt, _ in seen] == result.points
-    assert [pt.snr_db for pt, _ in seen] == [10.0, -5.0, 0.0]
-    assert all(batches == [BATCH, 3] for _, batches in seen)
 
 
 def test_runtimes_share_the_draw_over_every_point_of_the_group(monkeypatch):
