@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelParams:
     """Static description of the network channel model: K devices, L
     subcarriers, M taps of equal mean power 1/M, and the CSI error radius."""
@@ -69,14 +69,6 @@ class NetworkRealization:
             raise ValueError("power_est and residual must be matching (K, L) arrays")
         if not 0 <= self.noise_power < np.inf:  # NaN included
             raise ValueError(f"noise_power must be finite and >= 0, got {self.noise_power}")
-
-    @property
-    def num_devices(self) -> int:
-        return self.power_est.shape[0]
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.power_est.shape[1]
 
 
 @dataclass(frozen=True)

@@ -447,7 +447,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
     print(f"device values:    {np.array2string(record.sources, precision=4)}")
     if record.lattice is not None:
-        spec = config.quantizer()
         print(f"lattice integers: {record.lattice}")
         if config.scheme == "binary_ml":
             words = codec.encode_offset_binary(record.lattice, args.b)

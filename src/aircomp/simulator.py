@@ -108,7 +108,7 @@ class SimConfig:
             raise ValueError(f"bit_depth = {self.bit_depth}: {exc}") from None
         if self.source_std is not None and not 0 < self.source_std < math.inf:
             raise ValueError(f"source_std must be > 0 and finite, got {self.source_std}")
-        if self.source == "gaussian" and not self.effective_clamp:
+        if self.source == "gaussian" and self.clamp is False:
             # the quantizer rejects any value beyond s_max, which a gaussian
             # reaches with positive probability
             raise ValueError("source = gaussian needs clamp = true (or none)")
@@ -163,10 +163,6 @@ class SimConfig:
     @property
     def effective_source_std(self) -> float:
         return self.source_std if self.source_std is not None else self.s_max / 3.0
-
-    @property
-    def effective_clamp(self) -> bool:
-        return self.clamp if self.clamp is not None else self.source == "gaussian"
 
     def quantizer(self) -> QuantizerSpec:
         return QuantizerSpec(self.bit_depth, self.s_max)
@@ -265,11 +261,12 @@ def _front_key(config: SimConfig) -> tuple:
     noise power: members of a draw group with equal keys form the same Re{y}
     at equal noise powers and differ at most in their back ends (``_back``).
     The budgets depend on p_max, varpi and num_subcarriers only, and a coded
-    bit depth equals num_subcarriers, which the draw key holds."""
+    bit depth equals num_subcarriers, which the draw key holds.  clamp is
+    not needed: a uniform source never leaves [-s_max, s_max], and a
+    gaussian one is always clamped."""
     if config.scheme == "analog":
         return (config.scheme, config.p_max, config.analog_threshold)
-    options = (config.effective_clamp, config.allow_empty, config.reallocate)
-    return (config.scheme, config.p_max, config.varpi, options)
+    return (config.scheme, config.p_max, config.varpi, config.allow_empty, config.reallocate)
 
 
 def _weakest(gains, active) -> np.ndarray:
@@ -281,13 +278,14 @@ def _weakest(gains, active) -> np.ndarray:
     return np.where(np.isfinite(p), p, 0.0)
 
 
-def _select(config, budgets, a2, sigma2s):
+def _select(config, a2, sigma2s):
     """(n_active, p, active mask) on a chunk of estimated powers a2 (T, K, L),
     with a leading axis of one entry per noise power for coded schemes and
     one entry for all of them for analog, whose threshold ignores the noise."""
+    budgets = config.budgets()
     if config.scheme == "analog":
         act = a2 >= config.analog_threshold
-        p = _weakest(a2 * (config.p_max / config.num_subcarriers), act)
+        p = _weakest(a2 * budgets, act)
         return act.sum(axis=1)[None], p[None], act[None]
     n, p, act = greedy_select_batch(a2 * budgets, sigma2s, config.allow_empty)
     if config.reallocate:
@@ -296,7 +294,7 @@ def _select(config, budgets, a2, sigma2s):
     return n, p, act
 
 
-def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2s) -> list:
+def _front(config, sources, power_est, residual, noise, sigma2s) -> list:
     """One config's physical layer on a batch (leading axis = trials): one
     front end per noise power in sigma2s.
 
@@ -313,7 +311,8 @@ def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2s) 
     coded = config.scheme in CODED_SCHEMES
     bit_sums = np.full((T, L), np.nan)  # NaN for analog: no bit-planes
     if coded:
-        v = codec.quantize(sources, spec, clamp=config.effective_clamp)
+        spec = config.quantizer()
+        v = codec.quantize(sources, spec, clamp=config.source == "gaussian")
         binary = config.scheme == "binary_ml"
         encode = codec.encode_offset_binary if binary else codec.encode
     else:
@@ -329,7 +328,7 @@ def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2s) 
             weights = 2 * bits - 1
         else:
             weights = u[s:e, :, None]
-        n, pc, act = _select(config, budgets, power_est[s:e], sigma2s)
+        n, pc, act = _select(config, power_est[s:e], sigma2s)
         n_act[:, s:e], p[:, s:e] = n, pc
         for j, sigma2 in enumerate(sigma2s):
             if j < len(act):  # analog: one noiseless sum for every noise power
@@ -351,7 +350,7 @@ def _front(config, spec, budgets, sources, power_est, residual, noise, sigma2s) 
     ]
 
 
-def _back(config, spec, front, sigma2) -> dict:
+def _back(config, front, sigma2) -> dict:
     """Detection and decoding of a front end's Re{y}: the config's detector,
     round_estimates and decoder.  The analog baseline averages the
     per-subcarrier sums (silent devices are compensated by the
@@ -371,18 +370,12 @@ def _back(config, spec, front, sigma2) -> dict:
         r_hat = lam * received + mu
     if config.round_estimates:
         r_hat = np.clip(np.rint(r_hat), 0.0, float(K))
+    zeta = config.quantizer().zeta
     if config.scheme == "binary_ml":
-        s_hat = codec.decode_offset_binary(r_hat, spec.zeta, K)
+        s_hat = codec.decode_offset_binary(r_hat, zeta, K)
     else:
-        s_hat = codec.decode(r_hat, spec.zeta)
+        s_hat = codec.decode(r_hat, zeta)
     return front | {"s_hat": s_hat, "estimates": r_hat}
-
-
-def _simulate(config, spec, budgets, sources, power_est, residual, noise, sigma2) -> dict:
-    """One config's whole pipeline on a batch at one noise power: its back
-    end on its front end."""
-    front = _front(config, spec, budgets, sources, power_est, residual, noise, [sigma2])
-    return _back(config, spec, front[0], sigma2)
 
 
 def run_trial(
@@ -400,15 +393,13 @@ def run_trial(
             f"realization shape {realization.power_est.shape} does not match config "
             f"({K} devices, {L} subcarriers)"
         )
-    spec = config.quantizer()
-    budgets = config.budgets()
     sources = _draw_sources(config, 1, rng)
-    noise = rng.standard_normal((1, L)) + 1j * rng.standard_normal((1, L))
+    noise = rng.standard_normal((1, L))  # the real part: the receiver reads Re{y} only
     power_est, residual = realization.power_est[None], realization.residual[None]
     sigma2 = realization.noise_power
-    # the receiver reads Re{y} only
-    out = _simulate(config, spec, budgets, sources, power_est, residual, noise.real, sigma2)
-    active = _select(config, budgets, power_est, [sigma2])[2][0, 0]
+    (front,) = _front(config, sources, power_est, residual, noise, [sigma2])
+    out = _back(config, front, sigma2)
+    active = _select(config, power_est, [sigma2])[2][0, 0]
     s_true = float(out["s_true"][0])
     s_quant = float(out["s_quant"][0])
     s_hat = float(out["s_hat"][0])
@@ -431,23 +422,13 @@ def run_trial(
 
 
 def _draw_key(config: SimConfig) -> tuple:
-    """Every field that changes what a batch draws.  Configs with equal keys
-    draw identical sources, channels and noise in each batch; the SNR grid is
-    not part of it (see ``_batches``)."""
+    """Every field that changes what a batch draws: the source's and the
+    channel draw's own parameters.  Configs with equal keys draw identical
+    sources, channels and noise in each batch; the SNR grid is not part of it
+    (see ``_batches``)."""
     std = config.effective_source_std if config.source == "gaussian" else None
-    return (
-        config.seed,
-        config.trials,
-        config.num_devices,
-        config.num_subcarriers,
-        config.num_taps,
-        config.source,
-        config.s_max,
-        std,
-        config.csi_error_radius,
-        config.n_tx,
-        config.n_rx,
-    )
+    source = (config.seed, config.trials, config.source, config.s_max, std)
+    return source + (config.channel_params(), config.mimo())
 
 
 def _batches(config: SimConfig):
@@ -534,8 +515,6 @@ def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     of its block's front-end time and of the draw time over all points, so
     the runtimes of the group add up to its wall time.
     """
-    specs = [c.quantizer() for c in configs]
-    budgets = [c.budgets() for c in configs]
     tallies: dict[tuple[int, int], _Tally] = {}
     # front key -> noise power -> the (member, grid index) points at it
     sharers: dict[tuple, dict[float, list[tuple[int, int]]]] = {}
@@ -555,14 +534,14 @@ def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
         for sigma2s, users in blocks:
             t = time.perf_counter()
             f = users[0][0][0]  # any member with the key forms these fronts
-            fronts = _front(configs[f], specs[f], budgets[f], *batch, sigma2s)
+            fronts = _front(configs[f], *batch, sigma2s)
             share = (time.perf_counter() - t) / sum(map(len, users))
             for front, sigma2, points in zip(fronts, sigma2s, users):
                 for m, i in points:
                     t = time.perf_counter()
                     # unnamed, the output is freed before the next pipeline or
                     # draw allocates; holding it raised peak memory
-                    tallies[m, i].add(_back(configs[m], specs[m], front, sigma2))
+                    tallies[m, i].add(_back(configs[m], front, sigma2))
                     tallies[m, i].busy += share + time.perf_counter() - t
             del fronts, front  # freed before the next block or draw allocates
         del batch  # freed before the next draw allocates
@@ -639,11 +618,6 @@ CSV_COLUMNS = (
 )
 
 
-def config_metadata(config: SimConfig) -> str:
-    """Machine-readable one-line JSON description of a config."""
-    return json.dumps(asdict(config), sort_keys=True)
-
-
 def sweep_to_csv(result: SweepResult, path) -> None:
     """Write a sweep as delimited text.
 
@@ -651,7 +625,8 @@ def sweep_to_csv(result: SweepResult, path) -> None:
     then a header row and one row per grid point.  Floats are written with
     repr so identical runs produce byte-identical files.
     """
-    lines = ["# " + config_metadata(result.config), ",".join(CSV_COLUMNS)]
+    meta = json.dumps(asdict(result.config), sort_keys=True)
+    lines = ["# " + meta, ",".join(CSV_COLUMNS)]
     for pt in result.points:
         lines.append(
             ",".join(

@@ -434,7 +434,7 @@ def test_network_realization_validates_shapes():
         )
     real = NetworkRealization(power_est=[[1, 2, 3]], residual=[[1, 1, 1]], noise_power=0.0)
     assert real.power_est.dtype == real.residual.dtype == np.float64
-    assert (real.num_devices, real.num_subcarriers) == (1, 3)
+    assert real.power_est.shape == real.residual.shape == (1, 3)
 
 
 @pytest.mark.parametrize("noise_power", [math.nan, math.inf])

@@ -356,6 +356,27 @@ def test_demo_analog_scheme(capsys):
     assert "estimate" in out
 
 
+def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
+    b = 6
+    rc = main(["demo", "--scheme", "binary_ml", "--k", "5", "--b", str(b), "--seed", "5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    lines = out.splitlines()
+    (lattice_line,) = [x for x in lines if x.startswith("lattice integers:")]
+    (words_line,) = [x for x in lines if x.startswith("codewords (MSB first):")]
+    lattice = [int(x) for x in lattice_line.split(":")[1].strip(" []").split()]
+    words = words_line.split(":")[1].split()
+    assert len(lattice) == len(words) == 5
+    for v, word in zip(lattice, words):
+        # offset binary is the two's-complement word with its MSB flipped
+        twos = format(v & (2**b - 1), f"0{b}b")
+        assert word == str(1 - int(twos[0])) + twos[1:], v
+    # the r_true column holds each subcarrier's bit sum, LSB first
+    rows = lines[lines.index(words_line) + 2 :][:b]
+    bit_sums = [int(row.split()[4]) for row in rows]
+    assert bit_sums == [sum(int(w[-1 - l]) for w in words) for l in range(b)]
+
+
 @pytest.mark.parametrize(
     "argv, env, expected",
     [

@@ -25,7 +25,6 @@ from aircomp.simulator import (
     _draw_key,
     _draw_sources,
     _front_key,
-    _simulate,
     quantization_nmse_floor,
     run_trial,
     sweep,
@@ -343,10 +342,11 @@ def _inversion_coefficients_oracle(residual, active, p):
     return np.sqrt(p)[:, None, :] * np.where(active, residual, 0.0)
 
 
-def _coded_batch_oracle(config, spec, budgets, sources, power_est, residual, noise, sigma2):
+def _coded_batch_oracle(config, sources, power_est, residual, noise, sigma2):
     K = config.num_devices
     L = config.num_subcarriers
-    v = codec.quantize(sources, spec, clamp=config.effective_clamp)
+    spec, budgets = config.quantizer(), config.budgets()
+    v = codec.quantize(sources, spec, clamp=config.source == "gaussian")
     if config.scheme == "binary_ml":
         bits = codec.encode_offset_binary(v, L)
     else:
@@ -422,15 +422,15 @@ def _analog_batch_oracle(config, sources, power_est, residual, noise, sigma2):
     }
 
 
-def _simulate_oracle(config, spec, budgets, sources, power_est, residual, noise, sigma2):
-    """The whole-batch pipeline that _simulate's chunks replaced: it forms
-    the superposition, with the complex noise, over (T, K, L) arrays in one
-    piece.  _simulate must return the same bits, with Re{y} as its received
-    output."""
+def _simulate_oracle(config, sources, power_est, residual, noise, sigma2):
+    """The whole-batch pipeline that _front's chunks replaced: it forms the
+    superposition, with the complex noise, over (T, K, L) arrays in one
+    piece.  _back on _front must return the same bits, with Re{y} as its
+    received output."""
     args = (sources, power_est, residual, noise, sigma2)
     if config.scheme == "analog":
         return _analog_batch_oracle(config, *args)
-    return _coded_batch_oracle(config, spec, budgets, *args)
+    return _coded_batch_oracle(config, *args)
 
 
 def _oracle_configs() -> list[SimConfig]:
@@ -454,7 +454,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _assert_matches_oracle(configs, trials):
-    """_simulate against the oracle on every batch of each draw key, at a
+    """_back on _front against the oracle on every batch of each draw key, at a
     low SNR (where allow_empty silences subcarriers), a high one and without
     noise."""
     groups: dict[tuple, list[SimConfig]] = {}
@@ -463,17 +463,17 @@ def _assert_matches_oracle(configs, trials):
     for members in groups.values():
         for batch in _batches(replace(members[0], trials=trials)):
             for config in members:
-                spec, budgets = config.quantizer(), config.budgets()
                 for sigma2 in (config.sigma2(-10.0), config.sigma2(20.0), 0.0):
-                    out = _simulate(config, spec, budgets, *batch, sigma2)
-                    ref = _simulate_oracle(config, spec, budgets, *batch, sigma2)
+                    (front,) = simulator._front(config, *batch, [sigma2])
+                    out = simulator._back(config, front, sigma2)
+                    ref = _simulate_oracle(config, *batch, sigma2)
                     where = (config, trials, sigma2)
                     for key in ("s_true", "s_quant", "s_hat", "estimates", "p"):
                         assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
                     for key in ("n_active", "bit_sums"):
                         assert out[key].dtype == ref[key].dtype, where
                         assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
-                    active = simulator._select(config, budgets, batch[1], [sigma2])[2][0]
+                    active = simulator._select(config, batch[1], [sigma2])[2][0]
                     assert np.array_equal(active, ref["active"]), where
                     assert out["received"].dtype == np.float64, where
                     received = _bits(ref["received"].real)
@@ -484,7 +484,7 @@ def _assert_matches_oracle(configs, trials):
                         assert np.array_equal(out["lattice"], ref["lattice"]), where
 
 
-# trials per chunk of _simulate at the default 20 devices and 8 subcarriers
+# trials per chunk of _front at the default 20 devices and 8 subcarriers
 CHUNK = simulator._CHUNK_BYTES // (K * L * 8)
 
 
@@ -514,12 +514,11 @@ def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
     for members in groups.values():
         batch = next(_batches(replace(members[0], trials=trials)))
         for config in members:
-            spec, budgets = config.quantizer(), config.budgets()
             sigma2s = [config.sigma2(-10.0), config.sigma2(20.0), config.sigma2(5.0)]
-            fronts = simulator._front(config, spec, budgets, *batch, sigma2s)
+            fronts = simulator._front(config, *batch, sigma2s)
             assert len(fronts) == len(sigma2s)
             for sigma2, front in zip(sigma2s, fronts):
-                (alone,) = simulator._front(config, spec, budgets, *batch, [sigma2])
+                (alone,) = simulator._front(config, *batch, [sigma2])
                 assert front.keys() == alone.keys(), config
                 for key, value in alone.items():
                     if value is None:
@@ -534,10 +533,11 @@ def test_simulate_peak_memory_is_a_fraction_of_the_channel():
         num_devices=100, trials=BATCH, csi_error_radius=0.2, reallocate=True, allow_empty=True
     )
     sources, power_est, residual, noise = next(_batches(config))
-    spec, budgets, sigma2 = config.quantizer(), config.budgets(), config.sigma2(0.0)
+    sigma2 = config.sigma2(0.0)
     tracemalloc.start()
     try:
-        _simulate(config, spec, budgets, sources, power_est, residual, noise, sigma2)
+        (front,) = simulator._front(config, sources, power_est, residual, noise, [sigma2])
+        simulator._back(config, front, sigma2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -639,11 +639,11 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         draws[drawn[0]] += 1
         return draw_channel_batch(params, n, rng, mimo=mimo)
 
-    def counted_front(config, spec, budgets, sources, power_est, residual, noise, sigma2s):
+    def counted_front(config, sources, power_est, residual, noise, sigma2s):
         fronts[drawn[0]] += 1
         for sigma2 in sigma2s:
             front_keys[drawn[0], _front_key(config), sigma2] += 1
-        return front(config, spec, budgets, sources, power_est, residual, noise, sigma2s)
+        return front(config, sources, power_est, residual, noise, sigma2s)
 
     front = simulator._front
     monkeypatch.setattr(simulator, "draw_channel_batch", counted)
@@ -678,6 +678,27 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     # front key serves all its noise powers: 8 front keys on the first draw
     # key, and 3 on the gaussian one
     assert fronts == Counter({one: 8, mimo: 1, csi: 1, two[0]: 3, two[1]: 3})
+
+
+def test_uniform_configs_that_differ_only_in_clamp_share_one_front_end(monkeypatch):
+    # a uniform source never leaves [-s_max, s_max], so clamping it changes
+    # no front end: both configs ride one _front call per batch, and their
+    # points are equal
+    config = SimConfig(trials=2_000, snr_db_grid=(0.0, 10.0))
+    configs = [config, replace(config, clamp=True)]
+    calls = Counter()
+    front = simulator._front
+
+    def counted_front(*args):
+        calls[len(args[1]), len(args[5])] += 1
+        return front(*args)
+
+    monkeypatch.setattr(simulator, "_front", counted_front)
+    shared = SharedSweeps(configs)
+    results = [sweep(c, shared=shared) for c in configs]
+    assert calls == Counter({(2_000, 2): 1})
+    unclamped, clamped = ([replace(pt, runtime=0.0) for pt in r.points] for r in results)
+    assert unclamped == clamped
 
 
 def test_an_unclamped_member_fails_in_a_group_as_it_does_alone():
@@ -750,7 +771,7 @@ def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, 
     front = simulator._front
 
     def counted_front(*args):
-        fronts[len(args[3]), len(args[7])] += 1
+        fronts[len(args[1]), len(args[5])] += 1
         return front(*args)
 
     monkeypatch.setattr(simulator, "_front", counted_front)

@@ -102,13 +102,13 @@ def test_transmit_power_check_boundary():
         SimConfig(num_devices=6, trials=300, scheme="analog", analog_threshold=0.5),
     ]
     for config in configs:
-        spec, budgets = config.quantizer(), config.budgets()
+        budgets = config.budgets()
         batch = next(_batches(config))
         power_est = batch[1]
         sigma2s = [config.sigma2(-10.0), config.sigma2(20.0)]
-        fronts = _front(config, spec, budgets, *batch, sigma2s)
+        fronts = _front(config, *batch, sigma2s)
         for sigma2, front in zip(sigma2s, fronts):
-            active, p = _select(config, budgets, power_est, [sigma2])[2][0], front["p"]
+            active, p = _select(config, power_est, [sigma2])[2][0], front["p"]
             if config.reallocate:
                 caps = power_est * reallocate_power(budgets, active)
             else:
@@ -209,6 +209,6 @@ def test_plan_detector_coefficients_match_free_function():
     n_active = rng.integers(0, 6, size=(3, 8))
     received = rng.standard_normal((3, 8))
     front = {"p": p, "n_active": n_active, "received": received}
-    out = _back(config, config.quantizer(), front, 0.3)
+    out = _back(config, front, 0.3)
     lam, mu = lmmse_coefficients(p, n_active, 5, 0.3)
     assert np.array_equal(out["estimates"], lam * received + mu)
