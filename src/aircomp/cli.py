@@ -2,13 +2,14 @@
 
 Config files are flat INI-style text, one ``[section]`` per experiment with
 ``key = value`` lines (``#`` starts a comment).  An optional ``[global]``
-section holds output options.  An empty file describes one default
-experiment.  Parse errors carry the offending line number.
+section holds the output options ``out`` and ``verbose``, checked like any
+other section.  An empty file describes one default experiment.  Parse errors
+carry the offending line number.
 
 Environment variables with the ``AIRCOMP_`` prefix mirror the command-line
 flags (``AIRCOMP_SEED``, ``AIRCOMP_TRIALS``, ``AIRCOMP_OUT``,
-``AIRCOMP_QUICK``); explicit flags win over the environment, which wins over
-the config file.
+``AIRCOMP_QUICK``) and are parsed like config values; explicit flags win over
+the environment, which wins over the config file.
 """
 
 from __future__ import annotations
@@ -55,14 +56,16 @@ class ExperimentSpec:
 
 
 _FIELD_TYPES = typing.get_type_hints(SimConfig)
+_GLOBAL_TYPES = {"out": str, "verbose": bool}
 _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
-def _parse_value(kind, value: str, lineno: int):
-    """Parse one config value as a value of the annotated field type kind:
-    int, float, str or bool, ``X | None`` (``none`` gives None), or a tuple
-    of floats (separated by commas or spaces).  Ranges and choices are left
-    to SimConfig.validate."""
+def _parse_value(kind, value: str, where: str):
+    """Parse one config or environment value as a value of type kind: int,
+    float, str or bool, ``X | None`` (``none`` gives None), or a tuple of
+    floats (separated by commas or spaces).  An error starts with where, the
+    value's line (``line 3``) or variable (``AIRCOMP_SEED``).  Ranges and
+    choices are left to SimConfig.validate."""
     args = typing.get_args(kind)
     if type(None) in args:
         if value.lower() == "none":
@@ -72,35 +75,33 @@ def _parse_value(kind, value: str, lineno: int):
         try:
             return tuple(float(p) for p in value.replace(",", " ").split())
         except ValueError:
-            raise ConfigError(f"line {lineno}: expected numbers, got {value!r}") from None
+            raise ConfigError(f"{where}: expected numbers, got {value!r}") from None
     if kind is bool:
         lowered = value.lower()
         if lowered in ("true", "yes", "on", "1"):
             return True
         if lowered in ("false", "no", "off", "0"):
             return False
-        raise ConfigError(f"line {lineno}: expected true or false, got {value!r}")
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
     try:
         return kind(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: expected {_TYPE_NAMES[kind]}, got {value!r}") from None
+        raise ConfigError(f"{where}: expected {_TYPE_NAMES[kind]}, got {value!r}") from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse config text into an ExperimentSpec.
 
-    Each key is parsed by the type of its SimConfig field.  Raises
-    ConfigError (with a line number) on unknown keys or sections, malformed
-    values, duplicates, and experiments that SimConfig.validate rejects: such
-    an error carries the line of the section's last key that the message
-    names, or the section header's line if it names none.  Empty input
-    yields one default experiment.
+    Each key is parsed by its type: a SimConfig field's, or in ``[global]``
+    that of ``out`` (str) or ``verbose`` (bool).  Raises ConfigError (with a
+    line number) on unknown keys or sections, malformed values, duplicates,
+    and experiments that SimConfig.validate rejects: such an error carries
+    the line of the section's last key that the message names, or the
+    section header's line if it names none.  Input without experiment
+    sections yields one default experiment.
     """
     raw: dict[str, dict[str, tuple]] = {}  # section -> key -> (value, line)
     section_lines: dict[str, int] = {}
-    out: str | None = None
-    verbose = False
-    seen_global = False
     current: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -110,15 +111,10 @@ def parse_config(text: str) -> ExperimentSpec:
             name = stripped[1:-1].strip()
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
-            if name == "global":
-                if seen_global:
-                    raise ConfigError(f"line {lineno}: duplicate section [global]")
-                seen_global = True
-            else:
-                if name in raw:
-                    raise ConfigError(f"line {lineno}: duplicate section [{name}]")
-                raw[name] = {}
-                section_lines[name] = lineno
+            if name in raw:
+                raise ConfigError(f"line {lineno}: duplicate section [{name}]")
+            raw[name] = {}
+            section_lines[name] = lineno
             current = name
             continue
         if "=" not in stripped:
@@ -132,23 +128,17 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(
                 f"line {lineno}: key {key!r} appears before any [section] header"
             )
-        if current == "global":
-            if key == "out":
-                out = value
-            elif key == "verbose":
-                verbose = _parse_value(bool, value, lineno)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [global]")
-            continue
-        if key not in _FIELD_TYPES:
+        types = _GLOBAL_TYPES if current == "global" else _FIELD_TYPES
+        if key not in types:
             raise ConfigError(
-                f"line {lineno}: unknown key {key!r} "
-                f"(valid keys: {', '.join(sorted(_FIELD_TYPES))})"
+                f"line {lineno}: unknown key {key!r} in [{current}] "
+                f"(valid keys: {', '.join(sorted(types))})"
             )
         if key in raw[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        raw[current][key] = (_parse_value(_FIELD_TYPES[key], value, lineno), lineno)
+        raw[current][key] = (_parse_value(types[key], value, f"line {lineno}"), lineno)
 
+    options = {key: value for key, (value, _) in raw.pop("global", {}).items()}
     if not raw:
         raw = {"default": {}}
         section_lines["default"] = 0
@@ -168,40 +158,7 @@ def parse_config(text: str) -> ExperimentSpec:
             ]
             line = max(named, default=section_lines[name])
             raise ConfigError(f"experiment [{name}] (line {line}): {exc}") from exc
-    return ExperimentSpec(experiments=experiments, out=out, verbose=verbose)
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return " ".join(repr(float(x)) for x in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def serialize_config(spec: ExperimentSpec) -> str:
-    """Render an ExperimentSpec back to config text.
-
-    Every field is written explicitly, so parse(serialize(spec)) == spec.
-    """
-    lines: list[str] = []
-    if spec.out is not None or spec.verbose:
-        lines.append("[global]")
-        if spec.out is not None:
-            lines.append(f"out = {spec.out}")
-        if spec.verbose:
-            lines.append("verbose = true")
-        lines.append("")
-    for name, config in spec.experiments.items():
-        lines.append(f"[{name}]")
-        for f in dataclasses.fields(SimConfig):
-            lines.append(f"{f.name} = {_format_value(getattr(config, f.name))}")
-        lines.append("")
-    return "\n".join(lines)
+    return ExperimentSpec(experiments=experiments, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +170,23 @@ def oracle_exact_sum(seed: int = 1, quick: bool = False) -> tuple[bool, str]:
     per-position bit sums returns the integer sum of quantized values with
     zero error.  Exhaustive over all device-value tuples for small (b, K),
     randomized for the reference size."""
-    failures = 0
-    counts = []
+    cases = []  # (bit depth, one device-value tuple per row, description)
     for b, num in ((3, 3), (5, 3)):
         lattice = np.arange(-(2 ** (b - 1)), 2 ** (b - 1), dtype=np.int64)
         grids = np.meshgrid(*([lattice] * num), indexing="ij")
         values = np.stack([g.ravel() for g in grids], axis=-1)
         if quick:
             values = values[:: max(1, len(values) // 1000)]
-        bits = codec.encode(values, b)
-        decoded = codec.decode(bits.sum(axis=1), 1.0)
-        if not np.array_equal(decoded, values.sum(axis=1).astype(np.float64)):
-            failures += 1
-        counts.append(f"b={b} K={num}: {len(values)} tuples")
-
+        cases.append((b, values, f"b={b} K={num}: {len(values)} tuples"))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 811)))
     n_random = 10_000 if quick else 100_000
     values = rng.integers(-128, 128, size=(n_random, 20), dtype=np.int64)
-    bits = codec.encode(values, 8)
-    decoded = codec.decode(bits.sum(axis=1), 1.0)
-    if not np.array_equal(decoded, values.sum(axis=1).astype(np.float64)):
-        failures += 1
-    counts.append(f"b=8 K=20: {n_random} random tuples")
-    return failures == 0, "; ".join(counts) + (
+    cases.append((8, values, f"b=8 K=20: {n_random} random tuples"))
+    failures = 0
+    for b, values, _ in cases:
+        decoded = codec.decode(codec.encode(values, b).sum(axis=1), 1.0)
+        failures += not np.array_equal(decoded, values.sum(axis=1).astype(np.float64))
+    return failures == 0, "; ".join(case[2] for case in cases) + (
         "; all exact" if failures == 0 else f"; {failures} case groups FAILED"
     )
 
@@ -316,24 +267,11 @@ ORACLES = (
 # commands
 
 
-def _env_str(name: str) -> str | None:
+def _env(name: str, kind=str):
+    """Environment variable AIRCOMP_<name> parsed as a config value of type
+    kind, or None when it is unset or empty."""
     value = os.environ.get(ENV_PREFIX + name)
-    return value if value else None
-
-
-def _env_int(name: str) -> int | None:
-    value = _env_str(name)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{ENV_PREFIX}{name}: expected an integer, got {value!r}") from None
-
-
-def _env_flag(name: str) -> bool:
-    value = _env_str(name)
-    return value is not None and value.lower() in ("1", "true", "yes", "on")
+    return _parse_value(kind, value, ENV_PREFIX + name) if value else None
 
 
 def _output_path(out: str, name: str, multiple: bool) -> Path:
@@ -355,21 +293,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         spec = ExperimentSpec(experiments={"default": SimConfig()})
 
-    seed = args.seed if args.seed is not None else _env_int("SEED")
-    trials = args.trials if args.trials is not None else _env_int("TRIALS")
-    quick = args.quick or _env_flag("QUICK")
-    out = args.out or _env_str("OUT") or spec.out or "."
+    # each variable is parsed even under its flag, so a bad value always fails
+    env_seed, env_trials, env_quick = _env("SEED", int), _env("TRIALS", int), _env("QUICK", bool)
+    seed = env_seed if args.seed is None else args.seed
+    trials = env_trials if args.trials is None else args.trials
+    quick = args.quick or bool(env_quick)
+    out = args.out or _env("OUT") or spec.out or "."
     verbose = args.verbose or spec.verbose
 
     # apply and validate every section's overrides before the first sweep,
     # so a bad override ends the command before any CSV is written
     configs: dict[str, SimConfig] = {}
     for name, config in spec.experiments.items():
-        updates: dict = {}
-        if seed is not None:
-            updates["seed"] = seed
-        if trials is not None:
-            updates["trials"] = trials
+        updates = {k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None}
         if quick:
             updates["trials"] = min(updates.get("trials", config.trials), 2000)
         if updates:
@@ -406,12 +342,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_int("SEED")
-    if seed is None:
-        seed = 1
+    # each variable is parsed even under its flag, so a bad value always fails
+    env_seed, env_quick = _env("SEED", int), _env("QUICK", bool)
+    seed = next(s for s in (args.seed, env_seed, 1) if s is not None)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    quick = args.quick or _env_flag("QUICK")
+    quick = args.quick or bool(env_quick)
     all_ok = True
     for label, fn in ORACLES:
         ok, detail = fn(seed=seed, quick=quick)
@@ -448,11 +384,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"device values:    {np.array2string(record.sources, precision=4)}")
     if record.lattice is not None:
         print(f"lattice integers: {record.lattice}")
-        if config.scheme == "binary_ml":
-            words = codec.encode_offset_binary(record.lattice, args.b)
-        else:
-            words = codec.encode(record.lattice, args.b)
-        rendered = " ".join(codec.format_codeword(w) for w in words)
+        encode = codec.encode_offset_binary if args.scheme == "binary_ml" else codec.encode
+        rendered = " ".join(codec.format_codeword(w) for w in encode(record.lattice, args.b))
         print(f"codewords (MSB first): {rendered}")
         print("subcarrier   budget     active   p          r_true   re_y      r_hat")
         budgets = config.budgets()

@@ -85,13 +85,21 @@ def quantize(s, spec: QuantizerSpec, clamp: bool = False):
     return v
 
 
-def _check_lattice_range(v: np.ndarray, length: int):
+def _planes(v, length: int, offset: int) -> np.ndarray:
+    """Bits (LSB first) of (v + offset) mod 2^length, for lattice integer(s)
+    v that fit the signed lattice of the given length."""
+    arr = np.asarray(v, dtype=np.int64)
+    if length < 1:
+        raise ValueError(f"codeword length must be >= 1, got {length}")
     lo, hi = -(2 ** (length - 1)), 2 ** (length - 1) - 1
-    if np.any(v < lo) or np.any(v > hi):
+    if np.any(arr < lo) or np.any(arr > hi):
         raise ValueError(
             f"value outside signed {length}-bit lattice [{lo}, {hi}]; "
             f"{length} bit positions cannot represent it"
         )
+    unsigned = (arr + offset) & ((1 << length) - 1)  # int64-safe
+    bits = (unsigned[..., None] >> np.arange(length)) & 1
+    return bits.astype(np.int64, copy=False)
 
 
 def encode(v, length: int) -> np.ndarray:
@@ -102,31 +110,25 @@ def encode(v, length: int) -> np.ndarray:
     least one lattice value is unrepresentable (2^b values, 2^(length) < 2^b
     codewords), so the range check is what enforces minimality.
     """
-    arr = np.asarray(v, dtype=np.int64)
-    if length < 1:
-        raise ValueError(f"codeword length must be >= 1, got {length}")
-    _check_lattice_range(arr, length)
-    unsigned = arr & ((1 << length) - 1)  # two's complement, int64-safe
-    bits = (unsigned[..., None] >> np.arange(length)) & 1
-    return bits.astype(np.int64, copy=False)
+    return _planes(v, length, 0)
 
 
 def encode_offset_binary(v, length: int) -> np.ndarray:
     """Offset-binary bits (LSB first): plain binary of v + 2^(length-1)."""
-    arr = np.asarray(v, dtype=np.int64)
-    if length < 1:
-        raise ValueError(f"codeword length must be >= 1, got {length}")
-    _check_lattice_range(arr, length)
-    unsigned = arr + (1 << (length - 1))
-    bits = (unsigned[..., None] >> np.arange(length)) & 1
-    return bits.astype(np.int64, copy=False)
+    return _planes(v, length, 2 ** (length - 1))
 
 
-def _weights(length: int, signed: bool) -> np.ndarray:
+def _decode(r, zeta: float, signed: bool):
+    """sum_l r_l w_l / zeta over the last axis, with w_l = 2^(l-1) and, when
+    signed, a negative top weight; integer input is reduced in int64."""
+    arr = np.asarray(r)
+    length = arr.shape[-1]
     w = np.ones(length, dtype=np.int64) << np.arange(length, dtype=np.int64)
     if signed:
         w[-1] = -w[-1]
-    return w
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr.astype(np.int64) @ w / zeta
+    return arr @ w.astype(np.float64) / zeta
 
 
 def decode(r, zeta: float):
@@ -135,31 +137,19 @@ def decode(r, zeta: float):
     Accepts real-valued per-position estimates (detector outputs) as well as
     exact integer bit-position sums; integer input is reduced in int64 so the
     exact-sum identity holds with no floating-point tolerance.  The last axis
-    is the bit-position axis.  The int64 total is exact up to 2^63, but the
-    division by zeta returns float64, which holds every integer only up to
-    2^53 in magnitude: beyond that the decoded sum is rounded.
+    is the bit-position axis, and 1-D input gives a float.  The int64 total is
+    exact up to 2^63, but the division by zeta returns float64, which holds
+    every integer only up to 2^53 in magnitude: beyond that the decoded sum is
+    rounded.
     """
-    arr = np.asarray(r)
-    length = arr.shape[-1]
-    if np.issubdtype(arr.dtype, np.integer):
-        total = arr.astype(np.int64) @ _weights(length, signed=True)
-    else:
-        total = arr @ _weights(length, signed=True).astype(np.float64)
-    out = total / zeta
-    return float(out) if arr.ndim == 1 else out
+    return _decode(r, zeta, signed=True)
 
 
 def decode_offset_binary(r, zeta: float, num_devices: int):
-    """Decoder for summed offset-binary codewords of num_devices senders."""
-    arr = np.asarray(r)
-    length = arr.shape[-1]
-    w = _weights(length, signed=False)
-    if np.issubdtype(arr.dtype, np.integer):
-        total = arr.astype(np.int64) @ w
-    else:
-        total = arr @ w.astype(np.float64)
-    out = total / zeta - num_devices * (2 ** (length - 1)) / zeta
-    return float(out) if arr.ndim == 1 else out
+    """Decoder for summed offset-binary codewords of num_devices senders:
+    the unsigned weighted sum less each sender's offset 2^(L-1)."""
+    length = np.shape(r)[-1]
+    return _decode(r, zeta, signed=False) - num_devices * (2 ** (length - 1)) / zeta
 
 
 def format_codeword(bits) -> str:

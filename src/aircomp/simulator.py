@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import Iterable
@@ -102,12 +103,24 @@ class SimConfig:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.s_max > 0:
             raise ValueError("s_max must be > 0")
+        if self.source_std is not None and not 0 < self.source_std < math.inf:
+            raise ValueError(f"source_std must be > 0 and finite, got {self.source_std}")
+        # The tally sums fourth powers of errors from about a lattice step,
+        # 2^(1-b) s, to the largest sum, K s, for a source scale s.  Each stays
+        # in [2^-255, 2^255], whose fourth powers are normal floats, with 2^8
+        # to spare for the noise and, at the top, 2^16 for the trial count.
+        lo, hi = 2.0 ** (self.bit_depth - 248), 2.0**231 / self.num_devices
+        keys = ("s_max", "source_std") if self.source == "gaussian" else ("s_max",)
+        for key, scale in zip(keys, (self.s_max, self.effective_source_std)):
+            if not lo <= scale <= hi:
+                raise ValueError(
+                    f"{key} = {scale!r} must lie in [{lo!r}, {hi!r}] at "
+                    f"num_devices = {self.num_devices} and bit_depth = {self.bit_depth}"
+                )
         try:
             self.quantizer()
         except ValueError as exc:  # name the key: the quantizer calls it b
             raise ValueError(f"bit_depth = {self.bit_depth}: {exc}") from None
-        if self.source_std is not None and not 0 < self.source_std < math.inf:
-            raise ValueError(f"source_std must be > 0 and finite, got {self.source_std}")
         if self.source == "gaussian" and self.clamp is False:
             # the quantizer rejects any value beyond s_max, which a gaussian
             # reaches with positive probability
@@ -120,7 +133,7 @@ class SimConfig:
             )
         # rejects p_max <= 0 and varpi < 1; called through its module, as
         # perfbench times calls of this module's allocate_power as sweep work
-        transceiver.allocate_power(self.p_max, self.num_subcarriers, self.varpi)
+        budgets = transceiver.allocate_power(self.p_max, self.num_subcarriers, self.varpi)
         if self.power_mode == "uniform" and self.varpi != 1.0:
             raise ValueError("varpi > 1 requires power_mode = geometric")
         if self.detector not in DETECTORS:
@@ -155,6 +168,15 @@ class SimConfig:
                     f"snr_db_grid entry {snr_db} must be finite and give a "
                     "positive, finite noise power p_max / (10^(snr_db/10) L)"
                 )
+        # every budget and noise power is a normal float, and so is the MSE's
+        # product of one with up to K^2 / 2, with 2^16 to spare for the gains
+        tiny, top = sys.float_info.min, sys.float_info.max / 2.0**16 / self.num_devices**2
+        powers = [*budgets, *map(self.sigma2, self.snr_db_grid)]
+        if not tiny <= min(powers) <= max(powers) <= top:
+            raise ValueError(
+                f"p_max = {self.p_max!r} gives power budgets and noise powers outside "
+                f"[{tiny!r}, {top!r}] at num_devices = {self.num_devices}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.analog_threshold >= 0:

@@ -187,7 +187,8 @@ def test_spans_cover_every_item_in_chunks_of_at_least_size(n, size):
 
 def test_perfect_csi_estimate_leaves_the_generator_as_a_draw_does():
     # an odd count of delays leaves half of a 64-bit word buffered for the
-    # next 32-bit draw; skipping the CSI uniforms keeps it, as drawing does
+    # next 32-bit draw; drawing and discarding the CSI uniforms keeps it, as
+    # drawing them for a nonzero radius does
     exact = ChannelParams(num_devices=5, num_subcarriers=6, num_taps=3)
     noisy = ChannelParams(num_devices=5, num_subcarriers=6, num_taps=3, csi_error_radius=0.2)
     buffered = set()
@@ -200,7 +201,7 @@ def test_perfect_csi_estimate_leaves_the_generator_as_a_draw_does():
         following = [rng.integers(0, 6, size=5) for rng in rngs]
         assert np.array_equal(following[0], following[1])
     assert buffered == {0, 1}
-    # a generator that cannot skip draws the uniforms instead
+    # so does a generator of another bit generator
     rngs = [np.random.Generator(np.random.MT19937(4)) for _ in range(2)]
     draw_channel_batch(exact, 3, rngs[0])
     draw_channel_batch(noisy, 3, rngs[1])
@@ -464,6 +465,7 @@ def test_channel_params_validation():
         draw_channel(ChannelParams(num_devices=2, num_subcarriers=8), 1, noise_power=-1.0)
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("mimo", [MimoParams(1, 1), MimoParams(2, 2)], ids=["siso", "2x2"])
 def test_draw_memory_stays_within_its_real_arrays(monkeypatch, mimo):
     # the draw holds at most the taps, the delays, the CSI moduli and one

@@ -10,14 +10,9 @@ from pathlib import Path
 import pytest
 
 from aircomp import cli
-from aircomp.cli import (
-    ConfigError,
-    ExperimentSpec,
-    main,
-    parse_config,
-    serialize_config,
-)
+from aircomp.cli import ConfigError, ExperimentSpec, main, parse_config
 from aircomp.simulator import SimConfig
+from conftest import serialize_config
 
 WORKLOADS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "workloads").glob("*.ini"))
 
@@ -107,6 +102,14 @@ _BAD_VALUES = [
     ("n_tx", "0", "", "n_tx and n_rx must be >= 1"),
     ("n_rx", "0", "", "n_tx and n_rx must be >= 1"),
     ("analog_threshold", "-1", "", "analog_threshold must be >= 0"),
+    # scales whose sums, squares or fourth powers leave float64's normal range
+    ("s_max", "1e308", "", "s_max = 1e+308 must lie in"),
+    ("s_max", "1e200", "", "s_max = 1e+200 must lie in"),
+    ("s_max", "1e-300", "", "s_max = 1e-300 must lie in"),
+    ("source_std", "1e200", "source = gaussian\n", "source_std = 1e+200 must lie in"),
+    ("source_std", "1e-300", "source = gaussian\n", "source_std = 1e-300 must lie in"),
+    ("p_max", "1e-320", "", "p_max = 1e-320 gives power budgets and noise powers outside"),
+    ("p_max", "1e307", "", "p_max = 1e+307 gives power budgets and noise powers outside"),
 ]
 
 
@@ -157,6 +160,24 @@ def test_parse_rejects_empty_snr_grid():
     with pytest.raises(ConfigError) as err:
         parse_config("[x]\nsnr_db_grid =\n")
     assert "line 2" in str(err.value)
+
+
+def test_global_keys_are_checked_like_section_keys():
+    for key, value in (("out", "a"), ("verbose", "true")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[global]\n{key} = {value}\n{key} = {value}\n[x]\n")
+        assert str(err.value) == f"line 3: duplicate key {key!r} in [global]"
+    with pytest.raises(ConfigError) as err:
+        parse_config("[global]\ntrials = 5\n")
+    assert str(err.value) == "line 2: unknown key 'trials' in [global] (valid keys: out, verbose)"
+    with pytest.raises(ConfigError, match=r"^line 2: expected true or false, got 'maybe'$"):
+        parse_config("[global]\nverbose = maybe\n")
+    with pytest.raises(ConfigError, match=r"^line 3: duplicate section \[global\]$"):
+        parse_config("[global]\nout = a\n[global]\n")
+    # output options alone still describe one default experiment
+    spec = parse_config("[global]\nverbose = yes\n")
+    assert spec.verbose is True and spec.out is None
+    assert spec.experiments == {"default": SimConfig()}
 
 
 def test_parse_rejects_structural_mistakes():
@@ -387,6 +408,7 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
         (["demo", "--k", "0"], {}, "num_devices must be >= 1"),
         (["demo", "--snr-db", "nan"], {}, "snr_db_grid"),
         (["demo", "--b", "49"], {}, "bit depth 49 is too fine"),
+        (["verify", "--quick"], {"AIRCOMP_QUICK": "junk"}, "AIRCOMP_QUICK"),
     ],
 )
 def test_bad_input_is_one_error_line_and_status_1(argv, env, expected, tmp_path, monkeypatch, capsys):
@@ -406,6 +428,9 @@ def test_bad_input_is_one_error_line_and_status_1(argv, env, expected, tmp_path,
     [
         ("source = gaussian\nclamp = false\n", "(line 3): source = gaussian needs clamp"),
         ("source = gaussian\nsource_std = inf\n", "(line 3): source_std must be > 0 and finite"),
+        ("s_max = 1e308\n", "(line 2): s_max = 1e+308 must lie in"),
+        ("source = gaussian\nsource_std = 1e200\n", "(line 3): source_std = 1e+200 must lie in"),
+        ("p_max = 1e-320\n", "(line 2): p_max = 1e-320 gives power budgets"),
     ],
 )
 def test_a_source_the_quantizer_cannot_take_is_one_error_line(keys, expected, tmp_path, capsys):
@@ -448,6 +473,22 @@ def test_verbose_sweep_prints_each_point_before_the_rows_and_writes_the_same_csv
     for name in ("a", "b"):
         csv = (tmp_path / "loud" / f"{name}.csv").read_bytes()
         assert csv == (tmp_path / "quiet" / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "value, quick", [("off", False), ("no", False), ("0", False), ("on", True), ("YES", True)]
+)
+def test_quick_from_the_environment_takes_the_config_spellings(value, quick, monkeypatch):
+    seen = []
+
+    def probe(seed, quick):
+        seen.append(quick)
+        return True, "probe"
+
+    monkeypatch.setattr(cli, "ORACLES", (("probe", probe),))
+    monkeypatch.setenv("AIRCOMP_QUICK", value)
+    assert main(["verify"]) == 0
+    assert seen == [quick]
 
 
 def test_verify_honours_seed_zero_from_the_environment(monkeypatch):

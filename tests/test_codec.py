@@ -69,6 +69,10 @@ def test_encode_known_words():
 def test_decode_weighted_sum():
     # weights (1, 2, 4, -8): 2*1 + 0*2 + 2*4 - 1*8 = 2
     assert decode(np.array([2, 0, 2, 1]), 1.0) == 2.0
+    # 1-D input, integer or real, decodes to a float
+    for r in (np.array([2, 0, 2, 1]), np.array([2.0, 0.0, 2.0, 1.0])):
+        assert isinstance(decode(r, 1.0), float)
+        assert isinstance(decode_offset_binary(r, 1.0, num_devices=2), float)
 
 
 def test_round_trip_exhaustive_small_depths():

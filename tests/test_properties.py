@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from aircomp import channel  # noqa: E402
-from aircomp.cli import ExperimentSpec, parse_config, serialize_config  # noqa: E402
+from aircomp.cli import ExperimentSpec, parse_config  # noqa: E402
 from aircomp.codec import QuantizerSpec, decode, encode, quantize  # noqa: E402
 from aircomp.selection import brute_force_select, greedy_select_batch  # noqa: E402
 from aircomp.simulator import (  # noqa: E402
@@ -25,6 +25,7 @@ from aircomp.simulator import (  # noqa: E402
     SOURCES,
     SimConfig,
 )
+from conftest import serialize_config  # noqa: E402
 
 # zero or a magnitude in [1e-6, 1e6]: wide enough to produce ill-conditioned
 # and rank-deficient matrices, narrow enough that |S|^2 neither under- nor

@@ -528,6 +528,7 @@ def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
                         assert front[key].tobytes() == value.tobytes(), (config, key)
 
 
+@pytest.mark.memory
 def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     config = SimConfig(
         num_devices=100, trials=BATCH, csi_error_radius=0.2, reallocate=True, allow_empty=True
@@ -558,6 +559,7 @@ def _sweep_peak(config: SimConfig) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.memory
 def test_a_sweep_holds_one_batch_at_a_time():
     # a sweep of four full batches over two grid points peaks no higher than
     # a sweep of one batch: each batch is freed before the next is drawn
@@ -570,6 +572,7 @@ def test_a_sweep_holds_one_batch_at_a_time():
     assert peak(2 * BATCH, (0.0, 10.0)) < peak(BATCH, (0.0,)) + batch_bytes / 4
 
 
+@pytest.mark.memory
 def test_a_sweep_peak_does_not_grow_with_the_grid():
     # at K = 20 an 18-point grid runs in three blocks of 6 noise powers, whose
     # whole-batch outputs take no more bytes than one batch's power_est; in
@@ -894,3 +897,39 @@ def test_config_normalizes_grid_to_floats():
     config = SimConfig(snr_db_grid=[0, 5, 10])
     assert config.snr_db_grid == (0.0, 5.0, 10.0)
     assert all(isinstance(x, float) for x in config.snr_db_grid)
+
+
+def _rows(config: SimConfig) -> np.ndarray:
+    """(nmse, stderr, mean_active, mean_p / p_max) per grid point."""
+    return np.array(
+        [(p.nmse, p.stderr, p.mean_active, p.mean_p / config.p_max) for p in sweep(config).points]
+    )
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        SimConfig(trials=2000, snr_db_grid=(-10.0, 0.0, 20.0)),
+        SimConfig(trials=2000, snr_db_grid=(-10.0, 0.0, 20.0), detector="ml"),
+        SimConfig(trials=2000, snr_db_grid=(-10.0, 0.0, 20.0), scheme="analog"),
+    ],
+    ids=["lmmse", "ml", "analog"],
+)
+def test_rows_at_the_accepted_scale_extremes_match_unit_scale(base):
+    # NMSE does not depend on the scale of the sources or of the power: at
+    # the smallest and largest s_max and p_max that validation accepts, every
+    # row matches s_max = 1 and p_max = 1, and one float further is rejected
+    K, b, L = base.num_devices, base.bit_depth, base.num_subcarriers
+    tiny, top = np.finfo(np.float64).tiny, np.finfo(np.float64).max / 2.0**16 / K**2
+    edges = {
+        "s_max": (2.0 ** (b - 248), 2.0**231 / K),
+        # the noise powers span p_max / (100 L) at 20 dB to p_max / (0.1 L) at -10 dB
+        "p_max": (tiny * 100.0 * L, top * 0.1 * L),
+    }
+    expected = _rows(base)
+    for key, (lo, hi) in edges.items():
+        for edge, beyond in ((lo, 0.0), (hi, np.inf)):
+            config = replace(base, **{key: edge})
+            np.testing.assert_allclose(_rows(config), expected, rtol=1e-12, err_msg=key)
+            with pytest.raises(ValueError, match=rf"^{key} = "):
+                replace(base, **{key: float(np.nextafter(edge, beyond))})
