@@ -67,6 +67,9 @@ class NetworkRealization:
         self.residual = np.asarray(self.residual, dtype=np.float64)
         if self.power_est.shape != self.residual.shape or self.power_est.ndim != 2:
             raise ValueError("power_est and residual must be matching (K, L) arrays")
+        finite = np.isfinite(self.power_est) & np.isfinite(self.residual)
+        if not np.all(finite & (self.power_est >= 0)):
+            raise ValueError("power_est must be finite and >= 0, and residual finite")
         if not 0 <= self.noise_power < np.inf:  # NaN included
             raise ValueError(f"noise_power must be finite and >= 0, got {self.noise_power}")
 
@@ -149,6 +152,28 @@ def _matched_gains(H: np.ndarray) -> np.ndarray:
     return power
 
 
+def _scatter_taps(taps_re, taps_im, delays, num_subcarriers: int, scale: float):
+    """The delay-domain channel x[a, t, k, d], (A, trials, K, L) complex: the
+    sum of the scaled taps of antenna pair a that arrive with delay d.
+
+    taps_re and taps_im are (trials, K, M, n_rx, n_tx) normals, delays is
+    (trials, K, M).  Each antenna plane's real and imaginary parts are one
+    np.bincount each, with the bins in tap-major order (every device's first
+    path, then every second one), so each bin adds its taps in path order,
+    starting from zero: the sum that adding path by path gives.
+    """
+    n, K, M = delays.shape
+    size = n * K * num_subcarriers
+    bins = (np.arange(0, size, num_subcarriers)[:, None] + delays.reshape(n * K, M)).T.ravel()
+    x = np.empty((taps_re[0, 0, 0].size, size), dtype=np.complex128)
+    for part, taps in ((x.real, taps_re), (x.imag, taps_im)):
+        planes = np.ascontiguousarray(taps.reshape(n * K, M, -1).T)  # (A, M, n K)
+        planes *= scale
+        for a, plane in enumerate(planes):
+            part[a] = np.bincount(bins, plane.ravel(), size)
+    return x.reshape(-1, n, K, num_subcarriers)
+
+
 def draw_channel_batch(
     params: ChannelParams,
     n_trials: int,
@@ -165,7 +190,9 @@ def draw_channel_batch(
     randomness and stay trial-paired.
 
     The taps are summed in the delay domain: each tap is added into the bin
-    of its delay (taps of one device that share a delay add together), and
+    of its delay (taps of one device that share a delay add together, in
+    path order), by one np.bincount per antenna pair and real or imaginary
+    part (`_scatter_taps`), and
     one inverse FFT per device and antenna pair, np.fft.ifft with
     norm="forward", gives h_{k,l} = sum_d x_d exp(j 2 pi d l / L), whose
     power is re^2 + im^2.  Its rounding differs from a direct sum over the
@@ -202,13 +229,7 @@ def draw_channel_batch(
     spans = _spans(n_trials, max(1, _DRAW_BYTES // (A * K * L * 16)))
     for s, e in spans:
         n = e - s
-        taps = ((taps_re[s:e] + 1j * taps_im[s:e]) * scale).reshape(n * K, M, A)
-        # x[a, t, k, d]: the taps of antenna pair a that arrive with delay d
-        x = np.zeros((A, n * K * L), dtype=np.complex128)
-        first_bin = np.arange(0, n * K * L, L)
-        for m in range(M):
-            x[:, first_bin + delays[s:e, :, m].ravel()] += taps[:, m].T
-        x = x.reshape(A, n, K, L)
+        x = _scatter_taps(taps_re[s:e], taps_im[s:e], delays[s:e], L, scale)
         if A == 1:
             h = np.fft.ifft(x[0], axis=-1, norm="forward")
             np.square(h.real, out=power[s:e])
@@ -216,7 +237,7 @@ def draw_channel_batch(
         else:
             h = np.fft.ifft(x, axis=-1, norm="forward").reshape(n_rx, n_tx, n, K, L)
             power[s:e] = _matched_gains(h)
-        del taps, x, h  # release this chunk's arrays before the next one allocates
+        del x, h  # release this chunk's arrays before the next one allocates
     del taps_re, taps_im, delays  # released before the CSI uniforms allocate
 
     radius = params.csi_error_radius

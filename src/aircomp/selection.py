@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .transceiver import mse_closed_form
+from .transceiver import mse_closed_form, mse_factors, mse_from_factors
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,38 +58,53 @@ def greedy_select_batch(
     first prefix attaining the minimum wins, so ties resolve to the smaller
     set.  The gains are sorted once, along the last axis of a contiguous
     (T, L, K) copy, for all noise powers; sorted values do not depend on how
-    ties are ordered, so no permutation is kept.  The active set is every
-    device with gain >= p, except where devices tie at p beyond the n-th
-    place: there the lowest indices enter, as many as the prefix needs.  With
-    allow_empty=True a prefix no better than the no-transmission MSE K/4
-    yields an empty set.  The temporaries are a few copies of the gains, so a
-    caller bounds memory by the trials it passes.
+    ties are ordered, so no permutation is kept.  The MSE's noise-free
+    factors (``mse_factors``) are formed once on that sort, and each noise
+    power only adds its terms and divides, in two reused buffers.
+
+    The active set is every device with gain >= p, except where the next
+    sorted gain ties at p as well: there the lowest indices enter, as many as
+    the prefix needs.  With allow_empty=True a prefix no better than the
+    no-transmission MSE K/4 yields an empty set.  The masks are built
+    device-major, on one contiguous (K, T, L) copy of the gains (no copy when
+    effective_gains is a (T, K, L) view of one), and the mask comes back as a
+    (T, K, L)-shaped view of that (G, K, T, L) array.  The temporaries are a
+    few copies of the gains, so a caller bounds memory by the trials it
+    passes.
     """
     shape = np.shape(noise_power)
     noise_powers = np.asarray(noise_power, dtype=np.float64).reshape(-1).tolist()
     T, K, L = effective_gains.shape
-    g = np.ascontiguousarray(effective_gains.transpose(0, 2, 1))
-    sorted_g = np.sort(g, axis=-1)[..., ::-1]
+    gains = np.ascontiguousarray(effective_gains.transpose(1, 0, 2))  # (K, T, L)
+    sorted_g = gains.transpose(1, 2, 0).copy()  # (T, L, K), sorted in place
+    sorted_g.sort(axis=-1)
+    sorted_g = sorted_g[..., ::-1]
+    factors = mse_factors(sorted_g, np.arange(1, K + 1), K)
+    buffers = np.empty(sorted_g.shape), np.empty(sorted_g.shape)
     n = np.empty((len(noise_powers), T, L), dtype=np.intp)
     p = np.empty(n.shape)
-    active = np.empty((len(noise_powers), T, K, L), dtype=bool)
+    active = np.empty((len(noise_powers), K, T, L), dtype=bool)
     for j, sigma2 in enumerate(noise_powers):
-        mse = mse_closed_form(sorted_g, np.arange(1, K + 1), K, sigma2)
+        mse = mse_from_factors(*factors, K, sigma2, out=buffers)
         i = np.argmin(mse, axis=-1)  # first minimum: smaller set on ties
         n[j] = i + 1
         p[j] = np.take_along_axis(sorted_g, i[..., None], axis=-1)[..., 0]
-        np.greater_equal(effective_gains, p[j][:, None, :], out=active[j])
-        t, l = np.nonzero(active[j].sum(axis=1) > n[j])
+        np.greater_equal(gains, p[j], out=active[j])
+        # more than n gains reach p exactly where the next sorted one ties
+        following = np.minimum(i + 1, K - 1)[..., None]
+        tie = np.take_along_axis(sorted_g, following, axis=-1)[..., 0] == p[j]
+        t, l = np.nonzero(tie & (i + 1 < K))
         if t.size:
-            rows = effective_gains[t, :, l]  # (rows, K)
-            above = rows > p[j, t, l][:, None]
-            tied = rows == p[j, t, l][:, None]
-            need = n[j, t, l][:, None] - above.sum(axis=1, keepdims=True)
-            active[j, t, :, l] = above | (tied & (np.cumsum(tied, axis=1) <= need))
+            rows = gains[:, t, l]  # (K, rows)
+            above = rows > p[j, t, l]
+            tied = rows == p[j, t, l]
+            need = n[j, t, l] - above.sum(axis=0)
+            active[j][:, t, l] = above | (tied & (np.cumsum(tied, axis=0) <= need))
         if allow_empty:
             best = np.take_along_axis(mse, i[..., None], axis=-1)[..., 0]
             fallback = best >= K / 4.0
             n[j][fallback] = 0
             p[j][fallback] = 0.0
-            active[j] &= ~fallback[:, None, :]
+            active[j] &= ~fallback
+    active = active.transpose(0, 2, 1, 3)
     return tuple(a.reshape(shape + a.shape[1:]) for a in (n, p, active))

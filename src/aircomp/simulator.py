@@ -270,12 +270,16 @@ def _received_sum(residual, active, p, weights) -> np.ndarray:
     (a BPSK symbol or an analog amplitude); the air applies the true channel,
     which leaves the residual Re{h_k / h_est_k} on the real part.  A device
     whose estimate is zero never adds anything: it caps p at zero.
+
+    Device-major: residual, active and weights are (K, T, L) or broadcast to
+    it, p is (T, L).  The terms form one contiguous (K, T, L) array, whose
+    sum over axis 0 adds the devices in index order, in runs of T * L
+    elements.
     """
-    ratio = np.where(active, residual, 0.0)
-    terms = np.sqrt(p)[:, None, :] * ratio * weights
-    # a (K, chunk, L) copy adds the devices in the same order as axis=1 does,
-    # so every bit holds, but in runs of chunk * L elements instead of L
-    return np.ascontiguousarray(terms.transpose(1, 0, 2)).sum(axis=0)
+    terms = np.ascontiguousarray(np.where(active, residual, 0.0))
+    terms *= np.sqrt(p)
+    terms *= weights
+    return terms.sum(axis=0)
 
 
 def _front_key(config: SimConfig) -> tuple:
@@ -292,26 +296,32 @@ def _front_key(config: SimConfig) -> tuple:
 
 
 def _weakest(gains, active) -> np.ndarray:
-    """The common received power p per (trial, subcarrier): the weakest
-    active gain, 0 if none.  A minimum is exact in any order, so it runs over
-    a contiguous (K, T, L) copy."""
-    masked = np.ascontiguousarray(np.where(active, gains, np.inf).transpose(1, 0, 2))
-    p = masked.min(axis=0)
+    """The common received power p per (trial, subcarrier) of device-major
+    (K, T, L) gains and mask: the weakest active gain, 0 if none.  A minimum
+    is exact in any order."""
+    p = np.where(active, gains, np.inf).min(axis=0)
     return np.where(np.isfinite(p), p, 0.0)
 
 
 def _select(config, a2, sigma2s):
     """(n_active, p, active mask) on a chunk of estimated powers a2 (T, K, L),
     with a leading axis of one entry per noise power for coded schemes and
-    one entry for all of them for analog, whose threshold ignores the noise."""
+    one entry for all of them for analog, whose threshold ignores the noise.
+
+    The work runs device-major, on a2.transpose(1, 0, 2): a contiguous
+    (K, T, L) array when a2 is a (T, K, L) view of one, as ``_front`` passes
+    it.  The masks come back (G, T, K, L)-shaped, as views of (G, K, T, L)
+    arrays."""
     budgets = config.budgets()
+    a2 = a2.transpose(1, 0, 2)
     if config.scheme == "analog":
         act = a2 >= config.analog_threshold
         p = _weakest(a2 * budgets, act)
-        return act.sum(axis=1)[None], p[None], act[None]
-    n, p, act = greedy_select_batch(a2 * budgets, sigma2s, config.allow_empty)
+        return act.sum(axis=0)[None], p[None], act.transpose(1, 0, 2)[None]
+    gains = (a2 * budgets).transpose(1, 0, 2)
+    n, p, act = greedy_select_batch(gains, sigma2s, config.allow_empty)
     if config.reallocate:
-        for j, act_j in enumerate(act):
+        for j, act_j in enumerate(act.transpose(0, 2, 1, 3)):
             p[j] = _weakest(a2 * reallocate_power(budgets, act_j), act_j)
     return n, p, act
 
@@ -328,6 +338,12 @@ def _front(config, sources, power_est, residual, noise, sigma2s) -> list:
     run once, and the scan, the reallocation and Re{y} once per noise power.
     Per-trial results go into whole-batch arrays, so each front end is that
     of a whole-batch evaluation; no (T, K, L) mask is kept.
+
+    Within a chunk everything is device-major, (K, chunk, L): the bits, the
+    +-1 weights, one copy of the estimated powers and of the residual (the
+    radius-0 broadcast stays a broadcast), and the masks, which the
+    selection returns as views.  So the sums and minima over devices
+    (``_received_sum``, ``_weakest``) reduce axis 0 of contiguous arrays.
     """
     T, K, L = power_est.shape
     coded = config.scheme in CODED_SCHEMES
@@ -345,16 +361,20 @@ def _front(config, sources, power_est, residual, noise, sigma2s) -> list:
     received = np.empty((G, T, L))
     for s, e in _spans(T, max(1, _CHUNK_BYTES // (K * L * power_est.itemsize))):
         if coded:
-            bits = encode(v[s:e], L)
-            bit_sums[s:e] = np.einsum("tkl->tl", bits)  # int64: exact in any order
-            weights = 2 * bits - 1
+            bits = encode(np.ascontiguousarray(v[s:e].T), L)
+            bit_sums[s:e] = bits.sum(axis=0)  # int64: exact in any order
+            weights = 2.0 * bits - 1.0
         else:
-            weights = u[s:e, :, None]
-        n, pc, act = _select(config, power_est[s:e], sigma2s)
+            weights = u[s:e].T[:, :, None]
+        a2 = np.ascontiguousarray(power_est[s:e].transpose(1, 0, 2))
+        ratio = residual[s:e].transpose(1, 0, 2)
+        if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
+            ratio = np.ascontiguousarray(ratio)
+        n, pc, act = _select(config, a2.transpose(1, 0, 2), sigma2s)
         n_act[:, s:e], p[:, s:e] = n, pc
         for j, sigma2 in enumerate(sigma2s):
             if j < len(act):  # analog: one noiseless sum for every noise power
-                clean = _received_sum(residual[s:e], act[j], pc[j], weights)
+                clean = _received_sum(ratio, act[j].transpose(1, 0, 2), pc[j], weights)
             received[j, s:e] = clean
             received[j, s:e] += np.sqrt(sigma2 / 2.0) * noise[s:e]
 

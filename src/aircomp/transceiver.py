@@ -49,8 +49,9 @@ def reallocate_power(budgets: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Move budget a device cannot spend on truncated subcarriers to its
     active ones, proportionally.
 
-    budgets is the (L,) per-plane budget, active a (..., K, L) activity mask.
-    Returns per-device budgets (..., K, L); entries on inactive subcarriers
+    budgets is the (L,) per-plane budget, active an (..., L) activity mask
+    whose leading axes index devices and trials in any order.  Returns
+    per-device budgets of the mask's shape; entries on inactive subcarriers
     are zeroed (the device is silent there).
     """
     budgets = np.asarray(budgets, dtype=np.float64)
@@ -97,24 +98,50 @@ def ml_lattice_estimate(re_y, p, n_active):
     return np.clip(r, 0.0, n)
 
 
-def mse_closed_form(p, n_active, num_devices, noise_power):
+def mse_factors(p, n_active, num_devices):
+    """The noise-free parts of the closed-form MSE's numerator and
+    denominator, p 2n(K - n) and 8 p n, for gains p >= 0.  A selection scan
+    forms them once and finishes them at every noise power
+    (``mse_from_factors``)."""
+    p = np.asarray(p, dtype=np.float64)
+    n = np.asarray(n_active, dtype=np.float64)
+    return p * (2.0 * n * (num_devices - n)), p * (8.0 * n)
+
+
+def mse_from_factors(num, denom, num_devices, noise_power: float, out=None):
+    """The closed-form MSE from ``mse_factors`` at a scalar noise power:
+    (num + K sigma^2) / (denom + 4 sigma^2).
+
+    With sigma^2 > 0 the denominator is at least 4 sigma^2 > 0 and the
+    divide is unmasked; at sigma^2 = 0, p n = 0 gives 0/0 and the prior
+    variance K/4 is returned there.  out, a pair of float64 arrays of the
+    factors' shape, receives the MSE and the denominator (default: new ones).
+    """
+    K = num_devices
+    if out is None:
+        out = np.empty(np.shape(num)), np.empty(np.shape(denom))
+    mse, den = out
+    np.add(num, K * noise_power, out=mse)
+    np.add(denom, 4.0 * noise_power, out=den)
+    if noise_power > 0:
+        np.divide(mse, den, out=mse)
+    else:
+        positive = den > 0
+        np.divide(mse, den, out=mse, where=positive)
+        mse[~positive] = K / 4.0
+    if mse.ndim == 0:
+        return float(mse)
+    return mse
+
+
+def mse_closed_form(p, n_active, num_devices, noise_power: float):
     """Residual MSE of the affine-MMSE detector for the bit-position sum:
 
         e = (2 p n (K - n) + K sigma^2) / (8 p n + 4 sigma^2)
 
     with n active devices out of K.  p = 0 (or n = 0) degenerates to the
-    prior variance K/4.  Vectorized over any broadcastable arguments.
+    prior variance K/4.  Vectorized over broadcastable p and n_active, at a
+    scalar noise power.
     """
-    p = np.asarray(p, dtype=np.float64)
-    n = np.asarray(n_active, dtype=np.float64)
-    K = num_devices
-    # the factors of n alone first: one pass over p each in a selection scan
-    num = p * (2.0 * n * (K - n))
-    num += K * noise_power
-    denom = p * (8.0 * n)
-    denom += 4.0 * noise_power
-    out = np.full(denom.shape, K / 4.0)
-    np.divide(num, denom, out=out, where=denom > 0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    num, denom = mse_factors(p, n_active, num_devices)
+    return mse_from_factors(num, denom, num_devices, noise_power)

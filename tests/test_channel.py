@@ -130,6 +130,44 @@ def test_taps_that_share_a_delay_add_together(mimo):
     assert _same_bits(fast.standard_normal(64), slow.standard_normal(64))
 
 
+def _scatter_taps_by_fancy_index(taps_re, taps_im, delays, num_subcarriers, scale):
+    """The delay-domain scatter as a loop over paths with fancy-index +=: the
+    oracle that channel._scatter_taps must match bit for bit."""
+    n, K, M = delays.shape
+    A = taps_re[0, 0, 0].size
+    L = num_subcarriers
+    taps = ((taps_re + 1j * taps_im) * scale).reshape(n * K, M, A)
+    x = np.zeros((A, n * K * L), dtype=np.complex128)
+    first_bin = np.arange(0, n * K * L, L)
+    for m in range(M):
+        x[:, first_bin + delays[:, :, m].ravel()] += taps[:, m].T
+    return x.reshape(A, n, K, L)
+
+
+@pytest.mark.parametrize(
+    "params, mimo",
+    [
+        (ChannelParams(num_devices=20, num_subcarriers=8), MimoParams()),
+        (ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2), MimoParams()),
+        (ChannelParams(num_devices=6, num_subcarriers=8), MimoParams(n_tx=2, n_rx=2)),
+        (ChannelParams(num_devices=6, num_subcarriers=8), MimoParams(n_tx=2, n_rx=3)),
+        (ChannelParams(num_devices=4, num_subcarriers=16, num_taps=6), MimoParams(n_tx=3, n_rx=1)),
+        (ChannelParams(num_devices=5, num_subcarriers=8, num_taps=1), MimoParams()),
+    ],
+    ids=["siso", "siso-radius", "2x2", "3x2", "1x3-M6", "M1"],
+)
+def test_bincount_scatter_matches_the_fancy_index_loop(monkeypatch, params, mimo):
+    # every bin adds its taps in path order, as the loop over paths does
+    fast = np.random.default_rng(31)
+    power_est, residual = draw_channel_batch(params, 7, fast, mimo)
+    monkeypatch.setattr(channel, "_scatter_taps", _scatter_taps_by_fancy_index)
+    slow = np.random.default_rng(31)
+    power_ref, residual_ref = draw_channel_batch(params, 7, slow, mimo)
+    assert _same_bits(power_est, power_ref)
+    assert _same_bits(residual, residual_ref)
+    assert _same_bits(fast.random(64), slow.random(64))
+
+
 def _draw_and_next(params, n_trials, mimo):
     rng = np.random.default_rng(8)
     power_est, residual = draw_channel_batch(params, n_trials, rng, mimo)
@@ -407,15 +445,15 @@ def test_receive_beam_handles_degenerate_matrices(S):
 def test_mac_superposition_sums_scaled_symbols():
     # noiseless superposition is the weighted sum of the active devices'
     # symbols: each inverts its estimate, the air applies the true channel
-    h = np.array([[[1.0 + 1.0j], [2.0 - 1.0j], [0.5j]]])  # (trials, K, L)
-    h_est = h * np.array([[[1.0], [1.0], [1.0 + 0.1j]]])
+    h = np.array([[[1.0 + 1.0j]], [[2.0 - 1.0j]], [[0.5j]]])  # (K, trials, L)
+    h_est = h * np.array([[[1.0]], [[1.0]], [[1.0 + 0.1j]]])
     residual = (h / h_est).real
-    symbols = np.array([[[1.0], [-1.0], [1.0]]])
+    symbols = np.array([[[1.0]], [[-1.0]], [[1.0]]])
     p = np.array([[4.0]])
     perfect = np.ones(h.shape)
     y = simulator._received_sum(perfect, np.ones(h.shape, bool), p, symbols)
     np.testing.assert_allclose(y, [[2.0]], rtol=1e-15)
-    silent = np.array([[[True], [False], [True]]])
+    silent = np.array([[[True]], [[False]], [[True]]])
     y = simulator._received_sum(residual, silent, p, symbols)
     np.testing.assert_allclose(y, [[2.0 + 2.0 / 1.01]], rtol=1e-15)
 
@@ -436,6 +474,24 @@ def test_network_realization_validates_shapes():
     real = NetworkRealization(power_est=[[1, 2, 3]], residual=[[1, 1, 1]], noise_power=0.0)
     assert real.power_est.dtype == real.residual.dtype == np.float64
     assert real.power_est.shape == real.residual.shape == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "power_est, residual",
+    [
+        ([[-1.0, 2.0]], [[1.0, 1.0]]),
+        ([[math.nan, 2.0]], [[1.0, 1.0]]),
+        ([[math.inf, 2.0]], [[1.0, 1.0]]),
+        ([[1.0, 2.0]], [[math.nan, 1.0]]),
+    ],
+    ids=["negative", "nan", "inf", "nan-residual"],
+)
+def test_network_realization_rejects_a_power_that_is_not_finite_and_nonnegative(
+    power_est, residual
+):
+    # selection assumes gains >= 0: its MSE divide is unmasked at noise > 0
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        NetworkRealization(power_est=power_est, residual=residual, noise_power=1.0)
 
 
 @pytest.mark.parametrize("noise_power", [math.nan, math.inf])

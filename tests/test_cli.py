@@ -398,17 +398,44 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
     assert bit_sums == [sum(int(w[-1 - l]) for w in words) for l in range(b)]
 
 
+# Every case names its own id, so inserting one renames no other.  A new
+# case's id is its expected text; the first eight keep the ids they were
+# first collected under.
 @pytest.mark.parametrize(
     "argv, env, expected",
     [
-        (["sweep", "--trials", "0"], {}, "trials must be >= 1"),
-        (["sweep"], {"AIRCOMP_TRIALS": "abc"}, "AIRCOMP_TRIALS"),
-        (["verify", "--quick"], {"AIRCOMP_SEED": "x1"}, "AIRCOMP_SEED"),
-        (["verify", "--quick", "--seed", "-1"], {}, "seed must be >= 0"),
-        (["demo", "--k", "0"], {}, "num_devices must be >= 1"),
-        (["demo", "--snr-db", "nan"], {}, "snr_db_grid"),
-        (["demo", "--b", "49"], {}, "bit depth 49 is too fine"),
-        (["verify", "--quick"], {"AIRCOMP_QUICK": "junk"}, "AIRCOMP_QUICK"),
+        pytest.param(
+            ["sweep", "--trials", "0"], {}, "trials must be >= 1",
+            id="argv0-env0-trials must be >= 1",
+        ),
+        pytest.param(
+            ["sweep"], {"AIRCOMP_TRIALS": "abc"}, "AIRCOMP_TRIALS",
+            id="argv1-env1-AIRCOMP_TRIALS",
+        ),
+        pytest.param(
+            ["verify", "--quick"], {"AIRCOMP_SEED": "x1"}, "AIRCOMP_SEED",
+            id="argv2-env2-AIRCOMP_SEED",
+        ),
+        pytest.param(
+            ["verify", "--quick", "--seed", "-1"], {}, "seed must be >= 0",
+            id="argv3-env3-seed must be >= 0",
+        ),
+        pytest.param(
+            ["demo", "--k", "0"], {}, "num_devices must be >= 1",
+            id="argv4-env4-num_devices must be >= 1",
+        ),
+        pytest.param(
+            ["demo", "--snr-db", "nan"], {}, "snr_db_grid",
+            id="argv5-env5-snr_db_grid",
+        ),
+        pytest.param(
+            ["demo", "--b", "49"], {}, "bit depth 49 is too fine",
+            id="argv6-env6-bit depth 49 is too fine",
+        ),
+        pytest.param(
+            ["verify", "--quick"], {"AIRCOMP_QUICK": "junk"}, "AIRCOMP_QUICK",
+            id="argv7-env7-AIRCOMP_QUICK",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line_and_status_1(argv, env, expected, tmp_path, monkeypatch, capsys):

@@ -139,6 +139,28 @@ def test_batch_selection_is_bit_identical_to_argsort_oracle(case, noise_power, a
     assert active.shape == active_ref.shape and np.array_equal(active, active_ref)
 
 
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_noiseless_selection_of_zero_and_tied_gains_matches_subset_enumeration(allow_empty):
+    # at noise power 0 every prefix of a zero gain scores 0/0, which is the
+    # prior variance K/4: the one case where the scan's divide is masked.
+    # Whole-number gains tie often and include zeros; the first two trials
+    # are all zero
+    gains = np.concatenate([np.zeros((2, 6, 3)), np.round(_gain_cases()["faded"][:40, :6, :3])])
+    n, p, active = greedy_select_batch(gains, 0.0, allow_empty)
+    T, K, L = gains.shape
+    for t in range(T):
+        for l in range(L):
+            if allow_empty and not gains[t, :, l].any():
+                assert (n[t, l], p[t, l]) == (0, 0.0) and not active[t, :, l].any()
+                assert _greedy_one(gains[t, :, l], 0.0, allow_empty)[2] == K / 4.0
+                continue
+            best, best_p, best_mse = brute_force_select(gains[t, :, l], 0.0)
+            assert np.flatnonzero(active[t, :, l]).tolist() == best.tolist()
+            assert (n[t, l], p[t, l]) == (best.size, best_p)
+            assert mse_closed_form(p[t, l], n[t, l], K, 0.0) == best_mse
+    assert (n[:2] == (0 if allow_empty else 1)).all()
+
+
 @pytest.mark.parametrize("budget", [7 * 12 * 8 * 8, 1 << 20])
 @pytest.mark.parametrize("allow_empty", [False, True])
 def test_an_array_of_noise_powers_matches_the_scalar_calls(budget, allow_empty):

@@ -65,11 +65,11 @@ def _delivered(h, h_est, p, active=True):
     precoder rho = sqrt(p) conj(h_est) / |h_est|^2, as sweeps form it: from
     the residual Re{h / h_est}, taken as 1 for a zero channel, as the draw
     gives it under perfect CSI."""
-    h = np.asarray(h, dtype=complex).reshape(-1, 1, 1)
-    h_est = np.asarray(h_est, dtype=complex).reshape(-1, 1, 1)
+    h = np.asarray(h, dtype=complex).reshape(1, -1, 1)  # device-major (K, T, L)
+    h_est = np.asarray(h_est, dtype=complex).reshape(1, -1, 1)
     residual = np.divide(h, h_est, out=np.ones(h.shape, complex), where=h_est != 0).real
     active = np.broadcast_to(active, h.shape)
-    p = np.full((h.shape[0], 1), p)
+    p = np.full((h.shape[1], 1), p)
     return _received_sum(residual, active, p, np.ones(h.shape))[:, 0]
 
 
