@@ -86,16 +86,18 @@ class MimoParams:
             raise ValueError("n_tx and n_rx must be >= 1")
 
 
-# Byte budget for one chunk of the delay-domain taps, an (n_rx n_tx, trials,
-# K, L) complex array.  The scatter, the inverse FFT, the beams and the CSI
-# error treat each trial on its own, so the chunk size bounds memory without
-# changing a bit.
-_DRAW_BYTES = 1 << 20
+# Elements per chunk of trials: 1 MiB of the draw's complex delay bins, or
+# 512 KiB of the front end's estimated powers.  Every chunked step treats
+# each trial on its own, so the chunk bounds the temporaries (and keeps them
+# in cache) without changing a bit.
+_CHUNK_ELEMENTS = 1 << 16
 
 
-def _spans(n: int, size: int) -> list[tuple[int, int]]:
-    """Consecutive (start, stop) ranges covering n items, each of at least
-    `size` items (one range when n < 2 * size): the last absorbs the rest."""
+def _spans(n: int, per_trial: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) ranges covering n trials of per_trial
+    elements each, in chunks of size = max(1, _CHUNK_ELEMENTS // per_trial)
+    trials (one range when n < 2 * size): the last absorbs the rest."""
+    size = max(1, _CHUNK_ELEMENTS // per_trial)
     count = max(1, n // size)
     return [(i * size, n if i == count - 1 else (i + 1) * size) for i in range(count)]
 
@@ -226,7 +228,7 @@ def draw_channel_batch(
     delays[..., 0] = 0  # first path always at zero delay
 
     power = np.empty((n_trials, K, L))
-    spans = _spans(n_trials, max(1, _DRAW_BYTES // (A * K * L * 16)))
+    spans = _spans(n_trials, A * K * L)
     for s, e in spans:
         n = e - s
         x = _scatter_taps(taps_re[s:e], taps_im[s:e], delays[s:e], L, scale)

@@ -287,9 +287,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
-            print(f"error: config file not found: {path}", file=sys.stderr)
-            return 1
-        spec = parse_config(path.read_text(encoding="utf-8"))
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text (byte {exc.start})") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        spec = parse_config(text)
     else:
         spec = ExperimentSpec(experiments={"default": SimConfig()})
 
@@ -315,8 +320,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 raise ConfigError(f"[{name}] {exc}") from None
         configs[name] = config
 
+    # create and check every output directory before the first sweep, so a
+    # bad output path, too, ends the command before any sweep runs
+    targets = {name: _output_path(out, name, len(configs) > 1) for name in configs}
+    for target in targets.values():
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            message = f"cannot create output directory {target.parent}: {exc.strerror}"
+            raise ConfigError(message) from None
+        if target.is_dir():
+            raise ConfigError(f"output file {target} is a directory")
+
     shared = SharedSweeps(configs.values())
-    multiple = len(configs) > 1
     for name, config in configs.items():
         print(
             f"[{name}] scheme={config.scheme} detector={config.detector} "
@@ -333,11 +349,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"stderr {pt.stderr:.2e}   active {pt.mean_active:6.2f}   "
                 f"p {pt.mean_p:.4g}"
             )
-        target = _output_path(out, name, multiple)
-        if target.parent != Path(""):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        sweep_to_csv(result, target)
-        print(f"  wrote {target}")
+        sweep_to_csv(result, targets[name])
+        print(f"  wrote {targets[name]}")
     return 0
 
 

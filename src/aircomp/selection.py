@@ -25,10 +25,19 @@ def _subset_table(num_devices: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(num_devices)) & 1).astype(bool)
 
 
+def _check_noise_powers(noise_powers) -> None:
+    """Reject a noise power that is negative, NaN or infinite (0 is valid)."""
+    bad = [s for s in noise_powers if not 0 <= s < np.inf]
+    if bad:
+        raise ValueError(f"noise_power must be finite and >= 0, got {bad[0]!r}")
+
+
 def brute_force_select(effective_gains, noise_power: float):
     """Exhaustive subset oracle for one subcarrier's (K,) effective gains,
     K <= 20: returns (sorted active device indices, p, mse).  Ties resolve to
-    the smaller set, then the lexicographically smaller index tuple."""
+    the smaller set, then the lexicographically smaller index tuple.  A
+    negative, NaN or infinite noise power raises ValueError."""
+    _check_noise_powers([noise_power])
     g = np.asarray(effective_gains, dtype=np.float64)
     K = g.size
     if not 1 <= K <= 20:
@@ -70,10 +79,12 @@ def greedy_select_batch(
     effective_gains is a (T, K, L) view of one), and the mask comes back as a
     (T, K, L)-shaped view of that (G, K, T, L) array.  The temporaries are a
     few copies of the gains, so a caller bounds memory by the trials it
-    passes.
+    passes.  A negative, NaN or infinite noise power raises ValueError (an
+    O(G) check; the gains are not read for it).
     """
     shape = np.shape(noise_power)
     noise_powers = np.asarray(noise_power, dtype=np.float64).reshape(-1).tolist()
+    _check_noise_powers(noise_powers)
     T, K, L = effective_gains.shape
     gains = np.ascontiguousarray(effective_gains.transpose(1, 0, 2))  # (K, T, L)
     sorted_g = gains.transpose(1, 2, 0).copy()  # (T, L, K), sorted in place

@@ -257,12 +257,6 @@ def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.nda
     return config.effective_source_std * rng.standard_normal((n, config.num_devices))
 
 
-# Byte budget for one chunk of the estimated power in _front: every step is
-# independent per trial, so the chunk bounds the (T, K, L) temporaries and
-# keeps them in cache without changing a bit.
-_CHUNK_BYTES = 1 << 19
-
-
 def _received_sum(residual, active, p, weights) -> np.ndarray:
     """Re{sum_k sqrt(p) (h_k / h_est_k) weights_k} over the active devices.
 
@@ -284,8 +278,9 @@ def _received_sum(residual, active, p, weights) -> np.ndarray:
 
 def _front_key(config: SimConfig) -> tuple:
     """Every field that changes a front end (``_front``) on a given draw and
-    noise power: members of a draw group with equal keys form the same Re{y}
-    at equal noise powers and differ at most in their back ends (``_back``).
+    noise power: members of a draw group with equal keys form the same
+    noiseless Re{y} at equal noise powers (analog: at all of them) and differ
+    at most in their back ends (``_back``).
     The budgets depend on p_max, varpi and num_subcarriers only, and a coded
     bit depth equals num_subcarriers, which the draw key holds.  clamp is
     not needed: a uniform source never leaves [-s_max, s_max], and a
@@ -304,46 +299,44 @@ def _weakest(gains, active) -> np.ndarray:
 
 
 def _select(config, a2, sigma2s):
-    """(n_active, p, active mask) on a chunk of estimated powers a2 (T, K, L),
-    with a leading axis of one entry per noise power for coded schemes and
-    one entry for all of them for analog, whose threshold ignores the noise.
-
-    The work runs device-major, on a2.transpose(1, 0, 2): a contiguous
-    (K, T, L) array when a2 is a (T, K, L) view of one, as ``_front`` passes
-    it.  The masks come back (G, T, K, L)-shaped, as views of (G, K, T, L)
-    arrays."""
+    """(n_active, p, active mask) on device-major (K, T, L) estimated powers
+    a2, shaped (G, T, L), (G, T, L) and (G, K, T, L): one entry per noise
+    power for coded schemes, one for analog, whose threshold ignores it.
+    The transposes to and from ``greedy_select_batch``'s (T, K, L) shapes
+    live here alone; on a contiguous a2, neither copies."""
     budgets = config.budgets()
-    a2 = a2.transpose(1, 0, 2)
     if config.scheme == "analog":
         act = a2 >= config.analog_threshold
-        p = _weakest(a2 * budgets, act)
-        return act.sum(axis=0)[None], p[None], act.transpose(1, 0, 2)[None]
+        return act.sum(axis=0)[None], _weakest(a2 * budgets, act)[None], act[None]
     gains = (a2 * budgets).transpose(1, 0, 2)
     n, p, act = greedy_select_batch(gains, sigma2s, config.allow_empty)
+    act = act.transpose(0, 2, 1, 3)
     if config.reallocate:
-        for j, act_j in enumerate(act.transpose(0, 2, 1, 3)):
+        for j, act_j in enumerate(act):
             p[j] = _weakest(a2 * reallocate_power(budgets, act_j), act_j)
     return n, p, act
 
 
-def _front(config, sources, power_est, residual, noise, sigma2s) -> list:
-    """One config's physical layer on a batch (leading axis = trials): one
-    front end per noise power in sigma2s.
+def _front(config, sources, power_est, residual, sigma2s) -> list:
+    """One config's transmitters and channel on a batch (leading axis =
+    trials): one front end per selection, holding n_active, p and the
+    noiseless Re{y}.  Coded schemes select once per noise power in sigma2s;
+    analog, whose threshold ignores them, gives exactly one front end.  The
+    receiver noise is added by ``_back``.
 
     Coded schemes quantize and encode each device's value and select the
     active devices per subcarrier (``_select``); the analog baseline repeats
     the amplitude-scaled value on all subcarriers.  The (T, K, L) steps run
-    over chunks of trials of about 512 KiB of power_est: per chunk, the
-    encoding and the gain sort (analog: the selection and the noiseless sum)
-    run once, and the scan, the reallocation and Re{y} once per noise power.
-    Per-trial results go into whole-batch arrays, so each front end is that
-    of a whole-batch evaluation; no (T, K, L) mask is kept.
+    over chunks of trials (``_spans``): per chunk, the encoding and the gain
+    sort run once, and the scan, the reallocation and the noiseless sum once
+    per selection.  Per-trial results go into whole-batch arrays, so each
+    front end is that of a whole-batch evaluation; no (T, K, L) mask is kept.
 
     Within a chunk everything is device-major, (K, chunk, L): the bits, the
     +-1 weights, one copy of the estimated powers and of the residual (the
-    radius-0 broadcast stays a broadcast), and the masks, which the
-    selection returns as views.  So the sums and minima over devices
-    (``_received_sum``, ``_weakest``) reduce axis 0 of contiguous arrays.
+    radius-0 broadcast stays a broadcast), and the masks.  So the sums and
+    minima over devices (``_received_sum``, ``_weakest``) reduce axis 0 of
+    contiguous arrays.
     """
     T, K, L = power_est.shape
     coded = config.scheme in CODED_SCHEMES
@@ -355,11 +348,10 @@ def _front(config, sources, power_est, residual, noise, sigma2s) -> list:
         encode = codec.encode_offset_binary if binary else codec.encode
     else:
         u = sources / config.s_max
-    G = len(sigma2s)
-    n_act = np.empty((G if coded else 1, T, L), dtype=np.intp)
+    n_act = np.empty((len(sigma2s) if coded else 1, T, L), dtype=np.intp)
     p = np.empty(n_act.shape)
-    received = np.empty((G, T, L))
-    for s, e in _spans(T, max(1, _CHUNK_BYTES // (K * L * power_est.itemsize))):
+    noiseless = np.empty(n_act.shape)
+    for s, e in _spans(T, K * L):
         if coded:
             bits = encode(np.ascontiguousarray(v[s:e].T), L)
             bit_sums[s:e] = bits.sum(axis=0)  # int64: exact in any order
@@ -370,13 +362,10 @@ def _front(config, sources, power_est, residual, noise, sigma2s) -> list:
         ratio = residual[s:e].transpose(1, 0, 2)
         if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
             ratio = np.ascontiguousarray(ratio)
-        n, pc, act = _select(config, a2.transpose(1, 0, 2), sigma2s)
+        n, pc, act = _select(config, a2, sigma2s)
         n_act[:, s:e], p[:, s:e] = n, pc
-        for j, sigma2 in enumerate(sigma2s):
-            if j < len(act):  # analog: one noiseless sum for every noise power
-                clean = _received_sum(ratio, act[j].transpose(1, 0, 2), pc[j], weights)
-            received[j, s:e] = clean
-            received[j, s:e] += np.sqrt(sigma2 / 2.0) * noise[s:e]
+        for j, act_j in enumerate(act):
+            noiseless[j, s:e] = _received_sum(ratio, act_j, pc[j], weights)
 
     s_true = sources.sum(axis=1)
     shared = {
@@ -385,20 +374,23 @@ def _front(config, sources, power_est, residual, noise, sigma2s) -> list:
         "lattice": v if coded else None,
         "bit_sums": bit_sums,
     }
-    rows = range(G) if coded else [0] * G  # analog: one selection for all
     return [
-        shared | {"n_active": n_act[i], "p": p[i], "received": received[j]}
-        for j, i in enumerate(rows)
+        shared | {"n_active": n_act[j], "p": p[j], "noiseless": noiseless[j]}
+        for j in range(len(n_act))
     ]
 
 
-def _back(config, front, sigma2) -> dict:
-    """Detection and decoding of a front end's Re{y}: the config's detector,
-    round_estimates and decoder.  The analog baseline averages the
-    per-subcarrier sums (silent devices are compensated by the
-    symmetric-source mean, zero).  Reads the front end without changing it."""
+def _back(config, front, noise, sigma2) -> dict:
+    """The receiver on a front end: its received Re{y} is the noiseless one
+    plus the unit-power noise scaled to sigma2, which the config's detector,
+    round_estimates and decoder turn into estimates and s_hat.  The analog
+    baseline averages the per-subcarrier sums (silent devices are
+    compensated by the symmetric-source mean, zero).  Reads the front end
+    without changing it."""
     K = config.num_devices
-    p, n_act, received = front["p"], front["n_active"], front["received"]
+    p, n_act = front["p"], front["n_active"]
+    received = front["noiseless"] + np.sqrt(sigma2 / 2.0) * noise
+    front = front | {"received": received}
     if config.scheme == "analog":
         scaled = np.zeros_like(p)
         np.divide(received, np.sqrt(p), out=scaled, where=p > 0)
@@ -439,9 +431,9 @@ def run_trial(
     noise = rng.standard_normal((1, L))  # the real part: the receiver reads Re{y} only
     power_est, residual = realization.power_est[None], realization.residual[None]
     sigma2 = realization.noise_power
-    (front,) = _front(config, sources, power_est, residual, noise, [sigma2])
-    out = _back(config, front, sigma2)
-    active = _select(config, power_est, [sigma2])[2][0, 0]
+    (front,) = _front(config, sources, power_est, residual, [sigma2])
+    out = _back(config, front, noise, sigma2)
+    active = _select(config, realization.power_est[:, None], [sigma2])[2][0, :, 0]
     s_true = float(out["s_true"][0])
     s_quant = float(out["s_quant"][0])
     s_hat = float(out["s_hat"][0])
@@ -547,46 +539,51 @@ def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     """Sweep configs of one draw key, drawing each batch once for all.
 
     Every (config, grid index) point reads the same batches, one at a time.
-    Points with equal front keys (``_front_key``) and noise powers share a
-    front end.  Each front key's noise powers are split evenly into blocks
-    of at most K // 3 (at least 1): a block's whole-batch outputs, n_active,
-    p and Re{y} at 24 bytes per trial and subcarrier each, then take no more
-    than the batch's 8 K of power_est, whatever the grid length.  Per batch,
-    each block runs one ``_front`` call, feeds the back ends of its points
-    and is freed.  A point's runtime is its back-end time plus equal shares
+    Points with equal front keys (``_front_key``) share a front end: coded
+    points at equal noise powers, and all analog points of the key.  Each
+    front key's selections are split evenly into blocks of at most K // 3
+    (at least 1): a block's whole-batch outputs, n_active, p and the
+    noiseless Re{y} at 24 bytes per trial and subcarrier each, then take no
+    more than the batch's 8 K of power_est, whatever the grid length.  Per
+    batch, each block runs one ``_front`` call, feeds the back ends of its
+    points, each adding the batch's noise at its own noise power, and is
+    freed.  A point's runtime is its back-end time plus equal shares
     of its block's front-end time and of the draw time over all points, so
     the runtimes of the group add up to its wall time.
     """
     tallies: dict[tuple[int, int], _Tally] = {}
-    # front key -> noise power -> the (member, grid index) points at it
-    sharers: dict[tuple, dict[float, list[tuple[int, int]]]] = {}
+    # front key -> selection (the noise power; None for analog) -> the
+    # (member, grid index, noise power) points it serves
+    sharers: dict[tuple, dict[float | None, list[tuple[int, int, float]]]] = {}
     for m, config in enumerate(configs):
+        selections = sharers.setdefault(_front_key(config), {})
+        coded = config.scheme in CODED_SCHEMES
         for i, snr_db in enumerate(config.snr_db_grid):
             tallies[m, i] = _Tally()
-            by_noise = sharers.setdefault(_front_key(config), {})
-            by_noise.setdefault(config.sigma2(snr_db), []).append((m, i))
+            sigma2 = config.sigma2(snr_db)
+            selections.setdefault(sigma2 if coded else None, []).append((m, i, sigma2))
     size = max(1, configs[0].num_devices // 3)
-    blocks = []  # (noise powers, their points) per front key and block
-    for by_noise in sharers.values():
-        for part in np.array_split(list(by_noise), -(-len(by_noise) // size)):
+    blocks = []  # (selections, the points of each) per front key and block
+    for selections in sharers.values():
+        for part in np.array_split(list(selections), -(-len(selections) // size)):
             sigma2s = part.tolist()
-            blocks.append((sigma2s, [by_noise[sigma2] for sigma2 in sigma2s]))
+            blocks.append((sigma2s, [selections[sigma2] for sigma2 in sigma2s]))
     t0 = time.perf_counter()
-    for batch in _batches(configs[0]):
+    for sources, power_est, residual, noise in _batches(configs[0]):
         for sigma2s, users in blocks:
             t = time.perf_counter()
             f = users[0][0][0]  # any member with the key forms these fronts
-            fronts = _front(configs[f], *batch, sigma2s)
+            fronts = _front(configs[f], sources, power_est, residual, sigma2s)
             share = (time.perf_counter() - t) / sum(map(len, users))
-            for front, sigma2, points in zip(fronts, sigma2s, users):
-                for m, i in points:
+            for front, points in zip(fronts, users):
+                for m, i, sigma2 in points:
                     t = time.perf_counter()
                     # unnamed, the output is freed before the next pipeline or
                     # draw allocates; holding it raised peak memory
-                    tallies[m, i].add(_back(configs[m], front, sigma2))
+                    tallies[m, i].add(_back(configs[m], front, noise, sigma2))
                     tallies[m, i].busy += share + time.perf_counter() - t
             del fronts, front  # freed before the next block or draw allocates
-        del batch  # freed before the next draw allocates
+        del sources, power_est, residual, noise  # freed before the next draw allocates
     busy = sum(tally.busy for tally in tallies.values())
     draw_share = (time.perf_counter() - t0 - busy) / len(tallies)
     return [
@@ -603,9 +600,10 @@ class SharedSweeps:
     Configs with equal draw keys (``_draw_key``) form a group.  The first
     ``sweep(config, shared=self)`` of a group evaluates every grid point of
     every member on one draw per batch, running each distinct front end
-    (``_front_key`` and noise power) once per batch, in blocks of noise
-    powers, and keeps the other members' results for their own calls; each
-    result's CSV matches a separate sweep byte for byte.  One batch and one
+    (``_front_key`` and, for coded schemes, noise power; one per analog key)
+    once per batch, in blocks, with each point's back end adding its own
+    receiver noise, and keeps the other members' results for their own
+    calls; each result's CSV matches a separate sweep byte for byte.  One batch and one
     block are held at a time, whatever the group size and grid length.
     """
 

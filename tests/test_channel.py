@@ -88,7 +88,7 @@ def test_single_tap_channel_is_flat_across_subcarriers():
 
 def _draw_with_oracle(mimo, radius):
     params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=radius)
-    chunk = channel._DRAW_BYTES // (mimo.n_rx * mimo.n_tx * 20 * 8 * 16)
+    chunk = channel._CHUNK_ELEMENTS // (mimo.n_rx * mimo.n_tx * 20 * 8)
     n_trials = 2 * chunk + 5  # the last chunk holds the remainder
     fast = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
     slow = np.random.default_rng(np.random.SeedSequence((3, 1, 4)))
@@ -176,8 +176,9 @@ def _draw_and_next(params, n_trials, mimo):
 
 @pytest.mark.parametrize("budget", [1, 3000])
 def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
-    # budget 1 gives one trial per chunk; 3000 bytes give two trials (1440 B
-    # each) of the small MIMO networks, 12 of the small SISO one (one chunk)
+    # budget 1 byte, no whole delay bin, gives one trial per chunk; 3000
+    # bytes, 187 bins, give two trials (90 bins, 1440 B, each) of the small
+    # MIMO networks, 12 of the small SISO one (one chunk)
     # and one of the large ones, whose CSI error then runs trial by trial.
     # The one-chunk draw of the large 3x2 network holds 700 trials, enough
     # for the closed-form beam's (n_tx, T, L) temporaries to cross NumPy's
@@ -187,9 +188,9 @@ def test_chunk_boundaries_do_not_change_the_draw(monkeypatch, budget):
     siso, eigh, closed_form = MimoParams(), MimoParams(n_tx=2, n_rx=3), MimoParams(n_tx=3, n_rx=2)
     cases = [(small, 11, siso), (small, 11, eigh), (small, 11, closed_form)]
     cases += [(large, 700, siso), (large, 700, closed_form)]
-    monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 40)
+    monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 1 << 40)
     whole = [_draw_and_next(p, n, mimo) for p, n, mimo in cases]
-    monkeypatch.setattr(channel, "_DRAW_BYTES", budget)
+    monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", budget // 16)  # 16-byte delay bins
     for (p, n, mimo), (power_ref, residual_ref, next_ref) in zip(cases, whole):
         power_est, residual, next_value = _draw_and_next(p, n, mimo)
         assert _same_bits(power_est, power_ref)
@@ -204,7 +205,7 @@ def test_csi_error_chunks_match_the_whole_batch_draw(monkeypatch, n_trials):
     params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
     fast = np.random.default_rng(n_trials)
     power_est, residual = draw_channel_batch(params, n_trials, fast)
-    monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 40)
+    monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 1 << 40)
     slow = np.random.default_rng(n_trials)
     power_ref, residual_ref = draw_channel_batch(params, n_trials, slow)
     assert _same_bits(power_est, power_ref)
@@ -214,7 +215,7 @@ def test_csi_error_chunks_match_the_whole_batch_draw(monkeypatch, n_trials):
 
 @pytest.mark.parametrize("n, size", [(0, 4), (3, 4), (4, 4), (7, 4), (8, 4), (11, 4), (5, 1)])
 def test_spans_cover_every_item_in_chunks_of_at_least_size(n, size):
-    spans = channel._spans(n, size)
+    spans = channel._spans(n, channel._CHUNK_ELEMENTS // size)  # chunks of size trials
     assert spans[0][0] == 0 and spans[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     if n >= size:
@@ -530,7 +531,7 @@ def test_draw_memory_stays_within_its_real_arrays(monkeypatch, mimo):
     # channel, 16 bytes per trial, device and subcarrier, would not fit
     T, K, M, L = 2048, 50, 4, 8
     params = ChannelParams(num_devices=K, num_subcarriers=L, num_taps=M, csi_error_radius=0.2)
-    monkeypatch.setattr(channel, "_DRAW_BYTES", 1 << 16)
+    monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 1 << 12)
     tracemalloc.start()
     try:
         draw_channel_batch(params, T, np.random.default_rng(1), mimo)
@@ -540,4 +541,4 @@ def test_draw_memory_stays_within_its_real_arrays(monkeypatch, mimo):
     taps = 2 * T * K * M * mimo.n_rx * mimo.n_tx * 8
     delays = T * K * M * 8
     moduli = output = T * K * L * 8
-    assert peak < taps + delays + moduli + output + 8 * channel._DRAW_BYTES
+    assert peak < taps + delays + moduli + output + 8 * 16 * channel._CHUNK_ELEMENTS

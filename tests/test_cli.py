@@ -398,56 +398,86 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
     assert bit_sums == [sum(int(w[-1 - l]) for w in words) for l in range(b)]
 
 
-# Every case names its own id, so inserting one renames no other.  A new
-# case's id is its expected text; the first eight keep the ids they were
-# first collected under.
+# Every case names its own id, so inserting one renames no other.  The
+# first eight keep the ids they were first collected under; later ones name
+# the fault.  A case's files (None: a directory) are made in the working
+# directory first.
 @pytest.mark.parametrize(
-    "argv, env, expected",
+    "argv, env, expected, files",
     [
         pytest.param(
-            ["sweep", "--trials", "0"], {}, "trials must be >= 1",
+            ["sweep", "--trials", "0"], {}, "trials must be >= 1", {},
             id="argv0-env0-trials must be >= 1",
         ),
         pytest.param(
-            ["sweep"], {"AIRCOMP_TRIALS": "abc"}, "AIRCOMP_TRIALS",
+            ["sweep"], {"AIRCOMP_TRIALS": "abc"}, "AIRCOMP_TRIALS", {},
             id="argv1-env1-AIRCOMP_TRIALS",
         ),
         pytest.param(
-            ["verify", "--quick"], {"AIRCOMP_SEED": "x1"}, "AIRCOMP_SEED",
+            ["verify", "--quick"], {"AIRCOMP_SEED": "x1"}, "AIRCOMP_SEED", {},
             id="argv2-env2-AIRCOMP_SEED",
         ),
         pytest.param(
-            ["verify", "--quick", "--seed", "-1"], {}, "seed must be >= 0",
+            ["verify", "--quick", "--seed", "-1"], {}, "seed must be >= 0", {},
             id="argv3-env3-seed must be >= 0",
         ),
         pytest.param(
-            ["demo", "--k", "0"], {}, "num_devices must be >= 1",
+            ["demo", "--k", "0"], {}, "num_devices must be >= 1", {},
             id="argv4-env4-num_devices must be >= 1",
         ),
         pytest.param(
-            ["demo", "--snr-db", "nan"], {}, "snr_db_grid",
+            ["demo", "--snr-db", "nan"], {}, "snr_db_grid", {},
             id="argv5-env5-snr_db_grid",
         ),
         pytest.param(
-            ["demo", "--b", "49"], {}, "bit depth 49 is too fine",
+            ["demo", "--b", "49"], {}, "bit depth 49 is too fine", {},
             id="argv6-env6-bit depth 49 is too fine",
         ),
         pytest.param(
-            ["verify", "--quick"], {"AIRCOMP_QUICK": "junk"}, "AIRCOMP_QUICK",
+            ["verify", "--quick"], {"AIRCOMP_QUICK": "junk"}, "AIRCOMP_QUICK", {},
             id="argv7-env7-AIRCOMP_QUICK",
+        ),
+        # each of these three once ended in a traceback, the last after the
+        # first sweep had run
+        pytest.param(
+            ["sweep", "configs"], {}, "cannot read config file configs: Is a directory",
+            {"configs": None}, id="config path is a directory",
+        ),
+        pytest.param(
+            ["sweep", "latin1.ini"], {}, "config file latin1.ini is not UTF-8 text (byte 6)",
+            {"latin1.ini": "[x]\n# \xe9t\xe9\n".encode("latin-1")}, id="config not UTF-8",
+        ),
+        pytest.param(
+            ["sweep", "--trials", "10", "--out", "afile/sub"], {},
+            "cannot create output directory afile/sub: Not a directory",
+            {"afile": b""}, id="out directory cannot be created",
+        ),
+        pytest.param(
+            ["sweep", "--trials", "10", "--out", "taken.csv"], {},
+            "output file taken.csv is a directory",
+            {"taken.csv": None}, id="out file is a directory",
         ),
     ],
 )
-def test_bad_input_is_one_error_line_and_status_1(argv, env, expected, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_one_error_line_and_status_1(
+    argv, env, expected, files, tmp_path, monkeypatch, capsys
+):
     monkeypatch.chdir(tmp_path)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    for name, data in files.items():
+        if data is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(data)
     assert main(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert expected in lines[0]
-    assert list(tmp_path.iterdir()) == []  # nothing was run or written
+    # nothing was run or written
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(files)
 
 
 @pytest.mark.parametrize(

@@ -232,3 +232,19 @@ def test_equal_gains_activate_everyone():
 def test_subset_enumeration_rejects_empty_and_oversized_instances(num_devices):
     with pytest.raises(ValueError, match=rf"limited to 1 <= K <= 20, got {num_devices}$"):
         brute_force_select(np.ones(num_devices), 1.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_a_noise_power_that_is_not_finite_and_nonnegative_is_rejected(bad):
+    # both once returned nonsense: n = 3 and p = 0.2 at -1, an MSE of -3.75
+    message = r"^noise_power must be finite and >= 0, got "
+    gains = np.array([1.0, 0.5, 0.2])
+    with pytest.raises(ValueError, match=message):
+        greedy_select_batch(gains[None, :, None], bad)
+    with pytest.raises(ValueError, match=message):
+        greedy_select_batch(gains[None, :, None], [0.1, bad, 0.0])
+    with pytest.raises(ValueError, match=message):
+        brute_force_select(gains, bad)
+    # a noiseless receiver stays valid
+    assert greedy_select_batch(gains[None, :, None], [0.0, 1.0])[0].shape == (2, 1, 1)
+    assert brute_force_select(gains, 0.0)[2] == 0.0

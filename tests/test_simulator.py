@@ -1,5 +1,6 @@
 """End-to-end simulator: exact recovery, baselines, floors, reproducibility."""
 
+import dataclasses
 import json
 import math
 import time
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aircomp import codec, simulator
+from aircomp import channel, codec, simulator
 from aircomp.channel import (
     ChannelParams,
     NetworkRealization,
@@ -464,8 +465,8 @@ def _assert_matches_oracle(configs, trials):
         for batch in _batches(replace(members[0], trials=trials)):
             for config in members:
                 for sigma2 in (config.sigma2(-10.0), config.sigma2(20.0), 0.0):
-                    (front,) = simulator._front(config, *batch, [sigma2])
-                    out = simulator._back(config, front, sigma2)
+                    (front,) = simulator._front(config, *batch[:3], [sigma2])
+                    out = simulator._back(config, front, batch[3], sigma2)
                     ref = _simulate_oracle(config, *batch, sigma2)
                     where = (config, trials, sigma2)
                     for key in ("s_true", "s_quant", "s_hat", "estimates", "p"):
@@ -473,8 +474,9 @@ def _assert_matches_oracle(configs, trials):
                     for key in ("n_active", "bit_sums"):
                         assert out[key].dtype == ref[key].dtype, where
                         assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
-                    active = simulator._select(config, batch[1], [sigma2])[2][0]
-                    assert np.array_equal(active, ref["active"]), where
+                    gains = batch[1].transpose(1, 0, 2)  # device-major
+                    active = simulator._select(config, gains, [sigma2])[2][0]
+                    assert np.array_equal(active.transpose(1, 0, 2), ref["active"]), where
                     assert out["received"].dtype == np.float64, where
                     received = _bits(ref["received"].real)
                     assert np.array_equal(_bits(out["received"]), received), where
@@ -485,7 +487,7 @@ def _assert_matches_oracle(configs, trials):
 
 
 # trials per chunk of _front at the default 20 devices and 8 subcarriers
-CHUNK = simulator._CHUNK_BYTES // (K * L * 8)
+CHUNK = channel._CHUNK_ELEMENTS // (K * L)
 
 
 @pytest.mark.parametrize(
@@ -500,14 +502,15 @@ def test_simulate_matches_the_oracle_at_100_devices():
         SimConfig(num_devices=100, csi_error_radius=0.2, reallocate=True, allow_empty=True),
         SimConfig(num_devices=100, scheme="analog"),
     ]
-    assert simulator._CHUNK_BYTES // (100 * L * 8) == 81
+    assert channel._CHUNK_ELEMENTS // (100 * L) == 81
     _assert_matches_oracle(configs, 300)  # chunks of 81, 81 and 138 trials
 
 
 @pytest.mark.parametrize("trials", [1, 2 * CHUNK + 1])
 def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
     # front j of a block is bit for bit the front end at its noise power
-    # alone, for every scheme and receiver option of the oracle configs
+    # alone, for every scheme and receiver option of the oracle configs;
+    # analog's one front end is that of each noise power alone
     groups: dict[tuple, list[SimConfig]] = {}
     for config in _oracle_configs():
         groups.setdefault(_draw_key(replace(config, trials=trials)), []).append(config)
@@ -515,10 +518,12 @@ def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
         batch = next(_batches(replace(members[0], trials=trials)))
         for config in members:
             sigma2s = [config.sigma2(-10.0), config.sigma2(20.0), config.sigma2(5.0)]
-            fronts = simulator._front(config, *batch, sigma2s)
+            fronts = simulator._front(config, *batch[:3], sigma2s)
+            if config.scheme == "analog":
+                fronts *= len(sigma2s)
             assert len(fronts) == len(sigma2s)
             for sigma2, front in zip(sigma2s, fronts):
-                (alone,) = simulator._front(config, *batch, [sigma2])
+                (alone,) = simulator._front(config, *batch[:3], [sigma2])
                 assert front.keys() == alone.keys(), config
                 for key, value in alone.items():
                     if value is None:
@@ -537,8 +542,8 @@ def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     sigma2 = config.sigma2(0.0)
     tracemalloc.start()
     try:
-        (front,) = simulator._front(config, sources, power_est, residual, noise, [sigma2])
-        simulator._back(config, front, sigma2)
+        (front,) = simulator._front(config, sources, power_est, residual, [sigma2])
+        simulator._back(config, front, noise, sigma2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -642,11 +647,11 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         draws[drawn[0]] += 1
         return draw_channel_batch(params, n, rng, mimo=mimo)
 
-    def counted_front(config, sources, power_est, residual, noise, sigma2s):
+    def counted_front(config, sources, power_est, residual, sigma2s):
         fronts[drawn[0]] += 1
-        for sigma2 in sigma2s:
+        for sigma2 in sigma2s:  # one None for an analog key: no noise power
             front_keys[drawn[0], _front_key(config), sigma2] += 1
-        return front(config, sources, power_est, residual, noise, sigma2s)
+        return front(config, sources, power_est, residual, sigma2s)
 
     front = simulator._front
     monkeypatch.setattr(simulator, "draw_channel_batch", counted)
@@ -671,12 +676,15 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     csi = ((3, 0, 0), 3_000, 1, 1, 0.2)
     two = [((3, 0, 0), BATCH, 1, 1, 0.2), ((3, 0, 1), 1, 1, 1, 0.2)]
     assert draws == Counter([one, mimo, csi] + two)
-    # and evaluates each distinct (front key, noise power) once on it: of the
-    # first key's 25 points, lmmse/ml/rounded share -10 dB and 10 dB, and the
-    # other 19 are their own, 21 in all; the gaussian key's 7 points are 7
+    # and evaluates each distinct selection once on it: a coded (front key,
+    # noise power), or an analog front key at all its noise powers.  Of the
+    # first draw key's 17 coded points, lmmse/ml/rounded share -10 dB and
+    # 10 dB, and the other 11 are their own, 13 in all; its 8 analog points
+    # have 3 front keys, "analog" and "analog_snr" sharing one, so 16 in all.
+    # The gaussian key's 7 points are 7
     assert front_keys and set(front_keys.values()) == {1}
     per_draw = Counter(key[0] for key in front_keys)
-    assert per_draw == Counter({one: 21, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
+    assert per_draw == Counter({one: 16, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
     # with at most K // 3 = 6 noise powers per block, one _front call per
     # front key serves all its noise powers: 8 front keys on the first draw
     # key, and 3 on the gaussian one
@@ -693,7 +701,7 @@ def test_uniform_configs_that_differ_only_in_clamp_share_one_front_end(monkeypat
     front = simulator._front
 
     def counted_front(*args):
-        calls[len(args[1]), len(args[5])] += 1
+        calls[len(args[1]), len(args[4])] += 1
         return front(*args)
 
     monkeypatch.setattr(simulator, "_front", counted_front)
@@ -774,7 +782,7 @@ def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, 
     front = simulator._front
 
     def counted_front(*args):
-        fronts[len(args[1]), len(args[5])] += 1
+        fronts[len(args[1]), len(args[4])] += 1
         return front(*args)
 
     monkeypatch.setattr(simulator, "_front", counted_front)
@@ -829,6 +837,126 @@ def test_shared_sweeps_reject_a_config_they_were_not_given():
     shared = SharedSweeps([SimConfig(trials=10, snr_db_grid=(0.0,))])
     with pytest.raises(ValueError, match="not one of the configs"):
         sweep(SimConfig(trials=10, snr_db_grid=(5.0,)), shared=shared)
+
+
+# A second valid value of every SimConfig field, for the sharing-key tests
+# below: each replaces one field of each base config that accepts it.
+SECOND_VALUES = {
+    "num_devices": 7,
+    "bit_depth": 5,
+    "num_subcarriers": 5,
+    "num_taps": 2,
+    "source": "gaussian",
+    "s_max": 2.0,
+    "source_std": 0.5,
+    "clamp": True,
+    "scheme": "analog",
+    "power_mode": "geometric",
+    "varpi": 2.0,
+    "detector": "ml",
+    "snr_db_grid": (3.0,),
+    "trials": 301,
+    "csi_error_radius": 0.1,
+    "p_max": 2.0,
+    "seed": 9,
+    "n_tx": 2,
+    "n_rx": 2,
+    "analog_threshold": 0.3,
+    "reallocate": True,
+    "round_estimates": True,
+    "allow_empty": True,
+}
+
+_KEY_BASE = SimConfig(
+    num_devices=6, bit_depth=4, num_subcarriers=4, trials=300, snr_db_grid=(0.0, 10.0), seed=3
+)
+KEY_BASES = {
+    "proposed": _KEY_BASE,
+    "analog": replace(_KEY_BASE, scheme="analog", analog_threshold=0.05),
+    "binary_ml": replace(
+        _KEY_BASE,
+        scheme="binary_ml",
+        detector="ml",
+        source="gaussian",
+        csi_error_radius=0.2,
+        power_mode="geometric",
+        varpi=1.5,
+        reallocate=True,
+        allow_empty=True,
+    ),
+}
+
+
+def _one_field_changes():
+    """(base, changed) for every base and field whose second value differs
+    from the base's and gives a valid config."""
+    pairs = []
+    for field, value in SECOND_VALUES.items():
+        for base in KEY_BASES.values():
+            if getattr(base, field) == value:
+                continue
+            try:
+                pairs.append((base, replace(base, **{field: value})))
+            except ValueError:
+                continue  # not valid with the base's other fields
+    return pairs
+
+
+def _same_fronts(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(
+        x.keys() == y.keys()
+        and all(
+            (u is None and v is None) or (u.dtype == v.dtype and u.tobytes() == v.tobytes())
+            for u, v in ((x[key], y[key]) for key in x)
+        )
+        for x, y in zip(a, b)
+    )
+
+
+def test_every_config_field_has_a_second_value_that_some_base_accepts():
+    assert set(SECOND_VALUES) == {f.name for f in dataclasses.fields(SimConfig)}
+    changed = {
+        field
+        for base, other in _one_field_changes()
+        for field in SECOND_VALUES
+        if getattr(base, field) != getattr(other, field)
+    }
+    assert changed == set(SECOND_VALUES)
+
+
+def test_a_field_outside_the_draw_key_leaves_every_batch_bit_identical():
+    checked = 0
+    for base, changed in _one_field_changes():
+        if _draw_key(changed) != _draw_key(base):
+            continue
+        for ours, theirs in zip(_batches(base), _batches(changed), strict=True):
+            for a, b in zip(ours, theirs, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), changed
+        checked += 1
+    assert checked >= len(SECOND_VALUES) // 2
+
+
+def test_a_field_outside_the_front_key_leaves_every_front_end_bit_identical():
+    # within a draw group, on one draw and at the same noise powers
+    checked = 0
+    for base, changed in _one_field_changes():
+        if (_draw_key(changed), _front_key(changed)) != (_draw_key(base), _front_key(base)):
+            continue
+        batch = next(_batches(base))[:3]
+        sigma2s = [base.sigma2(-10.0), base.sigma2(20.0), 0.0]
+        ours = simulator._front(base, *batch, sigma2s)
+        assert _same_fronts(ours, simulator._front(changed, *batch, sigma2s)), changed
+        checked += 1
+    assert checked >= 6
+
+
+def test_an_analog_front_end_does_not_depend_on_the_noise_power():
+    config = KEY_BASES["analog"]
+    batch = next(_batches(config))[:3]
+    noisy, quiet = config.sigma2(-10.0), config.sigma2(20.0)
+    fronts = [simulator._front(config, *batch, s) for s in ([noisy], [quiet], [noisy, quiet])]
+    assert len(fronts[2]) == 1
+    assert _same_fronts(fronts[0], fronts[1]) and _same_fronts(fronts[0], fronts[2])
 
 
 def test_sigma2_follows_snr_definition():

@@ -106,9 +106,10 @@ def test_transmit_power_check_boundary():
         batch = next(_batches(config))
         power_est = batch[1]
         sigma2s = [config.sigma2(-10.0), config.sigma2(20.0)]
-        fronts = _front(config, *batch, sigma2s)
+        fronts = _front(config, *batch[:3], sigma2s)  # analog: one front end
         for sigma2, front in zip(sigma2s, fronts):
-            active, p = _select(config, power_est, [sigma2])[2][0], front["p"]
+            mask = _select(config, power_est.transpose(1, 0, 2), [sigma2])[2][0]
+            active, p = mask.transpose(1, 0, 2), front["p"]
             if config.reallocate:
                 caps = power_est * reallocate_power(budgets, active)
             else:
@@ -208,7 +209,7 @@ def test_plan_detector_coefficients_match_free_function():
     p[0, 0] = 0.0
     n_active = rng.integers(0, 6, size=(3, 8))
     received = rng.standard_normal((3, 8))
-    front = {"p": p, "n_active": n_active, "received": received}
-    out = _back(config, front, 0.3)
+    front = {"p": p, "n_active": n_active, "noiseless": received}
+    out = _back(config, front, np.zeros_like(received), 0.3)
     lam, mu = lmmse_coefficients(p, n_active, 5, 0.3)
     assert np.array_equal(out["estimates"], lam * received + mu)
