@@ -33,6 +33,8 @@ from .simulator import (
     SCHEMES,
     SharedSweeps,
     SimConfig,
+    codewords,
+    default_detector,
     run_trial,
     sweep,
     sweep_to_csv,
@@ -146,8 +148,8 @@ def parse_config(text: str) -> ExperimentSpec:
     experiments: dict[str, SimConfig] = {}
     for name, entries in raw.items():
         kwargs = {key: value for key, (value, _) in entries.items()}
-        if kwargs.get("scheme") == "binary_ml" and "detector" not in kwargs:
-            kwargs["detector"] = "ml"
+        if "scheme" in kwargs:
+            kwargs.setdefault("detector", default_detector(kwargs["scheme"]))
         try:
             experiments[name] = SimConfig(**kwargs)
         except ValueError as exc:
@@ -370,14 +372,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    detector = "ml" if args.scheme == "binary_ml" else "lmmse"
     try:
         config = SimConfig(
             num_devices=args.k,
             bit_depth=args.b,
             num_subcarriers=args.b,
             scheme=args.scheme,
-            detector=detector,
+            detector=default_detector(args.scheme),
             snr_db_grid=(args.snr_db,),
             trials=1,
             seed=args.seed,
@@ -397,8 +398,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"device values:    {np.array2string(record.sources, precision=4)}")
     if record.lattice is not None:
         print(f"lattice integers: {record.lattice}")
-        encode = codec.encode_offset_binary if args.scheme == "binary_ml" else codec.encode
-        rendered = " ".join(codec.format_codeword(w) for w in encode(record.lattice, args.b))
+        rendered = " ".join(codec.format_codeword(w) for w in codewords(config, record.lattice))
         print(f"codewords (MSB first): {rendered}")
         print("subcarrier   budget     active   p          r_true   re_y      r_hat")
         budgets = config.budgets()
@@ -461,13 +461,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_demo(args)
+        command = {"sweep": cmd_sweep, "verify": cmd_verify, "demo": cmd_demo}[args.command]
+        status = command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): the Python docs'
+        # pattern points stdout at devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

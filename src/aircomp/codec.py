@@ -21,18 +21,17 @@ import numpy as np
 class QuantizerSpec:
     """Signed b-bit lattice quantizer with scale zeta = 2^(b-1)/(s_max+eps).
 
-    The guard term eps > 0 keeps zeta*s_max strictly below 2^(b-1), so every
-    admissible input lands on the lattice {-2^(b-1), ..., 2^(b-1)-1}.  eps
-    defaults to 2^(-b-4)*s_max, far below one lattice step.  From b = 49 on
-    that default is below half a float64 ulp of s_max, s_max + eps rounds to
-    s_max and zeta*s_max reaches 2^(b-1).  A spec whose zeta*s_max is not
-    below 2^(b-1) is rejected; with the default eps, b <= 48 passes for every
-    s_max whose zeta stays finite.
+    The guard term eps = 2^(-b-4)*s_max, far below one lattice step, keeps
+    zeta*s_max strictly below 2^(b-1), so every admissible input lands on the
+    lattice {-2^(b-1), ..., 2^(b-1)-1}.  From b = 49 on eps is below half a
+    float64 ulp of s_max, s_max + eps rounds to s_max and zeta*s_max reaches
+    2^(b-1).  A spec whose zeta*s_max is not below 2^(b-1) is rejected, so
+    b <= 48 passes for every s_max whose zeta stays finite.
     """
 
     b: int
     s_max: float
-    eps: float | None = None
+    eps: float = field(init=False)
     zeta: float = field(init=False)
 
     def __post_init__(self):
@@ -40,21 +39,13 @@ class QuantizerSpec:
             raise ValueError(f"bit depth must be >= 1, got {self.b}")
         if not self.s_max > 0:
             raise ValueError(f"s_max must be positive, got {self.s_max}")
-        eps = self.eps
-        if eps is None:
-            eps = 2.0 ** (-self.b - 4) * self.s_max
-        if not 0 < eps < 2.0 ** (1 - self.b) * self.s_max:
-            raise ValueError(
-                f"eps must lie in (0, 2^(1-b)*s_max); got eps={eps}, b={self.b}"
-            )
-        object.__setattr__(self, "eps", float(eps))
-        object.__setattr__(self, "zeta", 2.0 ** (self.b - 1) / (self.s_max + eps))
+        object.__setattr__(self, "eps", 2.0 ** (-self.b - 4) * self.s_max)
+        object.__setattr__(self, "zeta", 2.0 ** (self.b - 1) / (self.s_max + self.eps))
         if not self.zeta * self.s_max < 2.0 ** (self.b - 1):
             raise ValueError(
                 f"bit depth {self.b} is too fine for s_max={self.s_max} in float64: "
                 f"zeta*s_max = {self.zeta * self.s_max!r} is not below 2^(b-1), so "
-                "quantize(s_max) would leave the lattice (at the default eps, "
-                "every b >= 49 does)"
+                "quantize(s_max) would leave the lattice (every b >= 49 does)"
             )
 
     @property

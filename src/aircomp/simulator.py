@@ -49,6 +49,13 @@ POWER_MODES = ("uniform", "geometric")
 DETECTORS = ("lmmse", "ml")
 
 
+def default_detector(scheme: str) -> str:
+    """The detector of a config of this scheme that names none: binary_ml is
+    defined with lattice-ML detection, which ``SimConfig.validate`` requires
+    of it, and every other scheme takes LMMSE."""
+    return "ml" if scheme == "binary_ml" else "lmmse"
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one experiment.
@@ -65,7 +72,6 @@ class SimConfig:
     source: str = "uniform"
     s_max: float = 1.0
     source_std: float | None = None  # gaussian only; None -> s_max / 3
-    clamp: bool | None = None  # None -> clamp gaussian sources only
     scheme: str = "proposed"
     power_mode: str = "uniform"
     varpi: float = 1.0
@@ -121,10 +127,6 @@ class SimConfig:
             self.quantizer()
         except ValueError as exc:  # name the key: the quantizer calls it b
             raise ValueError(f"bit_depth = {self.bit_depth}: {exc}") from None
-        if self.source == "gaussian" and self.clamp is False:
-            # the quantizer rejects any value beyond s_max, which a gaussian
-            # reaches with positive probability
-            raise ValueError("source = gaussian needs clamp = true (or none)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.power_mode not in POWER_MODES:
@@ -140,9 +142,9 @@ class SimConfig:
             raise ValueError(
                 f"detector must be one of {DETECTORS}, got {self.detector!r}"
             )
-        if self.scheme == "binary_ml" and self.detector != "ml":
+        if default_detector(self.scheme) == "ml" != self.detector:
             raise ValueError(
-                "scheme binary_ml is defined with lattice-ML detection; set detector = ml"
+                f"scheme {self.scheme} is defined with lattice-ML detection; set detector = ml"
             )
         if self.scheme == "analog" and self.power_mode != "uniform":
             raise ValueError(
@@ -257,6 +259,15 @@ def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.nda
     return config.effective_source_std * rng.standard_normal((n, config.num_devices))
 
 
+def codewords(config: SimConfig, lattice) -> np.ndarray:
+    """The bits (LSB first, on a new last axis) that a coded config sends for
+    lattice integers: offset binary for binary_ml, two's complement
+    otherwise.  The encoder is looked up in ``codec`` at each call, so a
+    wrapper set on it there (perfbench's tracer) sees every encoding."""
+    encode = codec.encode_offset_binary if config.scheme == "binary_ml" else codec.encode
+    return encode(lattice, config.num_subcarriers)
+
+
 def _received_sum(residual, active, p, weights) -> np.ndarray:
     """Re{sum_k sqrt(p) (h_k / h_est_k) weights_k} over the active devices.
 
@@ -282,9 +293,7 @@ def _front_key(config: SimConfig) -> tuple:
     noiseless Re{y} at equal noise powers (analog: at all of them) and differ
     at most in their back ends (``_back``).
     The budgets depend on p_max, varpi and num_subcarriers only, and a coded
-    bit depth equals num_subcarriers, which the draw key holds.  clamp is
-    not needed: a uniform source never leaves [-s_max, s_max], and a
-    gaussian one is always clamped."""
+    bit depth equals num_subcarriers, which the draw key holds."""
     if config.scheme == "analog":
         return (config.scheme, config.p_max, config.analog_threshold)
     return (config.scheme, config.p_max, config.varpi, config.allow_empty, config.reallocate)
@@ -339,25 +348,25 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
     contiguous arrays.
     """
     T, K, L = power_est.shape
-    coded = config.scheme in CODED_SCHEMES
-    bit_sums = np.full((T, L), np.nan)  # NaN for analog: no bit-planes
-    if coded:
-        spec = config.quantizer()
-        v = codec.quantize(sources, spec, clamp=config.source == "gaussian")
-        binary = config.scheme == "binary_ml"
-        encode = codec.encode_offset_binary if binary else codec.encode
+    spans = _spans(T, K * L)
+    s_true = sources.sum(axis=1)
+    if config.scheme == "analog":
+        sigma2s = [None]  # the threshold ignores the noise power: one selection
+        lattice, s_quant = None, s_true.copy()
+        amplitudes = (sources / config.s_max).T[:, :, None]
+        weights = (amplitudes[:, s:e] for s, e in spans)
     else:
-        u = sources / config.s_max
-    n_act = np.empty((len(sigma2s) if coded else 1, T, L), dtype=np.intp)
+        spec = config.quantizer()
+        lattice = codec.quantize(sources, spec, clamp=config.source == "gaussian")
+        s_quant = lattice.sum(axis=1) / spec.zeta
+        weights = (
+            2.0 * codewords(config, np.ascontiguousarray(lattice[s:e].T)) - 1.0
+            for s, e in spans
+        )
+    n_act = np.empty((len(sigma2s), T, L), dtype=np.intp)
     p = np.empty(n_act.shape)
     noiseless = np.empty(n_act.shape)
-    for s, e in _spans(T, K * L):
-        if coded:
-            bits = encode(np.ascontiguousarray(v[s:e].T), L)
-            bit_sums[s:e] = bits.sum(axis=0)  # int64: exact in any order
-            weights = 2.0 * bits - 1.0
-        else:
-            weights = u[s:e].T[:, :, None]
+    for (s, e), w in zip(spans, weights):
         a2 = np.ascontiguousarray(power_est[s:e].transpose(1, 0, 2))
         ratio = residual[s:e].transpose(1, 0, 2)
         if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
@@ -365,15 +374,9 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
         n, pc, act = _select(config, a2, sigma2s)
         n_act[:, s:e], p[:, s:e] = n, pc
         for j, act_j in enumerate(act):
-            noiseless[j, s:e] = _received_sum(ratio, act_j, pc[j], weights)
+            noiseless[j, s:e] = _received_sum(ratio, act_j, pc[j], w)
 
-    s_true = sources.sum(axis=1)
-    shared = {
-        "s_true": s_true,
-        "s_quant": v.sum(axis=1) / spec.zeta if coded else s_true.copy(),
-        "lattice": v if coded else None,
-        "bit_sums": bit_sums,
-    }
+    shared = {"s_true": s_true, "s_quant": s_quant, "lattice": lattice}
     return [
         shared | {"n_active": n_act[j], "p": p[j], "noiseless": noiseless[j]}
         for j in range(len(n_act))
@@ -434,6 +437,11 @@ def run_trial(
     (front,) = _front(config, sources, power_est, residual, [sigma2])
     out = _back(config, front, noise, sigma2)
     active = _select(config, realization.power_est[:, None], [sigma2])[2][0, :, 0]
+    if out["lattice"] is None:  # analog: no bit-planes
+        lattice, bit_sums = None, np.full(L, np.nan)
+    else:
+        lattice = out["lattice"][0]
+        bit_sums = codewords(config, lattice).sum(axis=0).astype(np.float64)
     s_true = float(out["s_true"][0])
     s_quant = float(out["s_quant"][0])
     s_hat = float(out["s_hat"][0])
@@ -442,10 +450,10 @@ def run_trial(
         s_quant=s_quant,
         s_hat=s_hat,
         sources=sources[0],
-        lattice=None if out["lattice"] is None else out["lattice"][0],
+        lattice=lattice,
         active_counts=out["n_active"][0],
         scalings=out["p"][0],
-        bit_sums=out["bit_sums"][0],
+        bit_sums=bit_sums,
         estimates=out["estimates"][0],
         received=out["received"][0],
         active=active,
@@ -668,20 +676,8 @@ def sweep_to_csv(result: SweepResult, path) -> None:
     meta = json.dumps(asdict(result.config), sort_keys=True)
     lines = ["# " + meta, ",".join(CSV_COLUMNS)]
     for pt in result.points:
-        lines.append(
-            ",".join(
-                (
-                    pt.scheme,
-                    repr(float(pt.snr_db)),
-                    repr(float(pt.nmse)),
-                    repr(float(pt.stderr)),
-                    repr(float(pt.mean_active)),
-                    repr(float(pt.mean_p)),
-                    str(pt.trials),
-                    str(pt.seed),
-                )
-            )
-        )
+        values = (getattr(pt, name) for name in CSV_COLUMNS)
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -81,7 +81,6 @@ _BAD_VALUES = [
     ("source_std", "0", "", "source_std must be > 0"),
     ("source_std", "inf", "", "source_std must be > 0 and finite, got inf"),
     ("source_std", "nan", "", "source_std must be > 0 and finite, got nan"),
-    ("clamp", "false", "source = gaussian\n", "source = gaussian needs clamp = true"),
     ("scheme", "digital", "", "scheme must be one of"),
     ("power_mode", "random", "", "power_mode must be one of"),
     ("varpi", "0.5", "power_mode = geometric\n", "varpi must be >= 1, got 0.5"),
@@ -221,12 +220,11 @@ def test_serialize_parse_round_trip():
 def test_round_trip_covers_optional_fields():
     spec = ExperimentSpec(
         experiments={
-            "g": SimConfig(source="gaussian", source_std=0.25, clamp=True)
+            "g": SimConfig(source="gaussian", source_std=0.25)
         }
     )
     again = parse_config(serialize_config(spec))
     assert again.experiments["g"].source_std == 0.25
-    assert again.experiments["g"].clamp is True
     assert again == spec
 
 
@@ -457,6 +455,10 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
             "output file taken.csv is a directory",
             {"taken.csv": None}, id="out file is a directory",
         ),
+        pytest.param(
+            ["sweep", "old.ini"], {}, "line 2: unknown key 'clamp' in [x]",
+            {"old.ini": b"[x]\nclamp = true\n"}, id="removed key clamp",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line_and_status_1(
@@ -483,7 +485,6 @@ def test_bad_input_is_one_error_line_and_status_1(
 @pytest.mark.parametrize(
     "keys, expected",
     [
-        ("source = gaussian\nclamp = false\n", "(line 3): source = gaussian needs clamp"),
         ("source = gaussian\nsource_std = inf\n", "(line 3): source_std must be > 0 and finite"),
         ("s_max = 1e308\n", "(line 2): s_max = 1e+308 must lie in"),
         ("source = gaussian\nsource_std = 1e200\n", "(line 3): source_std = 1e+200 must lie in"),
@@ -501,6 +502,28 @@ def test_a_source_the_quantizer_cannot_take_is_one_error_line(keys, expected, tm
     assert len(lines) == 1 and lines[0].startswith("error: experiment [x] ")
     assert expected in lines[0]
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--quick"], ["sweep", "--quick", "--out"]], ids=["verify", "sweep"]
+)
+def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback(argv, tmp_path):
+    # as `aircomp ... | head -1` does; unbuffered, so each line is its own write
+    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRCOMP_")}
+    env["PYTHONUNBUFFERED"] = "1"
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "out")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aircomp", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
 def test_verbose_sweep_prints_each_point_before_the_rows_and_writes_the_same_csv(

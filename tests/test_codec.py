@@ -13,10 +13,6 @@ from aircomp.codec import (
     quantize,
 )
 
-# zeta = 2^(b-1) / (s_max + eps) = 8 / 8 = 1: lattice value == floor(s)
-UNIT = QuantizerSpec(4, 7.96875, eps=0.03125)
-
-
 def test_default_eps_keeps_peak_in_range():
     spec = QuantizerSpec(8, 1.0)
     assert spec.eps == 2.0**-12
@@ -39,10 +35,10 @@ def test_bit_depth_where_the_guard_rounds_away_is_rejected():
 
 
 def test_quantize_floors_toward_minus_infinity():
-    assert UNIT.zeta == 1.0
-    assert quantize(0.0, UNIT) == 0
-    assert quantize(2.7, UNIT) == 2
-    assert quantize(-2.3, UNIT) == -3
+    spec = QuantizerSpec(4, 8.0)  # zeta = 8 / (8 + 2^-5), just below 1
+    assert quantize(0.0, spec) == 0
+    assert quantize(2.7, spec) == 2
+    assert quantize(-2.3, spec) == -3
 
 
 def test_quantize_near_peak():

@@ -131,8 +131,6 @@ def _sim_configs(draw):
     bit_depth = draw(st.integers(1, 16))
     power_mode = "uniform" if scheme == "analog" else draw(st.sampled_from(POWER_MODES))
     source = draw(st.sampled_from(SOURCES))
-    # an unclamped gaussian source is rejected: it can leave the quantizer range
-    clamps = st.just(True) if source == "gaussian" else st.booleans()
     fields = dict(
         num_devices=draw(st.integers(1, 64)),
         bit_depth=bit_depth,
@@ -141,7 +139,6 @@ def _sim_configs(draw):
         source=source,
         s_max=draw(st.floats(1e-3, 1e3, **_finite)),
         source_std=draw(st.none() | st.floats(1e-3, 1e3, **_finite)),
-        clamp=draw(st.none() | clamps),
         scheme=scheme,
         power_mode=power_mode,
         varpi=1.0 if power_mode == "uniform" else draw(st.floats(1.0, 10.0, **_finite)),

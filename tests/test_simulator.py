@@ -82,6 +82,24 @@ def test_noiseless_offset_binary_is_exact():
     assert record.s_hat == pytest.approx(record.s_quant, rel=1e-12)
 
 
+@pytest.mark.parametrize("scheme", ["proposed", "binary_ml", "analog"])
+def test_a_trial_records_the_bit_sums_of_its_own_codewords(scheme):
+    # the true per-plane sums of the codewords the devices sent, which the
+    # detector estimates; analog sends no bit-planes
+    detector = "ml" if scheme == "binary_ml" else "lmmse"
+    config = SimConfig(trials=1, scheme=scheme, detector=detector)
+    params = ChannelParams(num_devices=K, num_subcarriers=L, csi_error_radius=0.2)
+    for seed in range(3):
+        realization = draw_channel(params, seed=seed, noise_power=config.sigma2(0.0))
+        record = run_trial(config, realization, np.random.default_rng(seed))
+        assert record.bit_sums.shape == (L,) and record.bit_sums.dtype == np.float64
+        if scheme == "analog":
+            assert np.all(np.isnan(record.bit_sums))
+            continue
+        encode = codec.encode_offset_binary if scheme == "binary_ml" else codec.encode
+        assert np.array_equal(record.bit_sums, encode(record.lattice, L).sum(axis=0))
+
+
 def test_dead_channel_returns_prior_mean():
     # a dead channel is estimated as dead; perfect CSI leaves a residual of 1
     realization = NetworkRealization(
@@ -199,12 +217,6 @@ def test_quantization_floor_gaussian_matches_monte_carlo():
     emp = err.sum() / (s.sum(axis=1) ** 2).sum()
     se = err.std(ddof=1) / math.sqrt(groups) / np.mean(s.sum(axis=1) ** 2)
     assert emp == pytest.approx(floor, abs=3.0 * se)
-
-
-def test_quantization_floor_rejects_unclamped_gaussian():
-    # no finite floor exists for an unclamped gaussian, so no such config does
-    with pytest.raises(ValueError, match=r"^source = gaussian needs clamp = true"):
-        SimConfig(source="gaussian", clamp=False)
 
 
 def test_sweep_is_deterministic_across_runs():
@@ -387,7 +399,6 @@ def _coded_batch_oracle(config, sources, power_est, residual, noise, sigma2):
         "lattice": v,
         "n_active": n_act,
         "p": p,
-        "bit_sums": bits.sum(axis=1).astype(np.float64),
         "estimates": r_hat,
         "received": y,
         "active": active,
@@ -416,7 +427,6 @@ def _analog_batch_oracle(config, sources, power_est, residual, noise, sigma2):
         "lattice": None,
         "n_active": active.sum(axis=1),
         "p": p,
-        "bit_sums": np.full(p.shape, np.nan),
         "estimates": estimates,
         "received": y,
         "active": active,
@@ -471,9 +481,8 @@ def _assert_matches_oracle(configs, trials):
                     where = (config, trials, sigma2)
                     for key in ("s_true", "s_quant", "s_hat", "estimates", "p"):
                         assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
-                    for key in ("n_active", "bit_sums"):
-                        assert out[key].dtype == ref[key].dtype, where
-                        assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
+                    assert out["n_active"].dtype == ref["n_active"].dtype, where
+                    assert np.array_equal(out["n_active"], ref["n_active"]), where
                     gains = batch[1].transpose(1, 0, 2)  # device-major
                     active = simulator._select(config, gains, [sigma2])[2][0]
                     assert np.array_equal(active.transpose(1, 0, 2), ref["active"]), where
@@ -490,11 +499,17 @@ def _assert_matches_oracle(configs, trials):
 CHUNK = channel._CHUNK_ELEMENTS // (K * L)
 
 
-@pytest.mark.parametrize(
-    "trials", [1, 300, CHUNK, 2 * CHUNK - 1, 2 * CHUNK + 1, 3_000, BATCH + 1]
-)
+@pytest.mark.parametrize("trials", [1, 300, CHUNK, 2 * CHUNK - 1, 2 * CHUNK + 1, 3_000])
 def test_simulate_is_bit_identical_to_the_whole_batch_oracle(trials):
     _assert_matches_oracle(_oracle_configs(), trials)
+
+
+def test_simulate_is_bit_identical_to_the_oracle_across_a_batch_boundary(monkeypatch):
+    # a batch of two chunks, then a 1-trial batch on the stream (seed, 0, 1)
+    monkeypatch.setattr(simulator, "BATCH", 2 * CHUNK + 1)
+    config = SimConfig(trials=simulator.BATCH + 1)
+    assert [len(batch[0]) for batch in _batches(config)] == [2 * CHUNK + 1, 1]
+    _assert_matches_oracle(_oracle_configs(), simulator.BATCH + 1)
 
 
 def test_simulate_matches_the_oracle_at_100_devices():
@@ -691,35 +706,6 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     assert fronts == Counter({one: 8, mimo: 1, csi: 1, two[0]: 3, two[1]: 3})
 
 
-def test_uniform_configs_that_differ_only_in_clamp_share_one_front_end(monkeypatch):
-    # a uniform source never leaves [-s_max, s_max], so clamping it changes
-    # no front end: both configs ride one _front call per batch, and their
-    # points are equal
-    config = SimConfig(trials=2_000, snr_db_grid=(0.0, 10.0))
-    configs = [config, replace(config, clamp=True)]
-    calls = Counter()
-    front = simulator._front
-
-    def counted_front(*args):
-        calls[len(args[1]), len(args[4])] += 1
-        return front(*args)
-
-    monkeypatch.setattr(simulator, "_front", counted_front)
-    shared = SharedSweeps(configs)
-    results = [sweep(c, shared=shared) for c in configs]
-    assert calls == Counter({(2_000, 2): 1})
-    unclamped, clamped = ([replace(pt, runtime=0.0) for pt in r.points] for r in results)
-    assert unclamped == clamped
-
-
-def test_an_unclamped_member_fails_in_a_group_as_it_does_alone():
-    # unclamped gaussian values can leave the quantizer's range, so such a
-    # member is rejected as a config, before it can join a group or sweep
-    clamped = SimConfig(source="gaussian", trials=2_000, snr_db_grid=(0.0,))
-    with pytest.raises(ValueError, match=r"^source = gaussian needs clamp = true"):
-        replace(clamped, clamp=False)
-
-
 def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
     configs = [_mixed_configs()[name] for name in ("lmmse", "ml", "analog")]
     front = simulator._front
@@ -849,7 +835,6 @@ SECOND_VALUES = {
     "source": "gaussian",
     "s_max": 2.0,
     "source_std": 0.5,
-    "clamp": True,
     "scheme": "analog",
     "power_mode": "geometric",
     "varpi": 2.0,
