@@ -285,6 +285,22 @@ def _output_path(out: str, name: str, multiple: bool) -> Path:
     return Path(out) / f"{name}.csv"
 
 
+def _stdout_closed() -> int:
+    """Exit status 1 once the reader has closed stdout (as `| head` does), with
+    stdout pointed at devnull (the Python docs' pattern): no later write raises."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
+def _print_lines(lines: list[str]) -> int:
+    """Print lines: 0, or 1 if the reader has closed stdout."""
+    try:
+        print("\n".join(lines))
+    except BrokenPipeError:
+        return _stdout_closed()
+    return 0
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.config is not None:
         path = Path(args.config)
@@ -334,26 +350,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if target.is_dir():
             raise ConfigError(f"output file {target} is a directory")
 
+    # a reader that closes stdout early stops the printing, not the sweeps:
+    # each CSV is written before its rows are printed
     shared = SharedSweeps(configs.values())
+    status = 0
     for name, config in configs.items():
-        print(
+        status |= _print_lines([
             f"[{name}] scheme={config.scheme} detector={config.detector} "
             f"power_mode={config.power_mode} trials={config.trials} "
             f"seed={config.seed}"
-        )
+        ])
         result = sweep(config, shared=shared)
-        if verbose:
-            for pt in result.points:
-                print(f"    snr {pt.snr_db:+6.1f} dB done in {pt.runtime:.1f}s")
-        for pt in result.points:
-            print(
-                f"  snr {pt.snr_db:+7.1f} dB   nmse {pt.nmse:.6e}   "
-                f"stderr {pt.stderr:.2e}   active {pt.mean_active:6.2f}   "
-                f"p {pt.mean_p:.4g}"
-            )
         sweep_to_csv(result, targets[name])
-        print(f"  wrote {targets[name]}")
-    return 0
+        lines = [f"    snr {pt.snr_db:+6.1f} dB done in {pt.runtime:.1f}s" for pt in result.points]
+        lines = (lines if verbose else []) + [
+            f"  snr {pt.snr_db:+7.1f} dB   nmse {pt.nmse:.6e}   "
+            f"stderr {pt.stderr:.2e}   active {pt.mean_active:6.2f}   "
+            f"p {pt.mean_p:.4g}"
+            for pt in result.points
+        ]
+        status |= _print_lines(lines + [f"  wrote {targets[name]}"])
+    return status
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -469,10 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # the reader closed stdout (as `| head` does): the Python docs'
-        # pattern points stdout at devnull, so the exit flush cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return _stdout_closed()
 
 
 def entrypoint() -> None:

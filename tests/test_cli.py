@@ -11,7 +11,7 @@ import pytest
 
 from aircomp import cli
 from aircomp.cli import ConfigError, ExperimentSpec, main, parse_config
-from aircomp.simulator import SimConfig
+from aircomp.simulator import SCHEMES, UNREAD_FIELDS, SimConfig
 from conftest import serialize_config
 
 WORKLOADS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "workloads").glob("*.ini"))
@@ -90,7 +90,7 @@ _BAD_VALUES = [
     ("varpi", "2", "", "varpi > 1 requires power_mode = geometric"),
     ("detector", "map", "", "detector must be one of"),
     ("detector", "lmmse", "scheme = binary_ml\n", "set detector = ml"),
-    ("power_mode", "geometric", "scheme = analog\n", "needs power_mode = uniform"),
+    ("power_mode", "geometric", "scheme = analog\n", "never reads power_mode"),
     ("num_subcarriers", "4", "", "num_subcarriers must equal bit_depth"),
     ("snr_db_grid", "", "", "snr_db_grid must be non-empty"),
     ("snr_db_grid", "0 nan", "", "snr_db_grid entry nan must be finite"),
@@ -507,12 +507,16 @@ def test_a_source_the_quantizer_cannot_take_is_one_error_line(keys, expected, tm
 @pytest.mark.parametrize(
     "argv", [["verify", "--quick"], ["sweep", "--quick", "--out"]], ids=["verify", "sweep"]
 )
-def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback(argv, tmp_path):
+def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback(
+    argv, tmp_path, capsys
+):
     # as `aircomp ... | head -1` does; unbuffered, so each line is its own write
     env = {k: v for k, v in os.environ.items() if not k.startswith("AIRCOMP_")}
     env["PYTHONUNBUFFERED"] = "1"
-    if argv[-1] == "--out":
-        argv = argv + [str(tmp_path / "out")]
+    cfg = tmp_path / "two.ini"
+    if argv[0] == "sweep":
+        cfg.write_text("[a]\nsnr_db_grid = 0 10\n[b]\ndetector = ml\nsnr_db_grid = 5\n")
+        argv = [*argv, str(tmp_path / "out"), str(cfg)]
     proc = subprocess.Popen(
         [sys.executable, "-m", "aircomp", *argv],
         stdout=subprocess.PIPE,
@@ -524,6 +528,49 @@ def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback(argv, 
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=300) == 1
     assert "Traceback" not in stderr and "Error" not in stderr, stderr
+    if cfg.exists():
+        # the sweeps go on without a reader: both CSVs are those of a full run
+        assert stderr == ""
+        assert main(["sweep", "--quick", "--out", str(tmp_path / "full"), str(cfg)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        for name in ("a.csv", "b.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+# per field of UNREAD_FIELDS: the other fields that a value away from its
+# default needs, and that value
+_UNREAD_VALUES = {
+    "varpi": ({"power_mode": "geometric"}, 2.0),
+    "power_mode": ({}, "geometric"),
+    "detector": ({}, "ml"),
+    "allow_empty": ({}, True),
+    "reallocate": ({}, True),
+    "round_estimates": ({}, True),
+    "analog_threshold": ({}, 0.3),
+    "source_std": ({}, 0.5),
+}
+_UNREAD = [(owner, key) for owner, keys in UNREAD_FIELDS.items() for key in keys]
+
+
+@pytest.mark.parametrize("owner, key", _UNREAD, ids=[f"{o}-{k}" for o, k in _UNREAD])
+def test_a_field_its_scheme_or_source_never_reads_is_one_error(owner, key, tmp_path, capsys):
+    # a run would ignore such a field, yet record it in the CSV's metadata line
+    needs, value = _UNREAD_VALUES[key]
+    fields = {"scheme" if owner in SCHEMES else "source": owner, "trials": 100}
+    if owner == "binary_ml":
+        fields["detector"] = "ml"
+    fields |= {**needs, key: value, "seed": 2}
+    scheme, source = fields.get("scheme", "proposed"), fields.get("source", "uniform")
+    message = f"{scheme} on {source} sources never reads {key}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(**fields)
+    cfg, out = tmp_path / "exp.ini", tmp_path / "out"
+    cfg.write_text("[x]\n" + "".join(f"{k} = {str(v).lower()}\n" for k, v in fields.items()))
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    line = 2 + list(fields).index(key)
+    assert captured.err.splitlines() == [f"error: experiment [x] (line {line}): {message}"]
+    assert captured.out == "" and not out.exists()
 
 
 def test_verbose_sweep_prints_each_point_before_the_rows_and_writes_the_same_csv(

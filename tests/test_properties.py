@@ -23,6 +23,7 @@ from aircomp.simulator import (  # noqa: E402
     POWER_MODES,
     SCHEMES,
     SOURCES,
+    UNREAD_FIELDS,
     SimConfig,
 )
 from conftest import serialize_config  # noqa: E402
@@ -127,9 +128,11 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _sim_configs(draw):
+    # only valid configs: a field that the scheme or the source never reads
+    # (UNREAD_FIELDS) keeps its default
     scheme = draw(st.sampled_from(SCHEMES))
     bit_depth = draw(st.integers(1, 16))
-    power_mode = "uniform" if scheme == "analog" else draw(st.sampled_from(POWER_MODES))
+    power_mode = draw(st.sampled_from(POWER_MODES))
     source = draw(st.sampled_from(SOURCES))
     fields = dict(
         num_devices=draw(st.integers(1, 64)),
@@ -157,6 +160,8 @@ def _sim_configs(draw):
         round_estimates=draw(st.booleans()),
         allow_empty=draw(st.booleans()),
     )
+    for name in UNREAD_FIELDS[scheme] + UNREAD_FIELDS[source]:
+        del fields[name]
     return SimConfig(**fields)
 
 

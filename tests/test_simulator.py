@@ -873,15 +873,15 @@ KEY_BASES = {
 
 
 def _one_field_changes():
-    """(base, changed) for every base and field whose second value differs
-    from the base's and gives a valid config."""
+    """(field, base, changed) for every base and field whose second value
+    differs from the base's and gives a valid config."""
     pairs = []
     for field, value in SECOND_VALUES.items():
         for base in KEY_BASES.values():
             if getattr(base, field) == value:
                 continue
             try:
-                pairs.append((base, replace(base, **{field: value})))
+                pairs.append((field, base, replace(base, **{field: value})))
             except ValueError:
                 continue  # not valid with the base's other fields
     return pairs
@@ -900,18 +900,12 @@ def _same_fronts(a: list, b: list) -> bool:
 
 def test_every_config_field_has_a_second_value_that_some_base_accepts():
     assert set(SECOND_VALUES) == {f.name for f in dataclasses.fields(SimConfig)}
-    changed = {
-        field
-        for base, other in _one_field_changes()
-        for field in SECOND_VALUES
-        if getattr(base, field) != getattr(other, field)
-    }
-    assert changed == set(SECOND_VALUES)
+    assert {field for field, _, _ in _one_field_changes()} == set(SECOND_VALUES)
 
 
 def test_a_field_outside_the_draw_key_leaves_every_batch_bit_identical():
     checked = 0
-    for base, changed in _one_field_changes():
+    for _, base, changed in _one_field_changes():
         if _draw_key(changed) != _draw_key(base):
             continue
         for ours, theirs in zip(_batches(base), _batches(changed), strict=True):
@@ -924,7 +918,7 @@ def test_a_field_outside_the_draw_key_leaves_every_batch_bit_identical():
 def test_a_field_outside_the_front_key_leaves_every_front_end_bit_identical():
     # within a draw group, on one draw and at the same noise powers
     checked = 0
-    for base, changed in _one_field_changes():
+    for _, base, changed in _one_field_changes():
         if (_draw_key(changed), _front_key(changed)) != (_draw_key(base), _front_key(base)):
             continue
         batch = next(_batches(base))[:3]
@@ -933,6 +927,41 @@ def test_a_field_outside_the_front_key_leaves_every_front_end_bit_identical():
         assert _same_fronts(ours, simulator._front(changed, *batch, sigma2s)), changed
         checked += 1
     assert checked >= 6
+
+
+def _batch_with_a_dead_subcarrier(config):
+    """The first batch of config, with every estimated gain on subcarrier 0
+    set to 0: only there does allow_empty change a selection."""
+    sources, power_est, residual, _ = next(_batches(config))
+    power_est = power_est.copy()
+    power_est[:, :, 0] = 0.0
+    return sources, power_est, residual
+
+
+def test_a_field_inside_a_key_changes_that_stage_for_some_base():
+    # the other direction: a key field whose change leaves the stage's output
+    # bit-identical on every base would only split what could be shared
+    in_draw, drawn, in_front, fronted = set(), set(), set(), set()
+    for field, base, changed in _one_field_changes():
+        if _draw_key(changed) != _draw_key(base):
+            in_draw.add(field)
+            pairs = zip(next(_batches(base)), next(_batches(changed)), strict=True)
+            if any(a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in pairs):
+                drawn.add(field)
+        elif _front_key(changed) != _front_key(base):
+            in_front.add(field)
+            sigma2s = [base.sigma2(-10.0), base.sigma2(20.0)]
+            for batch in (next(_batches(base))[:3], _batch_with_a_dead_subcarrier(base)):
+                ours = simulator._front(base, *batch, sigma2s)
+                if not _same_fronts(ours, simulator._front(changed, *batch, sigma2s)):
+                    fronted.add(field)
+    assert drawn == in_draw == {
+        "seed", "trials", "source", "s_max", "source_std", "num_devices",
+        "num_subcarriers", "num_taps", "csi_error_radius", "n_tx", "n_rx",
+    }
+    assert fronted == in_front == {
+        "scheme", "p_max", "varpi", "allow_empty", "reallocate", "analog_threshold"
+    }
 
 
 def test_an_analog_front_end_does_not_depend_on_the_noise_power():
