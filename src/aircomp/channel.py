@@ -25,6 +25,11 @@ the two real numbers per (device, subcarrier) that the pipeline reads: the
 estimated power |h_est|^2, which drives selection and inversion, and the
 residual Re{h / h_est} = Re{1 / (1 + delta)}, which inversion leaves on each
 symbol.  No complex channel outlives the draw.
+
+A batch draws, in this order, the delays of all its trials, then the taps
+one chunk of trials at a time, each tap a (re, im) pair of normals in trial
+order, then the CSI error.  So the draw holds the delays, its two outputs and
+one chunk, never every tap of the batch, and the chunk size changes no bit.
 """
 
 from __future__ import annotations
@@ -158,11 +163,12 @@ def _scatter_taps(taps_re, taps_im, delays, num_subcarriers: int, scale: float):
     """The delay-domain channel x[a, t, k, d], (A, trials, K, L) complex: the
     sum of the scaled taps of antenna pair a that arrive with delay d.
 
-    taps_re and taps_im are (trials, K, M, n_rx, n_tx) normals, delays is
-    (trials, K, M).  Each antenna plane's real and imaginary parts are one
-    np.bincount each, with the bins in tap-major order (every device's first
-    path, then every second one), so each bin adds its taps in path order,
-    starting from zero: the sum that adding path by path gives.
+    taps_re and taps_im are (trials, K, M, n_rx, n_tx) normals, the two
+    parts of the draw's (re, im) pairs, and delays is (trials, K, M).  Each
+    antenna plane's real and imaginary parts are one np.bincount each, with
+    the bins in tap-major order (every device's first path, then every second
+    one), so each bin adds its taps in path order, starting from zero: the sum
+    that adding path by path gives.
     """
     n, K, M = delays.shape
     size = n * K * num_subcarriers
@@ -186,7 +192,8 @@ def draw_channel_batch(
 
     Returns (power_est, residual), both float64 (n_trials, K, L): the
     estimated power |h_est|^2 and the residual Re{h / h_est} that channel
-    inversion leaves.  Draw order is fixed (taps_re, taps_im, delays, the
+    inversion leaves.  Draw order is fixed (the delays of the whole batch,
+    the taps chunk by chunk, each tap a (re, im) pair in trial order, the
     moduli of the CSI error for the whole batch, then its angles chunk by
     chunk) so runs that differ only in downstream choices consume identical
     randomness and stay trial-paired.
@@ -212,26 +219,28 @@ def draw_channel_batch(
     exactly 1, a read-only broadcast, and the uniforms are still drawn and
     discarded, so `rng` ends in the state a nonzero radius leaves it in.
 
-    The arithmetic runs over chunks of trials of about 1 MiB of delay bins.
-    The random draws keep the order of a whole-batch draw and every element
+    The arithmetic runs over chunks of trials of about 1 MiB of delay bins,
+    and each chunk's taps are drawn into one buffer that every chunk reuses,
+    so no array of the whole batch's taps exists.  Consecutive draws into
+    the buffer give the numbers of one whole-batch draw, and every element
     sees the same operations, so chunking does not change a bit.
     """
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
     A = n_rx * n_tx
-    shape = (n_trials, K, M, n_rx, n_tx)
     scale = np.sqrt((1.0 / M) / 2.0)
-    taps_re = rng.standard_normal(shape)
-    taps_im = rng.standard_normal(shape)
     delays = rng.integers(0, L, size=(n_trials, K, M))
     delays[..., 0] = 0  # first path always at zero delay
 
     power = np.empty((n_trials, K, L))
     spans = _spans(n_trials, A * K * L)
+    rows = max(e - s for s, e in spans)
+    taps = np.empty((rows, K, M, n_rx, n_tx, 2))  # (re, im) per tap, reused
     for s, e in spans:
         n = e - s
-        x = _scatter_taps(taps_re[s:e], taps_im[s:e], delays[s:e], L, scale)
+        rng.standard_normal(out=taps[:n])
+        x = _scatter_taps(taps[:n, ..., 0], taps[:n, ..., 1], delays[s:e], L, scale)
         if A == 1:
             h = np.fft.ifft(x[0], axis=-1, norm="forward")
             np.square(h.real, out=power[s:e])
@@ -240,12 +249,14 @@ def draw_channel_batch(
             h = np.fft.ifft(x, axis=-1, norm="forward").reshape(n_rx, n_tx, n, K, L)
             power[s:e] = _matched_gains(h)
         del x, h  # release this chunk's arrays before the next one allocates
-    del taps_re, taps_im, delays  # released before the CSI uniforms allocate
+    del taps, delays  # released before the CSI uniforms allocate
 
     radius = params.csi_error_radius
     if radius == 0:
+        # the uniforms a nonzero radius uses, drawn into one buffer and discarded
+        discarded = np.empty(2 * rows * K * L)
         for s, e in spans:
-            rng.random((2, e - s, K, L))  # the uniforms a nonzero radius uses
+            rng.random(out=discarded[: 2 * (e - s) * K * L])
         return power, np.broadcast_to(1.0, power.shape)
     # the moduli of the whole batch; each chunk's residual overwrites them
     residual = rng.random(power.shape)

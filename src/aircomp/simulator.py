@@ -479,11 +479,11 @@ def _batches(config: SimConfig):
     """Yield (sources, power_est, residual, noise) per batch of a sweep.
 
     Every grid point reads the same batches.  Batch j uses the stream seeded
-    by (seed, 0, j) and draws, in this order, the sources, the channel taps
-    and delays with their CSI perturbations, and the real part of the
-    unit-power receiver noise, the only part the receiver reads.  The arrays
-    are read-only, so a pipeline evaluated on them cannot change what the
-    next one reads.
+    by (seed, 0, j) and draws, in this order, the sources, the channel
+    delays, the channel taps chunk by chunk, the CSI perturbations, and the
+    real part of the unit-power receiver noise, the only part the receiver
+    reads.  The arrays are read-only, so a pipeline evaluated on them cannot
+    change what the next one reads.
     """
     L = config.num_subcarriers
     params = config.channel_params()
@@ -638,7 +638,7 @@ def sweep(config: SimConfig, *, shared: SharedSweeps | None = None) -> SweepResu
     """Monte Carlo NMSE-versus-SNR sweep with fresh channels every trial.
 
     Randomness: batch j of every grid point uses the stream seeded by the
-    tuple (seed, 0, j) and draws sources, channel taps/delays, CSI
+    tuple (seed, 0, j) and draws sources, channel delays and taps, CSI
     perturbations, and receiver noise in a fixed order with fixed shapes
     (see ``_batches``).  The points of a curve share these draws (common
     random numbers), and so do configs with the same draw key wherever their

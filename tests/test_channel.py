@@ -48,11 +48,11 @@ def _draw_channel_batch_per_subcarrier(params, n_trials, rng, mimo=None):
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
     n_rx, n_tx = mimo.n_rx, mimo.n_tx
-    shape = (n_trials, K, M, n_rx, n_tx)
-    scale = np.sqrt(np.full(M, 1.0 / M) / 2.0)[None, :, None, None]
-    taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
     delays = rng.integers(0, L, size=(n_trials, K, M))
     delays[..., 0] = 0
+    pairs = rng.standard_normal((n_trials, K, M, n_rx, n_tx, 2))  # (re, im) per tap
+    scale = np.sqrt(np.full(M, 1.0 / M) / 2.0)[None, :, None, None]
+    taps = (pairs[..., 0] + 1j * pairs[..., 1]) * scale
     W = _phase_table(L)
     h = np.empty((n_trials, K, L), dtype=np.complex128)
     for l in range(L):
@@ -358,7 +358,9 @@ def test_matched_beamformers_beat_random_beams():
     params = ChannelParams(num_devices=K, num_subcarriers=4, num_taps=1)
     power_est, _ = draw_channel_batch(params, 1, np.random.default_rng(8), MimoParams(2, 2))
     replay = np.random.default_rng(8)
-    stack = (replay.standard_normal(shape) + 1j * replay.standard_normal(shape))[0, :, 0]
+    replay.integers(0, 4, size=shape[:3])  # the delays, drawn before the taps
+    pairs = replay.standard_normal(shape + (2,))
+    stack = (pairs[..., 0] + 1j * pairs[..., 1])[0, :, 0]
     stack *= np.sqrt(0.5)
     w = np.linalg.svd(stack.sum(axis=0))[0][:, 0]
     projected = w.conj() @ stack  # w^H H_k per device, (K, n_tx)
@@ -400,16 +402,18 @@ class _FixedTaps:
     every delay 0 and every uniform 0."""
 
     def __init__(self, S):
-        self.parts = [S.real, S.imag]
+        self.pairs = np.stack([S.real, S.imag], axis=-1)  # (n_rx, n_tx, 2)
 
-    def standard_normal(self, shape):
-        return np.broadcast_to(self.parts.pop(0), shape).copy()
+    def standard_normal(self, out):
+        out[...] = self.pairs
+        return out
 
     def integers(self, low, high, size):
         return np.zeros(size, dtype=np.int64)
 
-    def random(self, shape):
-        return np.zeros(shape)
+    def random(self, out):
+        out[...] = 0.0
+        return out
 
 
 @pytest.mark.parametrize(
@@ -523,12 +527,15 @@ def test_channel_params_validation():
 
 
 @pytest.mark.memory
-@pytest.mark.parametrize("mimo", [MimoParams(1, 1), MimoParams(2, 2)], ids=["siso", "2x2"])
+@pytest.mark.parametrize(
+    "mimo", [MimoParams(1, 1), MimoParams(2, 2), MimoParams(4, 4)], ids=["siso", "2x2", "4x4"]
+)
 def test_draw_memory_stays_within_its_real_arrays(monkeypatch, mimo):
-    # the draw holds at most the taps, the delays, the CSI moduli and one
-    # real output at a time, plus the arrays of one chunk (64 KiB of delay
-    # bins here, so that they count for little): one whole-batch complex
-    # channel, 16 bytes per trial, device and subcarrier, would not fit
+    # the draw holds at most the delays, the CSI moduli and one real output
+    # at a time, plus the arrays of one chunk (64 KiB of delay bins here, so
+    # that they count for little): the taps of the whole batch, 16 bytes per
+    # trial, device, path and antenna pair, would not fit, nor would one
+    # whole-batch complex channel, 16 bytes per trial, device and subcarrier
     T, K, M, L = 2048, 50, 4, 8
     params = ChannelParams(num_devices=K, num_subcarriers=L, num_taps=M, csi_error_radius=0.2)
     monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 1 << 12)
@@ -538,7 +545,6 @@ def test_draw_memory_stays_within_its_real_arrays(monkeypatch, mimo):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    taps = 2 * T * K * M * mimo.n_rx * mimo.n_tx * 8
     delays = T * K * M * 8
     moduli = output = T * K * L * 8
-    assert peak < taps + delays + moduli + output + 8 * 16 * channel._CHUNK_ELEMENTS
+    assert peak < delays + moduli + output + 8 * 16 * channel._CHUNK_ELEMENTS
