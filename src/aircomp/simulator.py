@@ -68,7 +68,9 @@ class SimConfig:
 
     Defaults describe the reference setup: 20 devices, 8-bit quantization of
     uniform sources on [-1, 1], one subcarrier per bit-plane over a 4-tap
-    Rayleigh channel, uniform power split, LMMSE detection.
+    Rayleigh channel, uniform power split, LMMSE detection.  Powers are in
+    units of a device's budget and values in units of the source range, as
+    NMSE depends on neither.
     """
 
     num_devices: int = 20
@@ -76,8 +78,7 @@ class SimConfig:
     num_subcarriers: int = 8
     num_taps: int = 4
     source: str = "uniform"
-    s_max: float = 1.0
-    source_std: float | None = None  # gaussian only; None -> s_max / 3
+    source_std: float | None = None  # gaussian only; None -> 1 / 3
     scheme: str = "proposed"
     power_mode: str = "uniform"
     varpi: float = 1.0
@@ -85,7 +86,6 @@ class SimConfig:
     snr_db_grid: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     trials: int = 100_000
     csi_error_radius: float = 0.0
-    p_max: float = 1.0
     seed: int = 1
     n_tx: int = 1
     n_rx: int = 1
@@ -101,10 +101,10 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
+        if self.bit_depth < 1:  # before num_subcarriers, which demo sets to it
+            raise ValueError("bit_depth must be >= 1")
         self.channel_params()  # num_devices, num_subcarriers, num_taps, csi_error_radius
         self.mimo()  # n_tx, n_rx
-        if self.bit_depth < 1:
-            raise ValueError("bit_depth must be >= 1")
         if self.bit_depth > 63 or self.num_devices * 2**self.bit_depth > 2**63:
             # the int64 decoders sum num_devices codewords of bit_depth bits
             raise ValueError(
@@ -113,22 +113,18 @@ class SimConfig:
             )
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
-        if not self.s_max > 0:
-            raise ValueError("s_max must be > 0")
         if self.source_std is not None and not 0 < self.source_std < math.inf:
             raise ValueError(f"source_std must be > 0 and finite, got {self.source_std}")
         # The tally sums fourth powers of errors from about a lattice step,
-        # 2^(1-b) s, to the largest sum, K s, for a source scale s.  Each stays
-        # in [2^-255, 2^255], whose fourth powers are normal floats, with 2^8
-        # to spare for the noise and, at the top, 2^16 for the trial count.
+        # 2^(1-b) s, to the largest sum, K s, for a gaussian source's scale s.
+        # Each stays in [2^-255, 2^255], whose fourth powers are normal floats,
+        # with 2^8 to spare for the noise and, at the top, 2^16 for the trials.
         lo, hi = 2.0 ** (self.bit_depth - 248), 2.0**231 / self.num_devices
-        keys = ("s_max", "source_std") if self.source == "gaussian" else ("s_max",)
-        for key, scale in zip(keys, (self.s_max, self.effective_source_std)):
-            if not lo <= scale <= hi:
-                raise ValueError(
-                    f"{key} = {scale!r} must lie in [{lo!r}, {hi!r}] at "
-                    f"num_devices = {self.num_devices} and bit_depth = {self.bit_depth}"
-                )
+        if self.source == "gaussian" and not lo <= self.effective_source_std <= hi:
+            raise ValueError(
+                f"source_std = {self.effective_source_std!r} must lie in [{lo!r}, {hi!r}] "
+                f"at num_devices = {self.num_devices} and bit_depth = {self.bit_depth}"
+            )
         try:
             self.quantizer()
         except ValueError as exc:  # name the key: the quantizer calls it b
@@ -139,9 +135,9 @@ class SimConfig:
             raise ValueError(
                 f"power_mode must be one of {POWER_MODES}, got {self.power_mode!r}"
             )
-        # rejects p_max <= 0 and varpi < 1; called through its module, as
-        # perfbench times calls of this module's allocate_power as sweep work
-        budgets = transceiver.allocate_power(self.p_max, self.num_subcarriers, self.varpi)
+        # rejects varpi < 1; called through its module, as perfbench times
+        # calls of this module's allocate_power as sweep work
+        transceiver.allocate_power(self.num_subcarriers, self.varpi)
         if self.power_mode == "uniform" and self.varpi != 1.0:
             raise ValueError("varpi > 1 requires power_mode = geometric")
         if self.detector not in DETECTORS:
@@ -161,25 +157,22 @@ class SimConfig:
             raise ValueError("snr_db_grid must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # every noise power is a normal float, and so is the MSE's product of
+        # one with up to K^2 / 2, with 2^16 to spare for the gains; the budgets
+        # sum to 1, and the smallest is 1 / L or, over coded L <= 63 planes,
+        # above 2^-1010
+        tiny, top = sys.float_info.min, sys.float_info.max / 2.0**16 / self.num_devices**2
         for snr_db in self.snr_db_grid:
             try:
-                noise_ok = 0.0 < self.sigma2(snr_db) < math.inf
+                sigma2 = self.sigma2(snr_db)
             except (OverflowError, ZeroDivisionError):
-                noise_ok = False
-            if not noise_ok:
+                sigma2 = math.nan
+            if not tiny <= sigma2 <= top:
                 raise ValueError(
-                    f"snr_db_grid entry {snr_db} must be finite and give a "
-                    "positive, finite noise power p_max / (10^(snr_db/10) L)"
+                    f"snr_db_grid entry {snr_db} must be finite and give a noise power "
+                    f"1 / (10^(snr_db/10) L) in [{tiny!r}, {top!r}] at "
+                    f"num_devices = {self.num_devices}"
                 )
-        # every budget and noise power is a normal float, and so is the MSE's
-        # product of one with up to K^2 / 2, with 2^16 to spare for the gains
-        tiny, top = sys.float_info.min, sys.float_info.max / 2.0**16 / self.num_devices**2
-        powers = [*budgets, *map(self.sigma2, self.snr_db_grid)]
-        if not tiny <= min(powers) <= max(powers) <= top:
-            raise ValueError(
-                f"p_max = {self.p_max!r} gives power budgets and noise powers outside "
-                f"[{tiny!r}, {top!r}] at num_devices = {self.num_devices}"
-            )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.analog_threshold >= 0:
@@ -190,18 +183,18 @@ class SimConfig:
 
     @property
     def effective_source_std(self) -> float:
-        return self.source_std if self.source_std is not None else self.s_max / 3.0
+        return self.source_std if self.source_std is not None else 1.0 / 3.0
 
     def quantizer(self) -> QuantizerSpec:
-        return QuantizerSpec(self.bit_depth, self.s_max)
+        return QuantizerSpec(self.bit_depth, 1.0)
 
     def sigma2(self, snr_db: float) -> float:
         """Per-subcarrier noise power for a given SNR, defined as the total
-        power budget over the aggregate noise: SNR = p_max / (sigma^2 L)."""
-        return self.p_max / (10.0 ** (snr_db / 10.0) * self.num_subcarriers)
+        power budget, 1, over the aggregate noise: SNR = 1 / (sigma^2 L)."""
+        return 1.0 / (10.0 ** (snr_db / 10.0) * self.num_subcarriers)
 
     def budgets(self) -> np.ndarray:
-        return allocate_power(self.p_max, self.num_subcarriers, self.varpi)
+        return allocate_power(self.num_subcarriers, self.varpi)
 
     def mimo(self) -> MimoParams:
         return MimoParams(n_tx=self.n_tx, n_rx=self.n_rx)
@@ -259,7 +252,7 @@ class SweepResult:
 
 def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     if config.source == "uniform":
-        return rng.uniform(-config.s_max, config.s_max, size=(n, config.num_devices))
+        return rng.uniform(-1.0, 1.0, size=(n, config.num_devices))
     return config.effective_source_std * rng.standard_normal((n, config.num_devices))
 
 
@@ -297,7 +290,7 @@ def _front_key(config: SimConfig) -> tuple:
     (analog: at every noise power).  The budgets and a coded bit depth follow
     from these and the draw key; the fields a scheme never reads hold defaults."""
     c = config
-    return (c.scheme, c.p_max, c.varpi, c.allow_empty, c.reallocate, c.analog_threshold)
+    return (c.scheme, c.varpi, c.allow_empty, c.reallocate, c.analog_threshold)
 
 
 def _weakest(gains, active) -> np.ndarray:
@@ -356,8 +349,7 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
     if config.scheme == "analog":
         sigma2s = [None]  # the threshold ignores the noise power: one selection
         lattice, s_quant = None, s_true.copy()
-        amplitudes = (sources / config.s_max).T[:, :, None]
-        weights = (amplitudes[:, s:e] for s, e in spans)
+        weights = (sources.T[:, s:e, None] for s, e in spans)
     else:
         spec = config.quantizer()
         lattice = codec.quantize(sources, spec, clamp=config.source == "gaussian")
@@ -400,8 +392,7 @@ def _back(config, front, noise, sigma2) -> dict:
     if config.scheme == "analog":
         scaled = np.zeros_like(p)
         np.divide(received, np.sqrt(p), out=scaled, where=p > 0)
-        estimates = config.s_max * scaled
-        return front | {"s_hat": estimates.mean(axis=1), "estimates": estimates}
+        return front | {"s_hat": scaled.mean(axis=1), "estimates": scaled}
     if config.detector == "ml":
         silent = K - n_act.astype(np.float64)  # prior mean 1/2 per silent device
         r_hat = ml_lattice_estimate(received, p, n_act) + silent / 2.0
@@ -471,8 +462,8 @@ def _draw_key(config: SimConfig) -> tuple:
     channel draw's own parameters.  Configs with equal keys draw identical
     sources, channels and noise in each batch; the SNR grid is not part of it
     (see ``_batches``)."""
-    source = (config.seed, config.trials, config.source, config.s_max)
-    return source + (config.effective_source_std, config.channel_params(), config.mimo())
+    c = config
+    return (c.seed, c.trials, c.source, c.effective_source_std, c.channel_params(), c.mimo())
 
 
 def _batches(config: SimConfig):
@@ -698,7 +689,7 @@ def quantization_nmse_floor(config: SimConfig) -> float:
     K = config.num_devices
     if config.source == "uniform":
         mean_e, second_e = _uniform_truncation_moments(spec)
-        source_power = config.s_max**2 / 3.0
+        source_power = 1.0 / 3.0
     else:
         mean_e, second_e = _gaussian_truncation_moments(
             spec, config.effective_source_std

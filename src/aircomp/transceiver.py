@@ -14,33 +14,31 @@ from __future__ import annotations
 import numpy as np
 
 
-def allocate_power(p_max: float, num_planes: int, varpi: float = 1.0) -> np.ndarray:
-    """Split a per-device budget across bit planes with geometric ratio varpi.
+def allocate_power(num_planes: int, varpi: float = 1.0) -> np.ndarray:
+    """Split a device's unit power budget across bit planes with geometric
+    ratio varpi.
 
     varpi = 1 is the uniform split; varpi > 1 weights later (more significant)
-    planes, with P_1 = p_max*(varpi-1)/(varpi^b - 1) so the total meets p_max
-    with equality.  varpi < 1 would starve the most significant plane and is
-    rejected, and so is any split with a budget that is not finite and
-    positive (an infinite p_max or varpi, or a varpi^b beyond float range).
+    planes, with P_1 = (varpi-1)/(varpi^b - 1) so the budgets sum to 1.
+    varpi < 1 would starve the most significant plane and is rejected, and so
+    is any split with a budget that is not finite and positive (an infinite
+    varpi, or a varpi^b beyond float range).
     """
-    if not p_max > 0:
-        raise ValueError(f"p_max must be positive, got {p_max}")
     if num_planes < 1:
         raise ValueError(f"num_planes must be >= 1, got {num_planes}")
     if not varpi >= 1:  # NaN included
         raise ValueError(f"varpi must be >= 1, got {varpi}")
     if varpi == 1:
-        budgets = np.full(num_planes, p_max / num_planes)
+        budgets = np.full(num_planes, 1.0 / num_planes)
     else:
         try:
-            first = p_max * (varpi - 1.0) / (varpi**num_planes - 1.0)
+            first = (varpi - 1.0) / (varpi**num_planes - 1.0)
             budgets = first * varpi ** np.arange(num_planes)
         except OverflowError:  # varpi^b beyond float range
             budgets = np.full(num_planes, np.inf)
     if not np.all(np.isfinite(budgets) & (budgets > 0)):
         raise ValueError(
-            f"p_max = {p_max} and varpi = {varpi} over {num_planes} planes must "
-            "give finite, positive power budgets"
+            f"varpi = {varpi} over {num_planes} planes must give finite, positive power budgets"
         )
     return budgets
 

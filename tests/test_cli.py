@@ -76,7 +76,6 @@ _BAD_VALUES = [
     ("num_subcarriers", "0", "", "num_subcarriers must be >= 1"),
     ("num_taps", "0", "", "num_taps must be >= 1"),
     ("source", "laplace", "", "source must be one of"),
-    ("s_max", "0", "", "s_max must be > 0"),
     ("bit_depth", "49", "", "is too fine for s_max=1.0 in float64"),
     ("source_std", "0", "", "source_std must be > 0"),
     ("source_std", "inf", "", "source_std must be > 0 and finite, got inf"),
@@ -96,19 +95,16 @@ _BAD_VALUES = [
     ("snr_db_grid", "0 nan", "", "snr_db_grid entry nan must be finite"),
     ("trials", "0", "", "trials must be >= 1"),
     ("csi_error_radius", "1", "", "csi_error_radius must lie in [0, 1)"),
-    ("p_max", "0", "", "p_max must be positive"),
     ("seed", "-1", "", "seed must be >= 0"),
     ("n_tx", "0", "", "n_tx and n_rx must be >= 1"),
     ("n_rx", "0", "", "n_tx and n_rx must be >= 1"),
     ("analog_threshold", "-1", "", "analog_threshold must be >= 0"),
     # scales whose sums, squares or fourth powers leave float64's normal range
-    ("s_max", "1e308", "", "s_max = 1e+308 must lie in"),
-    ("s_max", "1e200", "", "s_max = 1e+200 must lie in"),
-    ("s_max", "1e-300", "", "s_max = 1e-300 must lie in"),
     ("source_std", "1e200", "source = gaussian\n", "source_std = 1e+200 must lie in"),
     ("source_std", "1e-300", "source = gaussian\n", "source_std = 1e-300 must lie in"),
-    ("p_max", "1e-320", "", "p_max = 1e-320 gives power budgets and noise powers outside"),
-    ("p_max", "1e307", "", "p_max = 1e+307 gives power budgets and noise powers outside"),
+    # noise powers beyond float64's normal range, less the room for the gains
+    ("snr_db_grid", "0 3070", "", "snr_db_grid entry 3070.0 must be finite and give a noise power"),
+    ("snr_db_grid", "-3020", "", "entry -3020.0 must be finite and give a noise power 1 / ("),
 ]
 
 
@@ -253,7 +249,7 @@ def test_sweep_command_rejects_budgets_beyond_float_range(tmp_path, capsys, varp
     assert main(["sweep", str(cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        f"error: experiment [g] (line 3): p_max = 1.0 and varpi = {float(varpi)} over 8 "
+        f"error: experiment [g] (line 3): varpi = {float(varpi)} over 8 "
         "planes must give finite, positive power budgets"
     ]
     assert captured.out == ""
@@ -459,6 +455,16 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
             ["sweep", "old.ini"], {}, "line 2: unknown key 'clamp' in [x]",
             {"old.ini": b"[x]\nclamp = true\n"}, id="removed key clamp",
         ),
+        pytest.param(
+            ["sweep", "old.ini"], {}, "line 2: unknown key 'p_max' in [x]",
+            {"old.ini": b"[x]\np_max = 1.0\n"}, id="removed key p_max",
+        ),
+        pytest.param(
+            ["sweep", "old.ini"], {}, "line 3: unknown key 's_max' in [x]",
+            {"old.ini": b"[x]\ntrials = 10\ns_max = 2.0\n"}, id="removed key s_max",
+        ),
+        # the bit depth also sets num_subcarriers, which must not take the blame
+        pytest.param(["demo", "--b", "0"], {}, "error: bit_depth must be >= 1", {}, id="demo b 0"),
     ],
 )
 def test_bad_input_is_one_error_line_and_status_1(
@@ -486,9 +492,7 @@ def test_bad_input_is_one_error_line_and_status_1(
     "keys, expected",
     [
         ("source = gaussian\nsource_std = inf\n", "(line 3): source_std must be > 0 and finite"),
-        ("s_max = 1e308\n", "(line 2): s_max = 1e+308 must lie in"),
         ("source = gaussian\nsource_std = 1e200\n", "(line 3): source_std = 1e+200 must lie in"),
-        ("p_max = 1e-320\n", "(line 2): p_max = 1e-320 gives power budgets"),
     ],
 )
 def test_a_source_the_quantizer_cannot_take_is_one_error_line(keys, expected, tmp_path, capsys):

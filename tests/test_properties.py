@@ -140,7 +140,6 @@ def _sim_configs(draw):
         num_subcarriers=draw(st.integers(1, 16)) if scheme == "analog" else bit_depth,
         num_taps=draw(st.integers(1, 8)),
         source=source,
-        s_max=draw(st.floats(1e-3, 1e3, **_finite)),
         source_std=draw(st.none() | st.floats(1e-3, 1e3, **_finite)),
         scheme=scheme,
         power_mode=power_mode,
@@ -151,7 +150,6 @@ def _sim_configs(draw):
         ),
         trials=draw(st.integers(1, 10**7)),
         csi_error_radius=draw(st.floats(0.0, 0.99, **_finite)),
-        p_max=draw(st.floats(1e-3, 1e3, **_finite)),
         seed=draw(st.integers(0, 2**63)),
         n_tx=draw(st.integers(1, 4)),
         n_rx=draw(st.integers(1, 4)),

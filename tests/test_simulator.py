@@ -37,9 +37,9 @@ from aircomp.transceiver import ml_lattice_estimate, reallocate_power
 K, L = 20, 8
 
 
-def unit_gain_realization(noise_power=0.0, num_devices=K, num_subcarriers=L):
+def unit_gain_realization(noise_power=0.0, num_devices=K, num_subcarriers=L, power_est=1.0):
     ones = np.ones((num_devices, num_subcarriers))
-    return NetworkRealization(power_est=ones, residual=ones.copy(), noise_power=noise_power)
+    return NetworkRealization(power_est=power_est * ones, residual=ones, noise_power=noise_power)
 
 
 def random_noiseless_realization(seed):
@@ -48,12 +48,12 @@ def random_noiseless_realization(seed):
 
 
 def test_noiseless_unit_gain_trial_is_bit_exact():
-    # p_max = 2 gives per-plane budgets of 1/4 and amplitudes of exactly 1/2,
-    # so every float in the pipeline is a dyadic rational and the decoded sum
-    # equals the quantized sum bit for bit
-    config = SimConfig(p_max=2.0, trials=1)
+    # estimated powers of 2 and per-plane budgets of 1/8 give amplitudes of
+    # exactly 1/2, so every float in the pipeline is a dyadic rational and the
+    # decoded sum equals the quantized sum bit for bit
+    config = SimConfig(trials=1)
     rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
-    record = run_trial(config, unit_gain_realization(), rng)
+    record = run_trial(config, unit_gain_realization(power_est=2.0), rng)
     assert record.s_hat == record.s_quant
     assert record.squared_error_transmission == 0.0
     assert record.active_counts.tolist() == [K] * L
@@ -159,9 +159,9 @@ def test_analog_with_everyone_silent_estimates_zero():
 
 
 def test_analog_noise_variance_matches_closed_form():
-    # flat unit channel: estimate = true sum + (s_max/L) sum_l Re(n_l)/sqrt(p_l)
-    # with p_l = p_max / L, giving variance s_max^2 sigma^2 / (2 p_max) for
-    # any number of repetition subcarriers
+    # flat unit channel: estimate = true sum + (1/L) sum_l Re(n_l)/sqrt(p_l)
+    # with p_l = 1 / L, giving variance sigma^2 / 2 for any number of
+    # repetition subcarriers
     sigma2 = 0.08
     for subcarriers in (2, 8):
         config = SimConfig(
@@ -287,9 +287,9 @@ def test_a_trial_reports_the_active_set_its_front_end_used(config):
 
 
 def test_round_estimates_keeps_noiseless_exactness():
-    config = SimConfig(p_max=2.0, trials=1, round_estimates=True)
+    config = SimConfig(trials=1, round_estimates=True)
     rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
-    record = run_trial(config, unit_gain_realization(), rng)
+    record = run_trial(config, unit_gain_realization(power_est=2.0), rng)
     assert record.s_hat == record.s_quant
 
 
@@ -407,27 +407,25 @@ def _coded_batch_oracle(config, sources, power_est, residual, noise, sigma2):
 
 def _analog_batch_oracle(config, sources, power_est, residual, noise, sigma2):
     L = config.num_subcarriers
-    budget = config.p_max / L
+    budget = 1.0 / L
     active = power_est >= config.analog_threshold
     p = np.where(active, power_est * budget, np.inf).min(axis=1)
     p = np.where(np.isfinite(p), p, 0.0)
 
     amp = _inversion_coefficients_oracle(residual, active, p)
-    u = sources / config.s_max
-    y = (amp * u[:, :, None]).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
+    y = (amp * sources[:, :, None]).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
 
     scaled = np.zeros_like(p)
     np.divide(y.real, np.sqrt(p), out=scaled, where=p > 0)
-    estimates = config.s_max * scaled
     s_true = sources.sum(axis=1)
     return {
         "s_true": s_true,
         "s_quant": s_true.copy(),
-        "s_hat": estimates.mean(axis=1),
+        "s_hat": scaled.mean(axis=1),
         "lattice": None,
         "n_active": active.sum(axis=1),
         "p": p,
-        "estimates": estimates,
+        "estimates": scaled,
         "received": y,
         "active": active,
     }
@@ -615,7 +613,6 @@ def _mixed_configs() -> dict[str, SimConfig]:
     one = dict(seed=3, trials=3_000)
     two = dict(seed=3, trials=BATCH + 1, source="gaussian", csi_error_radius=0.2)
     pair = (-10.0, 10.0)
-    shifted = (0.0, 20.0)  # with p_max = 10, the noise powers of pair
     analog = dict(scheme="analog", analog_threshold=0.02)
     return {
         "lmmse": SimConfig(**one, snr_db_grid=(-10.0, 10.0, 55.0, 60.0)),
@@ -626,10 +623,10 @@ def _mixed_configs() -> dict[str, SimConfig]:
         ),
         "empty": SimConfig(**one, snr_db_grid=pair, allow_empty=True),
         "reallocate": SimConfig(**one, snr_db_grid=pair, reallocate=True),
-        "p_max": SimConfig(**one, snr_db_grid=shifted, p_max=10.0),
+        "varpi": SimConfig(**one, snr_db_grid=pair, power_mode="geometric", varpi=2.0),
         "snr": SimConfig(**one, snr_db_grid=(-5.0, 0.0)),
         "analog": SimConfig(**one, **analog, snr_db_grid=pair),
-        "analog_p_max": SimConfig(**one, **analog, snr_db_grid=shifted, p_max=10.0),
+        "analog_default": SimConfig(**one, scheme="analog", snr_db_grid=pair),
         "analog_snr": SimConfig(**one, **analog, snr_db_grid=(-5.0, 0.0)),
         "threshold": SimConfig(
             **one, snr_db_grid=pair, scheme="analog", analog_threshold=0.05
@@ -833,7 +830,6 @@ SECOND_VALUES = {
     "num_subcarriers": 5,
     "num_taps": 2,
     "source": "gaussian",
-    "s_max": 2.0,
     "source_std": 0.5,
     "scheme": "analog",
     "power_mode": "geometric",
@@ -842,7 +838,6 @@ SECOND_VALUES = {
     "snr_db_grid": (3.0,),
     "trials": 301,
     "csi_error_radius": 0.1,
-    "p_max": 2.0,
     "seed": 9,
     "n_tx": 2,
     "n_rx": 2,
@@ -956,11 +951,11 @@ def test_a_field_inside_a_key_changes_that_stage_for_some_base():
                 if not _same_fronts(ours, simulator._front(changed, *batch, sigma2s)):
                     fronted.add(field)
     assert drawn == in_draw == {
-        "seed", "trials", "source", "s_max", "source_std", "num_devices",
+        "seed", "trials", "source", "source_std", "num_devices",
         "num_subcarriers", "num_taps", "csi_error_radius", "n_tx", "n_rx",
     }
     assert fronted == in_front == {
-        "scheme", "p_max", "varpi", "allow_empty", "reallocate", "analog_threshold"
+        "scheme", "varpi", "allow_empty", "reallocate", "analog_threshold"
     }
 
 
@@ -977,8 +972,6 @@ def test_sigma2_follows_snr_definition():
     config = SimConfig()
     assert config.sigma2(0.0) == pytest.approx(1.0 / L)
     assert config.sigma2(10.0) == pytest.approx(1.0 / (10.0 * L))
-    stronger = SimConfig(p_max=4.0)
-    assert stronger.sigma2(0.0) == pytest.approx(4.0 / L)
 
 
 def test_budget_helpers():
@@ -1013,14 +1006,14 @@ def test_budget_helpers():
         {"trials": 0},
         {"csi_error_radius": 1.0},
         {"csi_error_radius": -0.1},
-        {"p_max": 0.0},
-        {"s_max": 0.0},
+        {"snr_db_grid": (3070.0,)},  # a noise power below float64's normal range
+        {"snr_db_grid": (-3020.0,)},  # ... or above what the MSE's products leave
         {"num_devices": 0},
         {"n_tx": 0},
         {"analog_threshold": -1.0},
         {"source_std": 0.0},
         {"seed": -1},
-        {"bit_depth": 49, "num_subcarriers": 49},  # s_max + eps rounds to s_max
+        {"bit_depth": 49, "num_subcarriers": 49},  # 1 + eps rounds to 1
     ],
 )
 def test_config_validation_rejects_bad_values(kwargs):
@@ -1032,46 +1025,9 @@ def test_config_accepts_the_largest_exact_bit_depth():
     # from 49 bits on the quantizer's guard term rounds away (QuantizerSpec);
     # 2^15 * 2^48 = 2^63: every int64 decoder sum still fits
     SimConfig(num_devices=2**15, bit_depth=48, num_subcarriers=48)
-    SimConfig(num_devices=1, bit_depth=48, num_subcarriers=48, s_max=1e-3)
 
 
 def test_config_normalizes_grid_to_floats():
     config = SimConfig(snr_db_grid=[0, 5, 10])
     assert config.snr_db_grid == (0.0, 5.0, 10.0)
     assert all(isinstance(x, float) for x in config.snr_db_grid)
-
-
-def _rows(config: SimConfig) -> np.ndarray:
-    """(nmse, stderr, mean_active, mean_p / p_max) per grid point."""
-    return np.array(
-        [(p.nmse, p.stderr, p.mean_active, p.mean_p / config.p_max) for p in sweep(config).points]
-    )
-
-
-@pytest.mark.parametrize(
-    "base",
-    [
-        SimConfig(trials=2000, snr_db_grid=(-10.0, 0.0, 20.0)),
-        SimConfig(trials=2000, snr_db_grid=(-10.0, 0.0, 20.0), detector="ml"),
-        SimConfig(trials=2000, snr_db_grid=(-10.0, 0.0, 20.0), scheme="analog"),
-    ],
-    ids=["lmmse", "ml", "analog"],
-)
-def test_rows_at_the_accepted_scale_extremes_match_unit_scale(base):
-    # NMSE does not depend on the scale of the sources or of the power: at
-    # the smallest and largest s_max and p_max that validation accepts, every
-    # row matches s_max = 1 and p_max = 1, and one float further is rejected
-    K, b, L = base.num_devices, base.bit_depth, base.num_subcarriers
-    tiny, top = np.finfo(np.float64).tiny, np.finfo(np.float64).max / 2.0**16 / K**2
-    edges = {
-        "s_max": (2.0 ** (b - 248), 2.0**231 / K),
-        # the noise powers span p_max / (100 L) at 20 dB to p_max / (0.1 L) at -10 dB
-        "p_max": (tiny * 100.0 * L, top * 0.1 * L),
-    }
-    expected = _rows(base)
-    for key, (lo, hi) in edges.items():
-        for edge, beyond in ((lo, 0.0), (hi, np.inf)):
-            config = replace(base, **{key: edge})
-            np.testing.assert_allclose(_rows(config), expected, rtol=1e-12, err_msg=key)
-            with pytest.raises(ValueError, match=rf"^{key} = "):
-                replace(base, **{key: float(np.nextafter(edge, beyond))})

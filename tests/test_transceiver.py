@@ -16,34 +16,34 @@ from aircomp.transceiver import (
 
 
 def test_uniform_allocation_splits_evenly():
-    budgets = allocate_power(2.0, 8)
-    assert budgets.shape == (8,)
+    budgets = allocate_power(4)
+    assert budgets.shape == (4,)
     assert np.allclose(budgets, 0.25)
-    assert budgets.sum() == pytest.approx(2.0, rel=1e-15)
+    assert budgets.sum() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_geometric_allocation_known_values():
-    # ratio 2 over 3 planes with total 7: 7 * 1/7, 2/7, 4/7
-    assert allocate_power(7.0, 3, varpi=2.0).tolist() == [1.0, 2.0, 4.0]
-    # ratio 3 over 2 planes with total 1
-    assert np.allclose(allocate_power(1.0, 2, varpi=3.0), [0.25, 0.75])
+    # ratio 2 over 3 planes: 1/7, 2/7, 4/7
+    assert allocate_power(3, varpi=2.0).tolist() == [1 / 7, 2 / 7, 4 / 7]
+    # ratio 3 over 2 planes
+    assert np.allclose(allocate_power(2, varpi=3.0), [0.25, 0.75])
 
 
 def test_geometric_allocation_weights_grow_toward_msb():
-    budgets = allocate_power(1.0, 8, varpi=1.7)
+    budgets = allocate_power(8, varpi=1.7)
     assert np.all(np.diff(budgets) > 0)
     assert budgets.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_allocation_rejects_shrinking_ratio():
     with pytest.raises(ValueError):
-        allocate_power(1.0, 8, varpi=0.5)
+        allocate_power(8, varpi=0.5)
     with pytest.raises(ValueError):
-        allocate_power(-1.0, 8)
+        allocate_power(0)
 
 
 def test_reallocation_gives_silent_budget_to_active_planes():
-    budgets = allocate_power(1.0, 4)
+    budgets = allocate_power(4)
     active = np.array(
         [
             [True, True, False, True],
