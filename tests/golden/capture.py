@@ -1,7 +1,8 @@
 """Regenerate tests/golden/: the byte-exact outputs that test_golden.py checks.
 
-The set is every CSV of perfbench/workloads/*.ini at seeds 5 and 77 with
-2000 trials (metadata lines included), the stdout of four ``aircomp demo``
+The set is every CSV of perfbench/workloads/*.ini and of gaussian.ini, which
+pins the clamped gaussian sources, at seeds 5 and 77 with 2000 trials
+(metadata lines included), the stdout of four ``aircomp demo``
 runs and of ``aircomp verify --quick``, and manifest.json, which names the
 NumPy version the files were made under and lists them.  Run it from the
 repository root on a commit whose outputs are the accepted reference:
@@ -54,7 +55,7 @@ def outputs() -> dict[str, bytes]:
     """Every golden file's path relative to tests/golden/ and its bytes, as
     this checkout's code produces them."""
     files = {}
-    for ini in sorted(WORKLOADS.glob("*.ini")):
+    for ini in sorted(WORKLOADS.glob("*.ini")) + [HERE / "gaussian.ini"]:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as out:
                 argv = ["sweep", str(ini), "--seed", str(seed), "--trials", str(TRIALS)]
