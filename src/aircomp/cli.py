@@ -64,15 +64,9 @@ _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 def _parse_value(kind, value: str, where: str):
     """Parse one config or environment value as a value of type kind: int,
-    float, str or bool, ``X | None`` (``none`` gives None), or a tuple of
-    floats (separated by commas or spaces).  An error starts with where, the
-    value's line (``line 3``) or variable (``AIRCOMP_SEED``).  Ranges and
-    choices are left to SimConfig.validate."""
-    args = typing.get_args(kind)
-    if type(None) in args:
-        if value.lower() == "none":
-            return None
-        (kind,) = set(args) - {type(None)}
+    float, str or bool, or a tuple of floats (separated by commas or spaces).
+    An error starts with where, the value's line (``line 3``) or variable
+    (``AIRCOMP_SEED``).  Ranges and choices are left to SimConfig.validate."""
     if typing.get_origin(kind) is tuple:
         try:
             return tuple(float(p) for p in value.replace(",", " ").split())

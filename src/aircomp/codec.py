@@ -1,13 +1,14 @@
 """Signed lattice quantization and two's-complement bit-plane coding.
 
-Each source value is floored onto a signed integer lattice, expanded into its
-two's-complement bits (stored LSB first), and every bit position travels on its
-own subcarrier.  The receiver only ever needs the *across-device sum* of each
-bit position: because the two's-complement weight vector is fixed, the decoder
-is a linear map from per-position sums back to the sum of the quantized
-values, and adding codewords element-wise recovers the exact integer sum with
-codeword length equal to the bit depth.  Offset-binary variants of the same
-machinery back the conventional-coding baseline.
+Each source value, on [-1, 1], is floored onto a signed integer lattice of
+2^b points, expanded into its two's-complement bits (stored LSB first), and
+every bit position travels on its own subcarrier.  The receiver only ever
+needs the *across-device sum* of each bit position: because the
+two's-complement weight vector is fixed, the decoder is a linear map from
+per-position sums back to the sum of the quantized values, and adding
+codewords element-wise recovers the exact integer sum with codeword length
+equal to the bit depth.  Offset-binary variants of the same machinery back
+the conventional-coding baseline.
 """
 
 from __future__ import annotations
@@ -16,37 +17,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_BIT_DEPTH = 48  # the finest bit depth whose lattice holds 1 in float64
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Signed b-bit lattice quantizer with scale zeta = 2^(b-1)/(s_max+eps).
+    """Signed b-bit lattice quantizer of values on [-1, 1], with scale
+    zeta = 2^(b-1) / (1 + 2^(-b-4)).
 
-    The guard term eps = 2^(-b-4)*s_max, far below one lattice step, keeps
-    zeta*s_max strictly below 2^(b-1), so every admissible input lands on the
-    lattice {-2^(b-1), ..., 2^(b-1)-1}.  From b = 49 on eps is below half a
-    float64 ulp of s_max, s_max + eps rounds to s_max and zeta*s_max reaches
-    2^(b-1).  A spec whose zeta*s_max is not below 2^(b-1) is rejected, so
-    b <= 48 passes for every s_max whose zeta stays finite.
+    The guard term 2^(-b-4), far below one lattice step, keeps zeta strictly
+    below 2^(b-1), so every value on [-1, 1] lands on the lattice
+    {-2^(b-1), ..., 2^(b-1)-1}.  From b = 49 on it is below half a float64
+    ulp of 1, 1 + 2^(-b-4) rounds to 1 and zeta reaches 2^(b-1): a bit depth
+    must lie in [1, MAX_BIT_DEPTH].
     """
 
     b: int
-    s_max: float
-    eps: float = field(init=False)
     zeta: float = field(init=False)
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"bit depth must be >= 1, got {self.b}")
-        if not self.s_max > 0:
-            raise ValueError(f"s_max must be positive, got {self.s_max}")
-        object.__setattr__(self, "eps", 2.0 ** (-self.b - 4) * self.s_max)
-        object.__setattr__(self, "zeta", 2.0 ** (self.b - 1) / (self.s_max + self.eps))
-        if not self.zeta * self.s_max < 2.0 ** (self.b - 1):
-            raise ValueError(
-                f"bit depth {self.b} is too fine for s_max={self.s_max} in float64: "
-                f"zeta*s_max = {self.zeta * self.s_max!r} is not below 2^(b-1), so "
-                "quantize(s_max) would leave the lattice (every b >= 49 does)"
-            )
+        if not 1 <= self.b <= MAX_BIT_DEPTH:
+            raise ValueError(f"bit depth must lie in [1, {MAX_BIT_DEPTH}], got {self.b}")
+        object.__setattr__(self, "zeta", 2.0 ** (self.b - 1) / (1.0 + 2.0 ** (-self.b - 4)))
 
     @property
     def lattice_min(self) -> int:
@@ -60,16 +52,16 @@ class QuantizerSpec:
 def quantize(s, spec: QuantizerSpec, clamp: bool = False):
     """Map source values to lattice integers floor(zeta * s).
 
-    Inputs must satisfy |s| <= s_max unless clamp=True, in which case values
-    are saturated to [-s_max, s_max] first (out-of-range mass collapses onto
-    the edge cells).  Returns a Python int for scalar input, else int64 array.
+    Inputs must satisfy |s| <= 1 unless clamp=True, in which case values are
+    saturated to [-1, 1] first (out-of-range mass collapses onto the edge
+    cells).  Returns a Python int for scalar input, else int64 array.
     """
     arr = np.asarray(s, dtype=np.float64)
     if clamp:
-        arr = np.clip(arr, -spec.s_max, spec.s_max)
-    elif np.any(np.abs(arr) > spec.s_max):
+        arr = np.clip(arr, -1.0, 1.0)
+    elif np.any(np.abs(arr) > 1.0):
         bad = float(np.max(np.abs(arr)))
-        raise ValueError(f"|s| <= s_max={spec.s_max} required, got |s|={bad}")
+        raise ValueError(f"|s| <= 1 required, got |s|={bad}")
     v = np.floor(spec.zeta * arr).astype(np.int64)
     if np.isscalar(s):
         return int(v)

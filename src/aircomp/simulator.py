@@ -78,7 +78,7 @@ class SimConfig:
     num_subcarriers: int = 8
     num_taps: int = 4
     source: str = "uniform"
-    source_std: float | None = None  # gaussian only; None -> 1 / 3
+    source_std: float = 1.0 / 3.0  # gaussian only
     scheme: str = "proposed"
     power_mode: str = "uniform"
     varpi: float = 1.0
@@ -101,11 +101,14 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.bit_depth < 1:  # before num_subcarriers, which demo sets to it
-            raise ValueError("bit_depth must be >= 1")
+        # first, as demo sets num_subcarriers to it; the quantizer's own bound
+        if not 1 <= self.bit_depth <= codec.MAX_BIT_DEPTH:
+            raise ValueError(
+                f"bit_depth must be >= 1 and <= {codec.MAX_BIT_DEPTH}, got {self.bit_depth}"
+            )
         self.channel_params()  # num_devices, num_subcarriers, num_taps, csi_error_radius
         self.mimo()  # n_tx, n_rx
-        if self.bit_depth > 63 or self.num_devices * 2**self.bit_depth > 2**63:
+        if self.num_devices * 2**self.bit_depth > 2**63:
             # the int64 decoders sum num_devices codewords of bit_depth bits
             raise ValueError(
                 "num_devices * 2^bit_depth must not exceed 2^63 (int64 decode), "
@@ -113,22 +116,18 @@ class SimConfig:
             )
         if self.source not in SOURCES:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
-        if self.source_std is not None and not 0 < self.source_std < math.inf:
+        if not 0 < self.source_std < math.inf:
             raise ValueError(f"source_std must be > 0 and finite, got {self.source_std}")
         # The tally sums fourth powers of errors from about a lattice step,
         # 2^(1-b) s, to the largest sum, K s, for a gaussian source's scale s.
         # Each stays in [2^-255, 2^255], whose fourth powers are normal floats,
         # with 2^8 to spare for the noise and, at the top, 2^16 for the trials.
         lo, hi = 2.0 ** (self.bit_depth - 248), 2.0**231 / self.num_devices
-        if self.source == "gaussian" and not lo <= self.effective_source_std <= hi:
+        if self.source == "gaussian" and not lo <= self.source_std <= hi:
             raise ValueError(
-                f"source_std = {self.effective_source_std!r} must lie in [{lo!r}, {hi!r}] "
+                f"source_std = {self.source_std!r} must lie in [{lo!r}, {hi!r}] "
                 f"at num_devices = {self.num_devices} and bit_depth = {self.bit_depth}"
             )
-        try:
-            self.quantizer()
-        except ValueError as exc:  # name the key: the quantizer calls it b
-            raise ValueError(f"bit_depth = {self.bit_depth}: {exc}") from None
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.power_mode not in POWER_MODES:
@@ -181,12 +180,8 @@ class SimConfig:
             if getattr(self, name) != getattr(SimConfig, name):  # its default
                 raise ValueError(f"{self.scheme} on {self.source} sources never reads {name}")
 
-    @property
-    def effective_source_std(self) -> float:
-        return self.source_std if self.source_std is not None else 1.0 / 3.0
-
     def quantizer(self) -> QuantizerSpec:
-        return QuantizerSpec(self.bit_depth, 1.0)
+        return QuantizerSpec(self.bit_depth)
 
     def sigma2(self, snr_db: float) -> float:
         """Per-subcarrier noise power for a given SNR, defined as the total
@@ -253,7 +248,7 @@ class SweepResult:
 def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     if config.source == "uniform":
         return rng.uniform(-1.0, 1.0, size=(n, config.num_devices))
-    return config.effective_source_std * rng.standard_normal((n, config.num_devices))
+    return config.source_std * rng.standard_normal((n, config.num_devices))
 
 
 def codewords(config: SimConfig, lattice) -> np.ndarray:
@@ -463,7 +458,7 @@ def _draw_key(config: SimConfig) -> tuple:
     sources, channels and noise in each batch; the SNR grid is not part of it
     (see ``_batches``)."""
     c = config
-    return (c.seed, c.trials, c.source, c.effective_source_std, c.channel_params(), c.mimo())
+    return (c.seed, c.trials, c.source, c.source_std, c.channel_params(), c.mimo())
 
 
 def _batches(config: SimConfig):
@@ -691,22 +686,20 @@ def quantization_nmse_floor(config: SimConfig) -> float:
         mean_e, second_e = _uniform_truncation_moments(spec)
         source_power = 1.0 / 3.0
     else:
-        mean_e, second_e = _gaussian_truncation_moments(
-            spec, config.effective_source_std
-        )
-        source_power = config.effective_source_std**2
+        mean_e, second_e = _gaussian_truncation_moments(spec, config.source_std)
+        source_power = config.source_std**2
     return (K * second_e + K * (K - 1) * mean_e**2) / (K * source_power)
 
 
 def _uniform_truncation_moments(spec: QuantizerSpec) -> tuple[float, float]:
-    """Exact E[e], E[e^2] of the truncation error for s ~ U[-s_max, s_max].
+    """Exact E[e], E[e^2] of the truncation error for s ~ U[-1, 1].
 
-    In lattice units u = zeta*s ~ U[-c, c] with c = zeta*s_max: each of the
+    In lattice units u = zeta*s ~ U[-c, c] with c = zeta: each of the
     2*floor(c) full unit cells contributes mean -1/2 and second moment 1/3,
     and the two partial edge cells of width f = c - floor(c) complete the
     mean to exactly -1/2 while contributing the fractional terms below.
     """
-    c = spec.zeta * spec.s_max
+    c = spec.zeta
     n_full = math.floor(c)
     f = c - n_full
     mean_lattice = -0.5

@@ -18,8 +18,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):

@@ -91,7 +91,7 @@ def test_criterion_3_detector_matches_closed_form():
 
 
 def test_criterion_4_bit_positions_are_balanced():
-    spec = QuantizerSpec(8, 1.0)
+    spec = QuantizerSpec(8)
     values = np.arange(-128, 128, dtype=np.int64)
     counts = encode(values, 8).sum(axis=0)
     exhaustive_ok = counts.tolist() == [128] * 8

@@ -76,7 +76,7 @@ _BAD_VALUES = [
     ("num_subcarriers", "0", "", "num_subcarriers must be >= 1"),
     ("num_taps", "0", "", "num_taps must be >= 1"),
     ("source", "laplace", "", "source must be one of"),
-    ("bit_depth", "49", "", "is too fine for s_max=1.0 in float64"),
+    ("bit_depth", "49", "", "bit_depth must be >= 1 and <= 48, got 49"),
     ("source_std", "0", "", "source_std must be > 0"),
     ("source_std", "inf", "", "source_std must be > 0 and finite, got inf"),
     ("source_std", "nan", "", "source_std must be > 0 and finite, got nan"),
@@ -393,7 +393,7 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
 
 
 # Every case names its own id, so inserting one renames no other.  The
-# first eight keep the ids they were first collected under; later ones name
+# first seven keep the ids they were first collected under; later ones name
 # the fault.  A case's files (None: a directory) are made in the working
 # directory first.
 @pytest.mark.parametrize(
@@ -422,10 +422,6 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
         pytest.param(
             ["demo", "--snr-db", "nan"], {}, "snr_db_grid", {},
             id="argv5-env5-snr_db_grid",
-        ),
-        pytest.param(
-            ["demo", "--b", "49"], {}, "bit depth 49 is too fine", {},
-            id="argv6-env6-bit depth 49 is too fine",
         ),
         pytest.param(
             ["verify", "--quick"], {"AIRCOMP_QUICK": "junk"}, "AIRCOMP_QUICK", {},
@@ -463,8 +459,16 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
             ["sweep", "old.ini"], {}, "line 3: unknown key 's_max' in [x]",
             {"old.ini": b"[x]\ntrials = 10\ns_max = 2.0\n"}, id="removed key s_max",
         ),
+        pytest.param(
+            ["sweep", "none.ini"], {}, "line 3: expected a number, got 'none'",
+            {"none.ini": b"[x]\nsource = gaussian\nsource_std = none\n"}, id="source_std none",
+        ),
         # the bit depth also sets num_subcarriers, which must not take the blame
         pytest.param(["demo", "--b", "0"], {}, "error: bit_depth must be >= 1", {}, id="demo b 0"),
+        pytest.param(
+            ["demo", "--b", "49"], {}, "error: bit_depth must be >= 1 and <= 48, got 49", {},
+            id="demo b 49",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line_and_status_1(

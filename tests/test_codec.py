@@ -14,41 +14,41 @@ from aircomp.codec import (
 )
 
 def test_default_eps_keeps_peak_in_range():
-    spec = QuantizerSpec(8, 1.0)
-    assert spec.eps == 2.0**-12
+    spec = QuantizerSpec(8)
     assert spec.zeta == 128.0 / (1.0 + 2.0**-12)
     assert quantize(1.0, spec) == 127
     assert quantize(-1.0, spec) == -128
 
 
-@pytest.mark.parametrize("s_max", [1.0, 0.1, 3.0, np.nextafter(2.0, 0.0), 1e300])
-def test_peak_stays_on_the_lattice_at_48_bits(s_max):
-    spec = QuantizerSpec(48, s_max)
-    assert quantize(s_max, spec) == spec.lattice_max
-    assert quantize(-s_max, spec) == spec.lattice_min
+def test_peak_stays_on_the_lattice_at_48_bits():
+    spec = QuantizerSpec(48)
+    assert quantize(1.0, spec) == spec.lattice_max
+    assert quantize(-1.0, spec) == spec.lattice_min
 
 
 def test_bit_depth_where_the_guard_rounds_away_is_rejected():
-    # 1 + 2^-53 rounds to 1, so zeta * s_max would be exactly 2^48
-    with pytest.raises(ValueError, match="bit depth 49 is too fine"):
-        QuantizerSpec(49, 1.0)
+    # 1 + 2^-53 rounds to 1, so zeta would be exactly 2^48
+    with pytest.raises(ValueError, match=r"bit depth must lie in \[1, 48\], got 49"):
+        QuantizerSpec(49)
+    with pytest.raises(ValueError, match=r"bit depth must lie in \[1, 48\], got 0"):
+        QuantizerSpec(0)
 
 
 def test_quantize_floors_toward_minus_infinity():
-    spec = QuantizerSpec(4, 8.0)  # zeta = 8 / (8 + 2^-5), just below 1
+    spec = QuantizerSpec(4)  # zeta = 8 / (1 + 2^-8), just below 8
     assert quantize(0.0, spec) == 0
-    assert quantize(2.7, spec) == 2
-    assert quantize(-2.3, spec) == -3
+    assert quantize(2.7 / 8, spec) == 2
+    assert quantize(-2.3 / 8, spec) == -3
 
 
 def test_quantize_near_peak():
-    spec = QuantizerSpec(8, 1.0)
+    spec = QuantizerSpec(8)
     assert quantize(0.999, spec) == 127
     assert quantize(-0.999, spec) == -128
 
 
 def test_quantize_rejects_out_of_range_unless_clamped():
-    spec = QuantizerSpec(8, 1.0)
+    spec = QuantizerSpec(8)
     with pytest.raises(ValueError):
         quantize(1.5, spec)
     assert quantize(1.5, spec, clamp=True) == 127
@@ -105,7 +105,7 @@ def test_summed_codewords_decode_to_summed_values():
 
 
 def test_decode_scales_by_quantizer_step():
-    spec = QuantizerSpec(8, 1.0)
+    spec = QuantizerSpec(8)
     values = np.array([-128, -1, 0, 1, 127])
     bits = encode(values, 8)
     out = decode(bits.sum(axis=0), spec.zeta)
@@ -138,7 +138,7 @@ def test_format_and_parse_codeword():
 
 
 def test_quantization_error_stays_below_one_step():
-    spec = QuantizerSpec(8, 1.0)
+    spec = QuantizerSpec(8)
     rng = np.random.default_rng(3)
     s = rng.uniform(-1.0, 1.0, size=10000)
     v = quantize(s, spec)

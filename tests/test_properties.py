@@ -84,11 +84,11 @@ def test_summed_codewords_decode_to_the_sum(word):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 48), st.floats(1e-100, 1e100))
-def test_peak_lands_on_the_lattice_up_to_48_bits(b, s_max):
-    spec = QuantizerSpec(b, s_max)
-    assert quantize(s_max, spec) == spec.lattice_max
-    assert quantize(-s_max, spec) == spec.lattice_min
+@given(st.integers(1, 48))
+def test_peak_lands_on_the_lattice_up_to_48_bits(b):
+    spec = QuantizerSpec(b)
+    assert quantize(1.0, spec) == spec.lattice_max
+    assert quantize(-1.0, spec) == spec.lattice_min
 
 
 @st.composite
@@ -140,7 +140,7 @@ def _sim_configs(draw):
         num_subcarriers=draw(st.integers(1, 16)) if scheme == "analog" else bit_depth,
         num_taps=draw(st.integers(1, 8)),
         source=source,
-        source_std=draw(st.none() | st.floats(1e-3, 1e3, **_finite)),
+        source_std=draw(st.floats(1e-3, 1e3, **_finite)),
         scheme=scheme,
         power_mode=power_mode,
         varpi=1.0 if power_mode == "uniform" else draw(st.floats(1.0, 10.0, **_finite)),

@@ -208,7 +208,7 @@ def test_quantization_floor_gaussian_matches_monte_carlo():
     config = SimConfig(source="gaussian", num_devices=5)
     floor = quantization_nmse_floor(config)
     zeta = config.quantizer().zeta
-    std = config.effective_source_std
+    std = config.source_std
     rng = np.random.default_rng(99)
     groups = 100_000
     s = std * rng.standard_normal((groups, 5))
@@ -312,6 +312,15 @@ def test_sweep_csv_layout_and_reproducibility(tmp_path):
     assert first[0] == "proposed"
     assert float(first[1]) == 0.0
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_the_csv_records_the_source_std_it_used(tmp_path):
+    config = SimConfig(source="gaussian", trials=200, snr_db_grid=(10.0,))
+    result = sweep(config)
+    sweep_to_csv(result, tmp_path / "g.csv")
+    line = (tmp_path / "g.csv").read_text().splitlines()[0]
+    assert '"source_std": 0.3333333333333333' in line
+    assert SimConfig(**json.loads(line[2:])) == result.config
 
 
 def _per_batch_draws(config):
@@ -1013,7 +1022,7 @@ def test_budget_helpers():
         {"analog_threshold": -1.0},
         {"source_std": 0.0},
         {"seed": -1},
-        {"bit_depth": 49, "num_subcarriers": 49},  # 1 + eps rounds to 1
+        {"bit_depth": 49, "num_subcarriers": 49},  # 1 + 2^-53 rounds to 1
     ],
 )
 def test_config_validation_rejects_bad_values(kwargs):
