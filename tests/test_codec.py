@@ -20,10 +20,14 @@ def test_default_eps_keeps_peak_in_range():
     assert quantize(-1.0, spec) == -128
 
 
-def test_peak_stays_on_the_lattice_at_48_bits():
+@pytest.mark.parametrize("s_max", [1.0, 0.1, 3.0, np.nextafter(2.0, 0.0), 1e300])
+def test_peak_stays_on_the_lattice_at_48_bits(s_max):
+    # a source of any peak s_max, divided by it, lies on [-1, 1]: its peaks
+    # and the values one ulp inside them land on the lattice edges
     spec = QuantizerSpec(48)
-    assert quantize(1.0, spec) == spec.lattice_max
-    assert quantize(-1.0, spec) == spec.lattice_min
+    for s in (s_max, np.nextafter(s_max, 0.0)):
+        assert quantize(s / s_max, spec) == spec.lattice_max
+        assert quantize(-s / s_max, spec) == spec.lattice_min
 
 
 def test_bit_depth_where_the_guard_rounds_away_is_rejected():
