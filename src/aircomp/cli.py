@@ -387,7 +387,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
         config = SimConfig(
             num_devices=args.k,
             bit_depth=args.b,
-            num_subcarriers=args.b,
             scheme=args.scheme,
             detector=default_detector(args.scheme),
             snr_db_grid=(args.snr_db,),
@@ -421,7 +420,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             )
     else:
         print("subcarrier   active   p          re_y      estimate")
-        for l in range(config.num_subcarriers):
+        for l in range(args.b):
             print(
                 f"{l + 1:<12d} {int(record.active_counts[l]):<8d} "
                 f"{record.scalings[l]:<10.4g} {record.received[l]:<9.4f} "

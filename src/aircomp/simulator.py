@@ -48,7 +48,7 @@ SOURCES = ("uniform", "gaussian")
 POWER_MODES = ("uniform", "geometric")
 DETECTORS = ("lmmse", "ml")
 UNREAD_FIELDS = {  # per scheme and per source: the SimConfig fields it never reads
-    "analog": ("varpi", "power_mode", "detector", "allow_empty", "reallocate", "round_estimates"),
+    "analog": ("varpi", "power_mode", "detector", "allow_empty", "reallocate"),
     **dict.fromkeys(CODED_SCHEMES, ("analog_threshold",)),
     "uniform": ("source_std",),
     "gaussian": (),
@@ -68,14 +68,15 @@ class SimConfig:
 
     Defaults describe the reference setup: 20 devices, 8-bit quantization of
     uniform sources on [-1, 1], one subcarrier per bit-plane over a 4-tap
-    Rayleigh channel, uniform power split, LMMSE detection.  Powers are in
-    units of a device's budget and values in units of the source range, as
-    NMSE depends on neither.
+    Rayleigh channel, uniform power split, LMMSE detection.  bit_depth is the
+    subcarrier count L of every scheme: coded schemes send one bit-plane per
+    subcarrier, and analog repeats its value on the same L subcarriers.
+    Powers are in units of a device's budget and values in units of the
+    source range, as NMSE depends on neither.
     """
 
     num_devices: int = 20
     bit_depth: int = 8
-    num_subcarriers: int = 8
     num_taps: int = 4
     source: str = "uniform"
     source_std: float = 1.0 / 3.0  # gaussian only
@@ -91,7 +92,6 @@ class SimConfig:
     n_rx: int = 1
     analog_threshold: float = 0.1
     reallocate: bool = False
-    round_estimates: bool = False
     allow_empty: bool = False
 
     def __post_init__(self):
@@ -101,12 +101,12 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        # first, as demo sets num_subcarriers to it; the quantizer's own bound
+        # first, as it is also the subcarrier count; the quantizer's own bound
         if not 1 <= self.bit_depth <= codec.MAX_BIT_DEPTH:
             raise ValueError(
                 f"bit_depth must be >= 1 and <= {codec.MAX_BIT_DEPTH}, got {self.bit_depth}"
             )
-        self.channel_params()  # num_devices, num_subcarriers, num_taps, csi_error_radius
+        self.channel_params()  # num_devices, num_taps, csi_error_radius
         self.mimo()  # n_tx, n_rx
         if self.num_devices * 2**self.bit_depth > 2**63:
             # the int64 decoders sum num_devices codewords of bit_depth bits
@@ -136,7 +136,7 @@ class SimConfig:
             )
         # rejects varpi < 1; called through its module, as perfbench times
         # calls of this module's allocate_power as sweep work
-        transceiver.allocate_power(self.num_subcarriers, self.varpi)
+        transceiver.allocate_power(self.bit_depth, self.varpi)
         if self.power_mode == "uniform" and self.varpi != 1.0:
             raise ValueError("varpi > 1 requires power_mode = geometric")
         if self.detector not in DETECTORS:
@@ -147,19 +147,14 @@ class SimConfig:
             raise ValueError(
                 f"scheme {self.scheme} is defined with lattice-ML detection; set detector = ml"
             )
-        if self.scheme in CODED_SCHEMES and self.num_subcarriers != self.bit_depth:
-            raise ValueError(
-                "coded transmission sends one bit-plane per subcarrier: "
-                "num_subcarriers must equal bit_depth"
-            )
         if len(self.snr_db_grid) == 0:
             raise ValueError("snr_db_grid must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         # every noise power is a normal float, and so is the MSE's product of
         # one with up to K^2 / 2, with 2^16 to spare for the gains; the budgets
-        # sum to 1, and the smallest is 1 / L or, over coded L <= 63 planes,
-        # above 2^-1010
+        # sum to 1, and the smallest is 1 / L or, over L <= 48 planes, above
+        # 2^-1010
         tiny, top = sys.float_info.min, sys.float_info.max / 2.0**16 / self.num_devices**2
         for snr_db in self.snr_db_grid:
             try:
@@ -186,10 +181,10 @@ class SimConfig:
     def sigma2(self, snr_db: float) -> float:
         """Per-subcarrier noise power for a given SNR, defined as the total
         power budget, 1, over the aggregate noise: SNR = 1 / (sigma^2 L)."""
-        return 1.0 / (10.0 ** (snr_db / 10.0) * self.num_subcarriers)
+        return 1.0 / (10.0 ** (snr_db / 10.0) * self.bit_depth)
 
     def budgets(self) -> np.ndarray:
-        return allocate_power(self.num_subcarriers, self.varpi)
+        return allocate_power(self.bit_depth, self.varpi)
 
     def mimo(self) -> MimoParams:
         return MimoParams(n_tx=self.n_tx, n_rx=self.n_rx)
@@ -197,7 +192,7 @@ class SimConfig:
     def channel_params(self) -> ChannelParams:
         return ChannelParams(
             num_devices=self.num_devices,
-            num_subcarriers=self.num_subcarriers,
+            num_subcarriers=self.bit_depth,
             num_taps=self.num_taps,
             csi_error_radius=self.csi_error_radius,
         )
@@ -257,7 +252,7 @@ def codewords(config: SimConfig, lattice) -> np.ndarray:
     otherwise.  The encoder is looked up in ``codec`` at each call, so a
     wrapper set on it there (perfbench's tracer) sees every encoding."""
     encode = codec.encode_offset_binary if config.scheme == "binary_ml" else codec.encode
-    return encode(lattice, config.num_subcarriers)
+    return encode(lattice, config.bit_depth)
 
 
 def _received_sum(residual, active, p, weights) -> np.ndarray:
@@ -282,8 +277,9 @@ def _received_sum(residual, active, p, weights) -> np.ndarray:
 def _front_key(config: SimConfig) -> tuple:
     """Every field besides the noise power that changes a front end (``_front``)
     on a draw: draw-group members with equal keys form the same noiseless Re{y}
-    (analog: at every noise power).  The budgets and a coded bit depth follow
-    from these and the draw key; the fields a scheme never reads hold defaults."""
+    (analog: at every noise power).  The budgets and the bit depth follow from
+    these and the draw key, whose channel holds L = bit_depth subcarriers; the
+    fields a scheme never reads hold defaults."""
     c = config
     return (c.scheme, c.varpi, c.allow_empty, c.reallocate, c.analog_threshold)
 
@@ -375,11 +371,10 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
 
 def _back(config, front, noise, sigma2) -> dict:
     """The receiver on a front end: its received Re{y} is the noiseless one
-    plus the unit-power noise scaled to sigma2, which the config's detector,
-    round_estimates and decoder turn into estimates and s_hat.  The analog
-    baseline averages the per-subcarrier sums (silent devices are
-    compensated by the symmetric-source mean, zero).  Reads the front end
-    without changing it."""
+    plus the unit-power noise scaled to sigma2, which the config's detector
+    and decoder turn into estimates and s_hat.  The analog baseline averages
+    the per-subcarrier sums (silent devices are compensated by the
+    symmetric-source mean, zero).  Reads the front end without changing it."""
     K = config.num_devices
     p, n_act = front["p"], front["n_active"]
     received = front["noiseless"] + np.sqrt(sigma2 / 2.0) * noise
@@ -394,8 +389,6 @@ def _back(config, front, noise, sigma2) -> dict:
     else:
         lam, mu = lmmse_coefficients(p, n_act, K, sigma2)
         r_hat = lam * received + mu
-    if config.round_estimates:
-        r_hat = np.clip(np.rint(r_hat), 0.0, float(K))
     zeta = config.quantizer().zeta
     if config.scheme == "binary_ml":
         s_hat = codec.decode_offset_binary(r_hat, zeta, K)
@@ -413,7 +406,7 @@ def run_trial(
     and its noise power come from the realization, so noiseless operation is
     expressed by a realization with noise_power = 0.
     """
-    K, L = config.num_devices, config.num_subcarriers
+    K, L = config.num_devices, config.bit_depth
     if realization.power_est.shape != (K, L):
         raise ValueError(
             f"realization shape {realization.power_est.shape} does not match config "
@@ -471,7 +464,7 @@ def _batches(config: SimConfig):
     reads.  The arrays are read-only, so a pipeline evaluated on them cannot
     change what the next one reads.
     """
-    L = config.num_subcarriers
+    L = config.bit_depth
     params = config.channel_params()
     mimo = config.mimo()
     for batch_index, done in enumerate(range(0, config.trials, BATCH)):
@@ -520,8 +513,8 @@ class _Tally:
             snr_db=snr_db,
             nmse=self.total / self.s2,
             stderr=math.sqrt(var_sq / T) / (self.s2 / T),
-            mean_active=self.n / (T * config.num_subcarriers),
-            mean_p=self.p / (T * config.num_subcarriers),
+            mean_active=self.n / (T * config.bit_depth),
+            mean_p=self.p / (T * config.bit_depth),
             trials=T,
             seed=config.seed,
             runtime=self.busy + draw_share,

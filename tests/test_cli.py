@@ -60,20 +60,12 @@ def test_parse_rejects_unknown_key_with_line_number():
     assert "no_such_knob" in str(err.value)
 
 
-def test_parse_rejects_plane_subcarrier_mismatch():
-    with pytest.raises(ConfigError) as err:
-        parse_config("[x]\nbit_depth = 8\nnum_subcarriers = 4\n")
-    assert "[x]" in str(err.value)
-    assert "num_subcarriers" in str(err.value)
-
-
 # one bad value per range or choice rule of SimConfig.validate:
 # (key, bad value, lines the rule needs before the key, part of its message)
 _BAD_VALUES = [
     ("num_devices", "0", "", "num_devices must be >= 1"),
     ("bit_depth", "0", "", "bit_depth must be >= 1"),
     ("num_devices", str(2**60), "", "2^bit_depth must not exceed 2^63"),
-    ("num_subcarriers", "0", "", "num_subcarriers must be >= 1"),
     ("num_taps", "0", "", "num_taps must be >= 1"),
     ("source", "laplace", "", "source must be one of"),
     ("bit_depth", "49", "", "bit_depth must be >= 1 and <= 48, got 49"),
@@ -90,7 +82,6 @@ _BAD_VALUES = [
     ("detector", "map", "", "detector must be one of"),
     ("detector", "lmmse", "scheme = binary_ml\n", "set detector = ml"),
     ("power_mode", "geometric", "scheme = analog\n", "never reads power_mode"),
-    ("num_subcarriers", "4", "", "num_subcarriers must equal bit_depth"),
     ("snr_db_grid", "", "", "snr_db_grid must be non-empty"),
     ("snr_db_grid", "0 nan", "", "snr_db_grid entry nan must be finite"),
     ("trials", "0", "", "trials must be >= 1"),
@@ -111,9 +102,9 @@ _BAD_VALUES = [
 @pytest.mark.parametrize("key, value, needs, rule", _BAD_VALUES)
 def test_validation_errors_carry_the_key_and_its_line(key, value, needs, rule):
     # keys that no rule names sit on the lines before and after the bad one
-    text = "# rules\n[x]\nround_estimates = true\n" + needs
+    text = "# rules\n[x]\nreallocate = false\n" + needs
     line = text.count("\n") + 1
-    text += f"{key} = {value}\nallow_empty = true\nreallocate = false\n"
+    text += f"{key} = {value}\nallow_empty = true\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     message = str(err.value)
@@ -122,20 +113,21 @@ def test_validation_errors_carry_the_key_and_its_line(key, value, needs, rule):
 
 
 @pytest.mark.parametrize(
-    "first, second", [("bit_depth", "num_subcarriers"), ("num_subcarriers", "bit_depth")]
+    "first, second", [("bit_depth", "num_devices"), ("num_devices", "bit_depth")]
 )
 def test_a_rule_on_two_keys_reports_the_later_line(first, second):
-    # a coded scheme needs num_subcarriers == bit_depth: the message names both
-    values = {"bit_depth": 6, "num_subcarriers": 5}
+    # the int64 decoders need num_devices * 2^bit_depth <= 2^63: the message
+    # names both
+    values = {"bit_depth": 48, "num_devices": 2**15 + 1}
     text = (
         f"[x]\nseed = 3\n{first} = {values[first]}\ntrials = 9\n"
-        f"{second} = {values[second]}\nround_estimates = true\n"
+        f"{second} = {values[second]}\nreallocate = true\n"
     )
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     message = str(err.value)
     assert message.startswith("experiment [x] (line 5): "), message
-    assert "num_subcarriers must equal bit_depth" in message
+    assert "num_devices * 2^bit_depth must not exceed 2^63" in message
 
 
 def test_a_message_naming_no_key_reports_the_section_line(monkeypatch):
@@ -202,7 +194,7 @@ def test_serialize_parse_round_trip():
             "b": SimConfig(
                 scheme="analog",
                 analog_threshold=0.02,
-                num_subcarriers=8,
+                bit_depth=5,
                 trials=50,
             ),
         },
@@ -460,10 +452,19 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
             {"old.ini": b"[x]\ntrials = 10\ns_max = 2.0\n"}, id="removed key s_max",
         ),
         pytest.param(
+            ["sweep", "old.ini"], {}, "line 3: unknown key 'num_subcarriers' in [x]",
+            {"old.ini": b"[x]\nbit_depth = 6\nnum_subcarriers = 6\n"},
+            id="removed key num_subcarriers",
+        ),
+        pytest.param(
+            ["sweep", "old.ini"], {}, "line 2: unknown key 'round_estimates' in [x]",
+            {"old.ini": b"[x]\nround_estimates = false\n"}, id="removed key round_estimates",
+        ),
+        pytest.param(
             ["sweep", "none.ini"], {}, "line 3: expected a number, got 'none'",
             {"none.ini": b"[x]\nsource = gaussian\nsource_std = none\n"}, id="source_std none",
         ),
-        # the bit depth also sets num_subcarriers, which must not take the blame
+        # the bit depth is also the subcarrier count, which must not take the blame
         pytest.param(["demo", "--b", "0"], {}, "error: bit_depth must be >= 1", {}, id="demo b 0"),
         pytest.param(
             ["demo", "--b", "49"], {}, "error: bit_depth must be >= 1 and <= 48, got 49", {},
@@ -553,7 +554,6 @@ _UNREAD_VALUES = {
     "detector": ({}, "ml"),
     "allow_empty": ({}, True),
     "reallocate": ({}, True),
-    "round_estimates": ({}, True),
     "analog_threshold": ({}, 0.3),
     "source_std": ({}, 0.5),
 }

@@ -131,13 +131,11 @@ def _sim_configs(draw):
     # only valid configs: a field that the scheme or the source never reads
     # (UNREAD_FIELDS) keeps its default
     scheme = draw(st.sampled_from(SCHEMES))
-    bit_depth = draw(st.integers(1, 16))
     power_mode = draw(st.sampled_from(POWER_MODES))
     source = draw(st.sampled_from(SOURCES))
     fields = dict(
         num_devices=draw(st.integers(1, 64)),
-        bit_depth=bit_depth,
-        num_subcarriers=draw(st.integers(1, 16)) if scheme == "analog" else bit_depth,
+        bit_depth=draw(st.integers(1, 16)),
         num_taps=draw(st.integers(1, 8)),
         source=source,
         source_std=draw(st.floats(1e-3, 1e3, **_finite)),
@@ -155,7 +153,6 @@ def _sim_configs(draw):
         n_rx=draw(st.integers(1, 4)),
         analog_threshold=draw(st.floats(0.0, 10.0, **_finite)),
         reallocate=draw(st.booleans()),
-        round_estimates=draw(st.booleans()),
         allow_empty=draw(st.booleans()),
     )
     for name in UNREAD_FIELDS[scheme] + UNREAD_FIELDS[source]:

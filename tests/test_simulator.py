@@ -167,7 +167,7 @@ def test_analog_noise_variance_matches_closed_form():
         config = SimConfig(
             scheme="analog",
             analog_threshold=0.0,
-            num_subcarriers=subcarriers,
+            bit_depth=subcarriers,
             trials=1,
         )
         realization = unit_gain_realization(
@@ -286,13 +286,6 @@ def test_a_trial_reports_the_active_set_its_front_end_used(config):
         assert np.array_equal(record.scalings, np.where(active.any(axis=0), caps, 0.0))
 
 
-def test_round_estimates_keeps_noiseless_exactness():
-    config = SimConfig(trials=1, round_estimates=True)
-    rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
-    record = run_trial(config, unit_gain_realization(power_est=2.0), rng)
-    assert record.s_hat == record.s_quant
-
-
 def test_sweep_csv_layout_and_reproducibility(tmp_path):
     config = SimConfig(trials=2_000, snr_db_grid=(0.0, 10.0))
     result = sweep(config)
@@ -327,7 +320,7 @@ def _per_batch_draws(config):
     """The draws of a sweep as a loop over batches that seeds each batch's
     stream by (seed, 0, batch_index) itself and draws the complex receiver
     noise; every grid point reads these batches."""
-    params, mimo, L = config.channel_params(), config.mimo(), config.num_subcarriers
+    params, mimo, L = config.channel_params(), config.mimo(), config.bit_depth
     for batch_index, done in enumerate(range(0, config.trials, BATCH)):
         n = min(BATCH, config.trials - done)
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0, batch_index)))
@@ -366,7 +359,7 @@ def _inversion_coefficients_oracle(residual, active, p):
 
 def _coded_batch_oracle(config, sources, power_est, residual, noise, sigma2):
     K = config.num_devices
-    L = config.num_subcarriers
+    L = config.bit_depth
     spec, budgets = config.quantizer(), config.budgets()
     v = codec.quantize(sources, spec, clamp=config.source == "gaussian")
     if config.scheme == "binary_ml":
@@ -393,9 +386,6 @@ def _coded_batch_oracle(config, sources, power_est, residual, noise, sigma2):
         lam = np.zeros_like(denom)
         np.divide(np.sqrt(p) * n_f, denom, out=lam, where=denom > 0)
         r_hat = lam * y.real + K / 2.0
-    if config.round_estimates:
-        r_hat = np.clip(np.rint(r_hat), 0.0, float(K))
-
     if config.scheme == "binary_ml":
         s_hat = codec.decode_offset_binary(r_hat, spec.zeta, K)
     else:
@@ -415,7 +405,7 @@ def _coded_batch_oracle(config, sources, power_est, residual, noise, sigma2):
 
 
 def _analog_batch_oracle(config, sources, power_est, residual, noise, sigma2):
-    L = config.num_subcarriers
+    L = config.bit_depth
     budget = 1.0 / L
     active = power_est >= config.analog_threshold
     p = np.where(active, power_est * budget, np.inf).min(axis=1)
@@ -460,7 +450,6 @@ def _oracle_configs() -> list[SimConfig]:
         SimConfig(scheme="analog", analog_threshold=0.02),
         SimConfig(power_mode="geometric", varpi=2.0),
         SimConfig(reallocate=True, allow_empty=True),
-        SimConfig(round_estimates=True),
         SimConfig(csi_error_radius=0.2),
         SimConfig(source="gaussian", reallocate=True),
         SimConfig(n_tx=2, n_rx=2),
@@ -616,9 +605,9 @@ def _mixed_configs() -> dict[str, SimConfig]:
     """Four draw keys: 1x1 uniform configs at 3000 trials (one partial
     batch, grids of unequal length), a 2x2 config and a CSI-error config
     that must not join them, and gaussian configs with CSI error at 8193
-    trials (two batches).  "lmmse", "ml" and "rounded" share one front end
-    at grid indices 0 and 1; every other config of a draw key differs from
-    one of its front ends in exactly one field of the front key."""
+    trials (two batches).  "lmmse" and "ml" share one front end at grid
+    indices 0 and 1; every other config of a draw key differs from one of
+    its front ends in exactly one field of the front key."""
     one = dict(seed=3, trials=3_000)
     two = dict(seed=3, trials=BATCH + 1, source="gaussian", csi_error_radius=0.2)
     pair = (-10.0, 10.0)
@@ -626,7 +615,6 @@ def _mixed_configs() -> dict[str, SimConfig]:
     return {
         "lmmse": SimConfig(**one, snr_db_grid=(-10.0, 10.0, 55.0, 60.0)),
         "ml": SimConfig(**one, snr_db_grid=pair, detector="ml"),
-        "rounded": SimConfig(**one, snr_db_grid=pair, round_estimates=True),
         "binary_ml": SimConfig(
             **one, snr_db_grid=(-10.0,), scheme="binary_ml", detector="ml"
         ),
@@ -699,9 +687,9 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     assert draws == Counter([one, mimo, csi] + two)
     # and evaluates each distinct selection once on it: a coded (front key,
     # noise power), or an analog front key at all its noise powers.  Of the
-    # first draw key's 17 coded points, lmmse/ml/rounded share -10 dB and
-    # 10 dB, and the other 11 are their own, 13 in all; its 8 analog points
-    # have 3 front keys, "analog" and "analog_snr" sharing one, so 16 in all.
+    # first draw key's 15 coded points, lmmse and ml share -10 dB and 10 dB,
+    # and the other 11 are their own, 13 in all; its 8 analog points have 3
+    # front keys, "analog" and "analog_snr" sharing one, so 16 in all.
     # The gaussian key's 7 points are 7
     assert front_keys and set(front_keys.values()) == {1}
     per_draw = Counter(key[0] for key in front_keys)
@@ -836,7 +824,6 @@ def test_shared_sweeps_reject_a_config_they_were_not_given():
 SECOND_VALUES = {
     "num_devices": 7,
     "bit_depth": 5,
-    "num_subcarriers": 5,
     "num_taps": 2,
     "source": "gaussian",
     "source_std": 0.5,
@@ -852,12 +839,11 @@ SECOND_VALUES = {
     "n_rx": 2,
     "analog_threshold": 0.3,
     "reallocate": True,
-    "round_estimates": True,
     "allow_empty": True,
 }
 
 _KEY_BASE = SimConfig(
-    num_devices=6, bit_depth=4, num_subcarriers=4, trials=300, snr_db_grid=(0.0, 10.0), seed=3
+    num_devices=6, bit_depth=4, trials=300, snr_db_grid=(0.0, 10.0), seed=3
 )
 KEY_BASES = {
     "proposed": _KEY_BASE,
@@ -921,16 +907,31 @@ def test_a_field_outside_the_draw_key_leaves_every_batch_bit_identical():
 
 def test_a_field_outside_the_front_key_leaves_every_front_end_bit_identical():
     # within a draw group, on one draw and at the same noise powers
-    checked = 0
-    for _, base, changed in _one_field_changes():
+    checked = set()
+    for field, base, changed in _one_field_changes():
         if (_draw_key(changed), _front_key(changed)) != (_draw_key(base), _front_key(base)):
             continue
         batch = next(_batches(base))[:3]
         sigma2s = [base.sigma2(-10.0), base.sigma2(20.0), 0.0]
         ours = simulator._front(base, *batch, sigma2s)
         assert _same_fronts(ours, simulator._front(changed, *batch, sigma2s)), changed
-        checked += 1
-    assert checked >= 6
+        checked.add((base.scheme, field))
+    assert checked == {
+        ("proposed", "detector"),
+        ("proposed", "power_mode"),
+        *((scheme, "snr_db_grid") for scheme in KEY_BASES),
+    }
+
+
+def test_unread_fields_lists_every_field_whose_change_leaves_the_csv_rows(tmp_path):
+    # the other direction of UNREAD_FIELDS: a field that some scheme accepts
+    # but whose change moves no CSV data row is read by nothing; only
+    # power_mode and allow_empty remain
+    unread = set()
+    for field, base, changed in _one_field_changes():
+        if _csv_rows(base, tmp_path / "a.csv") == _csv_rows(changed, tmp_path / "b.csv"):
+            unread.add((base.scheme, field))
+    assert unread == {("proposed", "power_mode"), ("proposed", "allow_empty")}
 
 
 def _batch_with_a_dead_subcarrier(config):
@@ -961,7 +962,7 @@ def test_a_field_inside_a_key_changes_that_stage_for_some_base():
                     fronted.add(field)
     assert drawn == in_draw == {
         "seed", "trials", "source", "source_std", "num_devices",
-        "num_subcarriers", "num_taps", "csi_error_radius", "n_tx", "n_rx",
+        "bit_depth", "num_taps", "csi_error_radius", "n_tx", "n_rx",
     }
     assert fronted == in_front == {
         "scheme", "varpi", "allow_empty", "reallocate", "analog_threshold"
@@ -1002,16 +1003,16 @@ def test_budget_helpers():
         {"power_mode": "uniform", "varpi": 2.0},
         {"scheme": "binary_ml"},  # needs detector=ml
         {"scheme": "analog", "power_mode": "geometric", "varpi": 2.0},
-        {"bit_depth": 8, "num_subcarriers": 4},
+        {"scheme": "analog", "bit_depth": 49},  # analog L has the same bound
         {"snr_db_grid": ()},
         {"snr_db_grid": (0.0, float("nan"))},
         {"snr_db_grid": (float("inf"),)},
         {"snr_db_grid": (float("-inf"),)},
         {"snr_db_grid": (1e6,)},  # 10^(snr/10) overflows
         {"snr_db_grid": (-1e6,)},  # ... or underflows to zero
-        {"bit_depth": 64, "num_subcarriers": 64},
-        {"bit_depth": 10**9, "num_subcarriers": 10**9},
-        {"bit_depth": 60, "num_subcarriers": 60, "num_devices": 20},
+        {"bit_depth": 64},
+        {"bit_depth": 10**9},
+        {"bit_depth": 60, "num_devices": 20},
         {"trials": 0},
         {"csi_error_radius": 1.0},
         {"csi_error_radius": -0.1},
@@ -1022,7 +1023,7 @@ def test_budget_helpers():
         {"analog_threshold": -1.0},
         {"source_std": 0.0},
         {"seed": -1},
-        {"bit_depth": 49, "num_subcarriers": 49},  # 1 + 2^-53 rounds to 1
+        {"bit_depth": 49},  # 1 + 2^-53 rounds to 1
     ],
 )
 def test_config_validation_rejects_bad_values(kwargs):
@@ -1033,7 +1034,7 @@ def test_config_validation_rejects_bad_values(kwargs):
 def test_config_accepts_the_largest_exact_bit_depth():
     # from 49 bits on the quantizer's guard term rounds away (QuantizerSpec);
     # 2^15 * 2^48 = 2^63: every int64 decoder sum still fits
-    SimConfig(num_devices=2**15, bit_depth=48, num_subcarriers=48)
+    SimConfig(num_devices=2**15, bit_depth=48)
 
 
 def test_config_normalizes_grid_to_floats():
