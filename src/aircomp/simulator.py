@@ -7,7 +7,8 @@ air.  The receiver detects every per-plane device sum with an affine-MMSE or
 lattice-ML detector and applies the linear decoder to recover the sum of
 quantized values.  An analog amplitude-modulation baseline and an
 offset-binary + ML baseline ride exactly the same random draws, so scheme
-comparisons at a common seed are trial-paired.
+comparisons at a common seed are trial-paired; the latter's offset binary is
+two's complement with the top bit flipped, so it shares the proposed front end.
 """
 
 from __future__ import annotations
@@ -249,8 +250,7 @@ def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.nda
 def codewords(config: SimConfig, lattice) -> np.ndarray:
     """The bits (LSB first, on a new last axis) that a coded config sends for
     lattice integers: offset binary for binary_ml, two's complement
-    otherwise.  The encoder is looked up in ``codec`` at each call, so a
-    wrapper set on it there (perfbench's tracer) sees every encoding."""
+    otherwise (which ``_front`` sends for both, see ``_back``)."""
     encode = codec.encode_offset_binary if config.scheme == "binary_ml" else codec.encode
     return encode(lattice, config.bit_depth)
 
@@ -279,9 +279,9 @@ def _front_key(config: SimConfig) -> tuple:
     on a draw: draw-group members with equal keys form the same noiseless Re{y}
     (analog: at every noise power).  The budgets and the bit depth follow from
     these and the draw key, whose channel holds L = bit_depth subcarriers; the
-    fields a scheme never reads hold defaults."""
+    fields a scheme never reads hold defaults.  Both coded schemes share one."""
     c = config
-    return (c.scheme, c.varpi, c.allow_empty, c.reallocate, c.analog_threshold)
+    return (c.scheme == "analog", c.varpi, c.allow_empty, c.reallocate, c.analog_threshold)
 
 
 def _weakest(gains, active) -> np.ndarray:
@@ -318,9 +318,10 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
     analog, whose threshold ignores them, gives exactly one front end.  The
     receiver noise is added by ``_back``.
 
-    Coded schemes quantize and encode each device's value and select the
-    active devices per subcarrier (``_select``); the analog baseline repeats
-    the amplitude-scaled value on all subcarriers.  The (T, K, L) steps run
+    Coded schemes quantize and encode each device's value in two's complement
+    (binary_ml too: ``_back`` flips its top plane) and select the active
+    devices per subcarrier (``_select``); the analog baseline repeats the
+    amplitude-scaled value on all subcarriers.  The (T, K, L) steps run
     over chunks of trials (``_spans``): per chunk, the encoding and the gain
     sort run once, and the scan, the reallocation and the noiseless sum once
     per selection.  Per-trial results go into whole-batch arrays, so each
@@ -346,7 +347,7 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
         lattice = codec.quantize(sources, spec, clamp=config.source == "gaussian")
         s_quant = lattice.sum(axis=1) / spec.zeta
         weights = (
-            2.0 * codewords(config, np.ascontiguousarray(lattice[s:e].T)) - 1.0
+            2.0 * codec.encode(np.ascontiguousarray(lattice[s:e].T), config.bit_depth) - 1.0
             for s, e in spans
         )
     n_act = np.empty((len(sigma2s), T, L), dtype=np.intp)
@@ -374,10 +375,15 @@ def _back(config, front, noise, sigma2) -> dict:
     plus the unit-power noise scaled to sigma2, which the config's detector
     and decoder turn into estimates and s_hat.  The analog baseline averages
     the per-subcarrier sums (silent devices are compensated by the
-    symmetric-source mean, zero).  Reads the front end without changing it."""
+    symmetric-source mean, zero).  Reads the front end without changing it.
+    binary_ml flips the top bit, so before the noise (ML rounds ties down) its
+    top plane's noiseless x becomes 0.0 - x, which keeps +0.0 where -x would not."""
     K = config.num_devices
     p, n_act = front["p"], front["n_active"]
-    received = front["noiseless"] + np.sqrt(sigma2 / 2.0) * noise
+    y = front["noiseless"]
+    if config.scheme == "binary_ml":
+        y = np.concatenate((y[:, :-1], 0.0 - y[:, -1:]), axis=1)
+    received = y + np.sqrt(sigma2 / 2.0) * noise
     front = front | {"received": received}
     if config.scheme == "analog":
         scaled = np.zeros_like(p)
@@ -706,7 +712,7 @@ def _gaussian_truncation_moments(spec: QuantizerSpec, std: float) -> tuple[float
     Cell m holds s in [m/zeta, (m+1)/zeta) and maps to m/zeta; the edge cells
     absorb the clipped tails, so the bottom cell extends to -inf and the top
     cell to +inf.  Within a cell e = m/zeta - s, so the contributions follow
-    from the cell's probability mass and first/second partial moments.
+    from the cell's mass and first partial moment; the second ones sum to std^2.
     """
     zeta = spec.zeta
     mean_e = 0.0
@@ -714,16 +720,15 @@ def _gaussian_truncation_moments(spec: QuantizerSpec, std: float) -> tuple[float
     for m in range(spec.lattice_min, spec.lattice_max + 1):
         lo = -math.inf if m == spec.lattice_min else m / zeta
         hi = math.inf if m == spec.lattice_max else (m + 1) / zeta
-        prob, m1, m2 = _gaussian_cell_moments(std, lo, hi)
+        prob, m1 = _gaussian_cell_moments(std, lo, hi)
         q = m / zeta
         mean_e += q * prob - m1
-        second_e += q**2 * prob - 2.0 * q * m1 + m2
-    return mean_e, second_e
+        second_e += q**2 * prob - 2.0 * q * m1
+    return mean_e, second_e + std**2
 
 
-def _gaussian_cell_moments(std: float, lo: float, hi: float) -> tuple[float, float, float]:
-    """(P, M1, M2): probability and first/second partial moments of
-    N(0, std^2) over [lo, hi)."""
+def _gaussian_cell_moments(std: float, lo: float, hi: float) -> tuple[float, float]:
+    """(P, M1): probability and first partial moment of N(0, std^2) over [lo, hi)."""
     sqrt2 = math.sqrt(2.0)
 
     def cdf(x: float) -> float:
@@ -736,9 +741,4 @@ def _gaussian_cell_moments(std: float, lo: float, hi: float) -> tuple[float, flo
     f_hi = 0.0 if math.isinf(hi) else pdf(hi)
     c_lo = 0.0 if lo == -math.inf else cdf(lo)
     c_hi = 1.0 if hi == math.inf else cdf(hi)
-    prob = c_hi - c_lo
-    m1 = std**2 * (f_lo - f_hi)
-    lo_term = 0.0 if math.isinf(lo) else lo * f_lo
-    hi_term = 0.0 if math.isinf(hi) else hi * f_hi
-    m2 = std**2 * prob + std**2 * (lo_term - hi_term)
-    return prob, m1, m2
+    return c_hi - c_lo, std**2 * (f_lo - f_hi)

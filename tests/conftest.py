@@ -1,6 +1,7 @@
 """Shared test plumbing: collect acceptance-criterion verdicts and echo them
-in the terminal summary so they stay visible under output capture, and render
-an ExperimentSpec back to config text for the round-trip tests."""
+in the terminal summary so they stay visible under output capture, render
+an ExperimentSpec back to config text for the round-trip tests, and build
+the criterion-5 reference configs at any trial count."""
 
 import dataclasses
 
@@ -8,6 +9,28 @@ from aircomp.cli import ExperimentSpec
 from aircomp.simulator import SimConfig
 
 ACCEPTANCE_LINES: list[str] = []
+GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+EXTENDED_GRID = GRID + (55.0, 60.0)  # diagnostic points for the noise floor
+
+
+def reference_configs(trials: int) -> dict[str, SimConfig]:
+    """The five criterion-5 reference sweeps (seed 1) at trials per grid point."""
+    return {
+        "uniform_lmmse": SimConfig(trials=trials, snr_db_grid=EXTENDED_GRID),
+        "uniform_ml": SimConfig(trials=trials, snr_db_grid=GRID, detector="ml"),
+        "geometric": SimConfig(
+            trials=trials, snr_db_grid=GRID, power_mode="geometric", varpi=2.0
+        ),
+        "analog": SimConfig(
+            trials=trials,
+            snr_db_grid=GRID,
+            scheme="analog",
+            analog_threshold=0.02,
+        ),
+        "binary_ml": SimConfig(
+            trials=trials, snr_db_grid=GRID, scheme="binary_ml", detector="ml"
+        ),
+    }
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import GRID, reference_configs
 from aircomp.channel import ChannelParams, MimoParams, draw_channel
 from aircomp.cli import (
     oracle_exact_sum,
@@ -31,8 +32,6 @@ from aircomp.simulator import (
     sweep_to_csv,
 )
 
-GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-EXTENDED_GRID = GRID + (55.0, 60.0)  # diagnostic points for the noise floor
 TRIALS = 100_000
 
 
@@ -48,22 +47,7 @@ def reference_sweeps():
     """The five reference sweeps shared by criterion 5 (seed 1, 100k trials
     per grid point), evaluated on one shared draw per batch."""
     t0 = time.perf_counter()
-    configs = {
-        "uniform_lmmse": SimConfig(trials=TRIALS, snr_db_grid=EXTENDED_GRID),
-        "uniform_ml": SimConfig(trials=TRIALS, snr_db_grid=GRID, detector="ml"),
-        "geometric": SimConfig(
-            trials=TRIALS, snr_db_grid=GRID, power_mode="geometric", varpi=2.0
-        ),
-        "analog": SimConfig(
-            trials=TRIALS,
-            snr_db_grid=GRID,
-            scheme="analog",
-            analog_threshold=0.02,
-        ),
-        "binary_ml": SimConfig(
-            trials=TRIALS, snr_db_grid=GRID, scheme="binary_ml", detector="ml"
-        ),
-    }
+    configs = reference_configs(TRIALS)
     shared = SharedSweeps(configs.values())
     results = {name: sweep(c, shared=shared) for name, c in configs.items()}
     return results, time.perf_counter() - t0

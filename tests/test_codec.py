@@ -130,6 +130,30 @@ def test_offset_binary_round_trip():
     )
 
 
+@pytest.mark.parametrize("encoder", [encode, encode_offset_binary])
+@pytest.mark.parametrize("b", [1, 8, 48])
+def test_a_value_just_outside_the_signed_lattice_is_rejected(encoder, b):
+    # both edges of {-2^(b-1), ..., 2^(b-1) - 1}: the values one step beyond
+    # each raise, the edges themselves encode
+    for v in (2 ** (b - 1), -(2 ** (b - 1)) - 1):
+        with pytest.raises(ValueError, match="outside signed"):
+            encoder(v, b)
+    for v in (2 ** (b - 1) - 1, -(2 ** (b - 1))):
+        assert encoder(v, b).shape == (b,)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6, 48])
+def test_offset_binary_is_twos_complement_with_the_top_bit_flipped(b):
+    # (v + 2^(b-1)) mod 2^b = (v mod 2^b) XOR 2^(b-1): binary_ml sends the
+    # proposed scheme's planes with the top one negated.  Every lattice value
+    # up to b = 6; at b = 48 the edges and 0
+    top = 2 ** (b - 1)
+    values = np.arange(-top, top) if b <= 6 else np.array([-top, -top + 1, -1, 0, 1, top - 1])
+    flipped = encode(values, b)
+    flipped[:, -1] ^= 1
+    assert np.array_equal(encode_offset_binary(values, b), flipped)
+
+
 def test_format_and_parse_codeword():
     word = encode(-3, 4)
     assert format_codeword(word) == "1101"

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import reference_configs
 from aircomp import channel, codec, simulator
 from aircomp.channel import (
     ChannelParams,
@@ -688,16 +689,38 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     # and evaluates each distinct selection once on it: a coded (front key,
     # noise power), or an analog front key at all its noise powers.  Of the
     # first draw key's 15 coded points, lmmse and ml share -10 dB and 10 dB,
-    # and the other 11 are their own, 13 in all; its 8 analog points have 3
-    # front keys, "analog" and "analog_snr" sharing one, so 16 in all.
+    # binary_ml shares lmmse's -10 dB (both coded schemes have one front
+    # end), and the other 10 are their own, 12 in all; its 8 analog points
+    # have 3 front keys, "analog" and "analog_snr" sharing one, so 15 in all.
     # The gaussian key's 7 points are 7
     assert front_keys and set(front_keys.values()) == {1}
     per_draw = Counter(key[0] for key in front_keys)
-    assert per_draw == Counter({one: 16, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
+    assert per_draw == Counter({one: 15, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
     # with at most K // 3 = 6 noise powers per block, one _front call per
-    # front key serves all its noise powers: 8 front keys on the first draw
+    # front key serves all its noise powers: 7 front keys on the first draw
     # key, and 3 on the gaussian one
-    assert fronts == Counter({one: 8, mimo: 1, csi: 1, two[0]: 3, two[1]: 3})
+    assert fronts == Counter({one: 7, mimo: 1, csi: 1, two[0]: 3, two[1]: 3})
+
+
+def test_the_reference_sweeps_run_one_coded_front_end_for_both_schemes(monkeypatch):
+    # per batch, the criterion-5 configs select at 17 (front key, noise power)
+    # pairs in 5 _front calls of at most K // 3 = 6 noise powers: proposed
+    # LMMSE and ML and binary_ml share one front key over 9 noise powers (2
+    # calls), geometric has 7 (2) and analog one front end (1).  A binary_ml
+    # key of its own would add its 7 noise powers in 2 more calls
+    calls = []
+    front = simulator._front
+
+    def counted_front(config, sources, power_est, residual, sigma2s):
+        calls.append(len(sigma2s))
+        return front(config, sources, power_est, residual, sigma2s)
+
+    monkeypatch.setattr(simulator, "_front", counted_front)
+    configs = reference_configs(3_000)  # one batch
+    shared = SharedSweeps(configs.values())
+    for config in configs.values():
+        sweep(config, shared=shared)
+    assert (len(calls), sum(calls)) == (5, 17)
 
 
 def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
