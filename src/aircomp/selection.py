@@ -87,9 +87,10 @@ def greedy_select_batch(
     _check_noise_powers(noise_powers)
     T, K, L = effective_gains.shape
     gains = np.ascontiguousarray(effective_gains.transpose(1, 0, 2))  # (K, T, L)
-    sorted_g = gains.transpose(1, 2, 0).copy()  # (T, L, K), sorted in place
-    sorted_g.sort(axis=-1)
-    sorted_g = sorted_g[..., ::-1]
+    ascending = gains.transpose(1, 2, 0).copy()  # (T, L, K), sorted in place
+    ascending.sort(axis=-1)
+    sorted_g = ascending[..., ::-1]
+    last = np.arange(K - 1, T * L * K, K).reshape(T, L)  # flat index of each largest
     factors = mse_factors(sorted_g, np.arange(1, K + 1), K)
     buffers = np.empty(sorted_g.shape), np.empty(sorted_g.shape)
     n = np.empty((len(noise_powers), T, L), dtype=np.intp)
@@ -99,11 +100,11 @@ def greedy_select_batch(
         mse = mse_from_factors(*factors, K, sigma2, out=buffers)
         i = np.argmin(mse, axis=-1)  # first minimum: smaller set on ties
         n[j] = i + 1
-        p[j] = np.take_along_axis(sorted_g, i[..., None], axis=-1)[..., 0]
+        at = last - i  # sorted_g[..., i] as a flat index into ascending
+        ascending.take(at, out=p[j])
         np.greater_equal(gains, p[j], out=active[j])
         # more than n gains reach p exactly where the next sorted one ties
-        following = np.minimum(i + 1, K - 1)[..., None]
-        tie = np.take_along_axis(sorted_g, following, axis=-1)[..., 0] == p[j]
+        tie = ascending.take(np.maximum(at - 1, last - (K - 1))) == p[j]
         t, l = np.nonzero(tie & (i + 1 < K))
         if t.size:
             rows = gains[:, t, l]  # (K, rows)

@@ -264,9 +264,9 @@ def _received_sum(residual, active, p, weights) -> np.ndarray:
     whose estimate is zero never adds anything: it caps p at zero.
 
     Device-major: residual, active and weights are (K, T, L) or broadcast to
-    it, p is (T, L).  The terms form one contiguous (K, T, L) array, whose
-    sum over axis 0 adds the devices in index order, in runs of T * L
-    elements.
+    it, p is (T, L).  The terms form one contiguous (K, T, L) array, whose sum
+    over axis 0 adds the devices in index order, in runs of T * L elements;
+    ``_front`` counts instead for coded schemes at exact CSI.
     """
     terms = np.ascontiguousarray(np.where(active, residual, 0.0))
     terms *= np.sqrt(p)
@@ -327,13 +327,14 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
     per selection.  Per-trial results go into whole-batch arrays, so each
     front end is that of a whole-batch evaluation; no (T, K, L) mask is kept.
 
-    Within a chunk everything is device-major, (K, chunk, L): the bits, the
-    +-1 weights, one copy of the estimated powers and of the residual (the
-    radius-0 broadcast stays a broadcast), and the masks.  So the sums and
-    minima over devices (``_received_sum``, ``_weakest``) reduce axis 0 of
-    contiguous arrays.  The copies pay for themselves: on strided views of
-    the batch instead, a large_k batch's superpositions took 150 ms rather
-    than 120 ms and an analog front end about 30 % longer (2-core Xeon VM).
+    At radius 0 a coded front end counts: its noiseless Re{y} is sqrt(p) (2r -
+    n), r the active devices sending a 1; analog and drawn residuals take
+    ``_received_sum``.  Within a chunk everything is device-major, (K, chunk,
+    L): the bits, one copy of the estimated powers and of a drawn residual,
+    and the masks, so reductions over devices read axis 0 of contiguous
+    arrays.  The copies pay for themselves: on strided views, a large_k
+    batch's superpositions took 150 ms rather than 120 ms and an analog front
+    end about 30 % longer (2-core Xeon VM).
     """
     T, K, L = power_est.shape
     spans = _spans(T, K * L)
@@ -347,7 +348,7 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
         lattice = codec.quantize(sources, spec, clamp=config.source == "gaussian")
         s_quant = lattice.sum(axis=1) / spec.zeta
         weights = (
-            2.0 * codec.encode(np.ascontiguousarray(lattice[s:e].T), config.bit_depth) - 1.0
+            codec.encode(np.ascontiguousarray(lattice[s:e].T), config.bit_depth) == 1
             for s, e in spans
         )
     n_act = np.empty((len(sigma2s), T, L), dtype=np.intp)
@@ -356,12 +357,18 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
     for (s, e), w in zip(spans, weights):
         a2 = np.ascontiguousarray(power_est[s:e].transpose(1, 0, 2))
         ratio = residual[s:e].transpose(1, 0, 2)
+        counted = lattice is not None and not ratio.strides[0]
         if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
             ratio = np.ascontiguousarray(ratio)
+            w = w if lattice is None else 2.0 * w - 1.0  # coded: +-1, once per chunk
         n, pc, act = _select(config, a2, sigma2s)
         n_act[:, s:e], p[:, s:e] = n, pc
         for j, act_j in enumerate(act):
-            noiseless[j, s:e] = _received_sum(ratio, act_j, pc[j], w)
+            if counted:  # exact CSI: every active term is +-sqrt(p)
+                r = np.count_nonzero(act_j & w, axis=0)
+                noiseless[j, s:e] = np.sqrt(pc[j]) * (2 * r - n[j])
+            else:
+                noiseless[j, s:e] = _received_sum(ratio, act_j, pc[j], w)
 
     shared = {"s_true": s_true, "s_quant": s_quant, "lattice": lattice}
     return [

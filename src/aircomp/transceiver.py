@@ -84,14 +84,15 @@ def ml_lattice_estimate(re_y, p, n_active):
 
     The noiseless lattice points are 2 sqrt(p) r - sqrt(p) n for
     r in {0..n}; nearest-point rounding with ties resolved downward.
-    Degenerate p*n = 0 returns 0 (every point coincides; lowest index wins).
+    Degenerate p*n = 0 returns 0 (every point coincides; lowest index wins):
+    p = 0 is masked, and n = 0 clips to [0, 0] (a zero of either sign).
     """
     re_y = np.asarray(re_y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     n = np.asarray(n_active, dtype=np.float64)
     amp = 2.0 * np.sqrt(p)
     z = np.zeros(np.broadcast_shapes(re_y.shape, p.shape, n.shape), np.float64)
-    np.divide(re_y + np.sqrt(p) * n, amp, out=z, where=(amp > 0) & (n > 0))
+    np.divide(re_y + np.sqrt(p) * n, amp, out=z, where=amp > 0)
     r = np.ceil(z - 0.5)  # round half down: lower candidate wins ties
     return np.clip(r, 0.0, n)
 

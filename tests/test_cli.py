@@ -345,6 +345,21 @@ def test_verify_quick_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_the_lmmse_oracle_fails_a_detector_whose_offset_is_wrong(monkeypatch):
+    # mu + 0.5 raises the MSE by exactly 1/4, so with the closed form raised
+    # to match, only the perturbed detector at mu - 0.5 can tell
+    coefficients, closed = cli.lmmse_coefficients, cli.mse_closed_form
+
+    def shifted(*args):
+        lam, mu = coefficients(*args)
+        return lam, mu + 0.5
+
+    monkeypatch.setattr(cli, "lmmse_coefficients", shifted)
+    monkeypatch.setattr(cli, "mse_closed_form", lambda *args: closed(*args) + 0.25)
+    ok, detail = cli.oracle_lmmse(quick=True)
+    assert not ok and "perturbed-detector wins: 0" not in detail
+
+
 def test_demo_prints_trace(capsys):
     rc = main(["demo", "--seed", "1", "--k", "3", "--b", "4"])
     out = capsys.readouterr().out

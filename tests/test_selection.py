@@ -188,6 +188,30 @@ def test_an_array_of_noise_powers_matches_the_scalar_calls(budget, allow_empty):
             assert np.array_equal(active[j], active_j)
 
 
+def _gathered_p(gains, n):
+    """p as the scan read it before its flat gathers: the (n-1)-th entry of
+    the reversed ascending sort, gathered along the last axis.  The sort is
+    the scan's own, so signed zeros land where they land there."""
+    ascending = gains.transpose(0, 2, 1).copy()
+    ascending.sort(axis=-1)
+    return np.take_along_axis(ascending[..., ::-1], (n - 1)[..., None], axis=-1)[..., 0]
+
+
+def test_signed_zero_and_tied_gains_read_the_same_p_bits_as_the_gather():
+    # +0.0 and -0.0 compare equal, so the sort may put either last; p must be
+    # the very element the gather read, sign bit included
+    rng = np.random.default_rng(77)
+    gains = rng.choice([-0.0, 0.0, 0.0, 0.5, 0.5, 1.0], size=(2_000, 6, 4))
+    gains[:500] = rng.choice([-0.0, 0.0], size=(500, 6, 4))
+    noise_powers = np.array([0.0, 0.02, 1.0, 30.0])
+    n, p, active = greedy_select_batch(gains, noise_powers)
+    for j, noise_power in enumerate(noise_powers):
+        n_ref, _, active_ref = _greedy_select_batch_argsort(gains, noise_power)
+        assert np.array_equal(n[j], n_ref) and np.array_equal(active[j], active_ref)
+        assert np.array_equal(p[j].view(np.uint64), _gathered_p(gains, n[j]).view(np.uint64))
+    assert np.signbit(p[p == 0.0]).any() and not np.signbit(p[p == 0.0]).all()
+
+
 @pytest.mark.parametrize("case", ["zero", "tiny_tied"])
 def test_oracle_cases_include_ties_beyond_the_prefix(case):
     # without such rows the bit-identity test would not reach the tie fix-up

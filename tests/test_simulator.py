@@ -375,9 +375,12 @@ def _coded_batch_oracle(config, sources, power_est, residual, noise, sigma2):
         regained = np.where(active, power_est * per_device, np.inf).min(axis=1)
         p = np.where(n_act > 0, regained, 0.0)
 
-    amp = _inversion_coefficients_oracle(residual, active, p)
-    symbols = 2 * bits - 1
-    y = (amp * symbols).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
+    if config.csi_error_radius == 0.0:  # every active term is +-sqrt(p): count
+        n_ones = (active & (bits == 1)).sum(axis=1)
+        y = np.sqrt(p) * (2 * n_ones - n_act) + np.sqrt(sigma2 / 2.0) * noise
+    else:
+        amp = _inversion_coefficients_oracle(residual, active, p)
+        y = (amp * (2 * bits - 1)).sum(axis=1) + np.sqrt(sigma2 / 2.0) * noise
 
     n_f = n_act.astype(np.float64)
     if config.detector == "ml":
@@ -543,6 +546,43 @@ def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
                     else:
                         assert front[key].dtype == value.dtype, (config, key)
                         assert front[key].tobytes() == value.tobytes(), (config, key)
+
+
+def test_the_counted_superposition_is_the_device_order_sum_up_to_rounding():
+    # at radius 0 every active term is +-sqrt(p), so _front counts: the
+    # noiseless Re{y} is sqrt(p) (2r - n), one rounding of an exact integer.
+    # The device-order float sum it replaced adds K terms, each rounding by
+    # at most eps times the sum so far, which is at most sqrt(p) n
+    eps = np.finfo(np.float64).eps
+    differ = 0
+    for config in _oracle_configs():
+        if config.scheme == "analog" or config.csi_error_radius:
+            continue
+        sources, power_est, residual, _ = next(_batches(replace(config, trials=3_000)))
+        sigma2s = [config.sigma2(-10.0), config.sigma2(20.0), 0.0]
+        fronts = simulator._front(config, sources, power_est, residual, sigma2s)
+        a2 = np.ascontiguousarray(power_est.transpose(1, 0, 2))
+        active = simulator._select(config, a2, sigma2s)[2]
+        symbols = 2.0 * codec.encode(fronts[0]["lattice"].T, config.bit_depth) - 1.0
+        ratio = residual.transpose(1, 0, 2)
+        assert not ratio.strides[0], config  # the radius-0 broadcast
+        for front, act in zip(fronts, active):
+            summed = simulator._received_sum(ratio, act, front["p"], symbols)
+            bound = K * eps * np.sqrt(front["p"]) * front["n_active"]
+            assert (np.abs(summed - front["noiseless"]) <= bound).all(), config
+            differ += int((summed != front["noiseless"]).sum())
+    assert differ  # the two forms do part in the last bits
+
+
+def test_exact_cancellations_stay_positive_zeros_without_noise():
+    # sqrt(p) * 0 is +0.0, and binary_ml's top plane 0.0 - x keeps it so
+    config = SimConfig(scheme="binary_ml", detector="ml")
+    sources, power_est, residual, noise = next(_batches(replace(config, trials=3_000)))
+    (front,) = simulator._front(config, sources, power_est, residual, [0.0])
+    received = simulator._back(config, front, noise, 0.0)["received"]
+    for y in (front["noiseless"], received):
+        zero = y == 0.0
+        assert zero[:, -1].any() and not np.signbit(y[zero]).any()
 
 
 @pytest.mark.memory
