@@ -30,6 +30,9 @@ A batch draws, in this order, the delays of all its trials, then the taps
 one chunk of trials at a time, each tap a (re, im) pair of normals in trial
 order, then the CSI error.  So the draw holds the delays, its two outputs and
 one chunk, never every tap of the batch, and the chunk size changes no bit.
+The chunk's arrays are allocated once per draw, at the largest chunk's
+shape, and every chunk works in views of them, so a draw does not make the
+allocator fetch fresh pages chunk after chunk.
 """
 
 from __future__ import annotations
@@ -140,8 +143,10 @@ def _receive_beam(S: np.ndarray) -> np.ndarray:
     return np.where(zero, e1, w / np.where(zero, 1.0, norm))
 
 
-def _matched_gains(H: np.ndarray) -> np.ndarray:
-    """The power gains ||w^H H_k||^2 of H, (n_rx, n_tx, trials, K, L) planes.
+def _matched_gains(H: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the power gains ||w^H H_k||^2 of H, (n_rx, n_tx, trials, K, L)
+    planes, into out, (trials, K, L), using scratch, (2, trials, K, L)
+    complex, for the temporaries.
 
     The receive beam w is the principal left singular vector of the device
     sum; each device's transmit beam is matched to w^H H_k, and the power of
@@ -150,35 +155,41 @@ def _matched_gains(H: np.ndarray) -> np.ndarray:
     their bits do not depend on the number of trials.
     """
     w = _receive_beam(H.sum(axis=3)).conj()[:, :, None, :]
-    power = np.zeros(H.shape[2:])
+    projected, term = scratch
+    out.fill(0.0)
     for c in range(H.shape[1]):
-        projected = w[0] * H[0, c]
+        np.multiply(w[0], H[0, c], out=projected)
         for r in range(1, H.shape[0]):
-            projected += w[r] * H[r, c]
-        power += projected.real**2 + projected.imag**2
-    return power
+            projected += np.multiply(w[r], H[r, c], out=term)
+        # |projected|^2 into the real and imaginary parts of term
+        np.square(projected.real, out=term.real)
+        np.square(projected.imag, out=term.imag)
+        out += np.add(term.real, term.imag, out=term.real)
 
 
-def _scatter_taps(taps_re, taps_im, delays, num_subcarriers: int, scale: float):
+def _scatter_taps(taps_re, taps_im, delays, num_subcarriers: int, scale: float, out, bins, weights):
     """The delay-domain channel x[a, t, k, d], (A, trials, K, L) complex: the
-    sum of the scaled taps of antenna pair a that arrive with delay d.
+    sum of the scaled taps of antenna pair a that arrive with delay d, written
+    into out, a contiguous complex array of A * trials * K * L elements.
 
     taps_re and taps_im are (trials, K, M, n_rx, n_tx) normals, the two
     parts of the draw's (re, im) pairs, and delays is (trials, K, M).  Each
     antenna plane's real and imaginary parts are one np.bincount each, with
     the bins in tap-major order (every device's first path, then every second
     one), so each bin adds its taps in path order, starting from zero: the sum
-    that adding path by path gives.
+    that adding path by path gives.  bins (int64) and weights (float64) are
+    contiguous buffers of trials * K * M elements that hold the bin of each
+    tap and one plane's scaled taps.
     """
     n, K, M = delays.shape
     size = n * K * num_subcarriers
-    bins = (np.arange(0, size, num_subcarriers)[:, None] + delays.reshape(n * K, M)).T.ravel()
-    x = np.empty((taps_re[0, 0, 0].size, size), dtype=np.complex128)
+    first_bins = np.arange(0, size, num_subcarriers)[:, None]
+    np.add(first_bins, delays.reshape(n * K, M), out=bins.reshape(M, n * K).T)
+    x = out.reshape(-1, size)
     for part, taps in ((x.real, taps_re), (x.imag, taps_im)):
-        planes = np.ascontiguousarray(taps.reshape(n * K, M, -1).T)  # (A, M, n K)
-        planes *= scale
-        for a, plane in enumerate(planes):
-            part[a] = np.bincount(bins, plane.ravel(), size)
+        for a, plane in enumerate(taps.reshape(n * K, M, -1).T):  # (A, M, n K) views
+            np.multiply(plane, scale, out=weights.reshape(M, n * K))
+            part[a] = np.bincount(bins, weights, size)
     return x.reshape(-1, n, K, num_subcarriers)
 
 
@@ -223,7 +234,13 @@ def draw_channel_batch(
     and each chunk's taps are drawn into one buffer that every chunk reuses,
     so no array of the whole batch's taps exists.  Consecutive draws into
     the buffer give the numbers of one whole-batch draw, and every element
-    sees the same operations, so chunking does not change a bit.
+    sees the same operations, so chunking does not change a bit.  Every
+    array whose size scales with the chunk (the taps, their bins and scaled
+    weights, the delay-domain channel, its IFFT, the |h|^2 and matched-gain
+    temporaries and the CSI error's) is allocated once per draw, at the
+    largest chunk's shape; each chunk writes into the leading elements with
+    out=, in the operations and operand order of fresh arrays, so the
+    buffers change no bit either.
     """
     mimo = mimo or MimoParams()
     K, L, M = params.num_devices, params.num_subcarriers, params.num_taps
@@ -236,20 +253,31 @@ def draw_channel_batch(
     power = np.empty((n_trials, K, L))
     spans = _spans(n_trials, A * K * L)
     rows = max(e - s for s, e in spans)
-    taps = np.empty((rows, K, M, n_rx, n_tx, 2))  # (re, im) per tap, reused
+    # the chunk arrays, at the largest chunk's shape; each chunk takes the
+    # leading elements of each, so its views are contiguous
+    taps = np.empty((rows, K, M, n_rx, n_tx, 2))  # (re, im) per tap
+    bins = np.empty(rows * K * M, dtype=np.int64)
+    weights = np.empty(rows * K * M)
+    x_buffer = np.empty(A * rows * K * L, dtype=np.complex128)
+    h_buffer = np.empty_like(x_buffer)
     for s, e in spans:
         n = e - s
         rng.standard_normal(out=taps[:n])
-        x = _scatter_taps(taps[:n, ..., 0], taps[:n, ..., 1], delays[s:e], L, scale)
+        x = _scatter_taps(
+            taps[:n, ..., 0], taps[:n, ..., 1], delays[s:e], L, scale,
+            x_buffer[: A * n * K * L], bins[: n * K * M], weights[: n * K * M],
+        )
+        h = np.fft.ifft(x, axis=-1, norm="forward", out=h_buffer[: x.size].reshape(x.shape))
+        # the IFFT has read x, so its buffer holds the |h|^2 temporaries
         if A == 1:
-            h = np.fft.ifft(x[0], axis=-1, norm="forward")
-            np.square(h.real, out=power[s:e])
-            power[s:e] += np.square(h.imag)
+            np.square(h[0].real, out=power[s:e])
+            spent = x_buffer.view(np.float64)[: n * K * L].reshape(n, K, L)
+            power[s:e] += np.square(h[0].imag, out=spent)
         else:
-            h = np.fft.ifft(x, axis=-1, norm="forward").reshape(n_rx, n_tx, n, K, L)
-            power[s:e] = _matched_gains(h)
-        del x, h  # release this chunk's arrays before the next one allocates
-    del taps, delays  # released before the CSI uniforms allocate
+            scratch = x_buffer[: 2 * n * K * L].reshape(2, n, K, L)
+            _matched_gains(h.reshape(n_rx, n_tx, n, K, L), power[s:e], scratch)
+    # released before the CSI uniforms allocate
+    del taps, delays, bins, weights, x_buffer, h_buffer, x, h
 
     radius = params.csi_error_radius
     if radius == 0:
@@ -260,12 +288,20 @@ def draw_channel_batch(
         return power, np.broadcast_to(1.0, power.shape)
     # the moduli of the whole batch; each chunk's residual overwrites them
     residual = rng.random(power.shape)
+    rho_buffer, c_buffer, gain_buffer = np.empty((3, rows * K * L))
     for s, e in spans:
-        rho = radius * np.sqrt(residual[s:e])
-        c = rho * np.cos(2.0 * np.pi * rng.random((e - s, K, L)))
-        gain = 1.0 + 2.0 * c + np.square(rho)  # |1 + delta|^2
+        size = (e - s) * K * L
+        rho = np.sqrt(residual[s:e], out=rho_buffer[:size].reshape(e - s, K, L))
+        rho *= radius
+        angle = rng.random(out=c_buffer[:size].reshape(rho.shape))
+        angle *= 2.0 * np.pi
+        c = np.multiply(rho, np.cos(angle, out=angle), out=angle)
+        gain = np.multiply(2.0, c, out=gain_buffer[:size].reshape(rho.shape))
+        gain += 1.0
+        gain += np.square(rho, out=rho)  # |1 + delta|^2 = 1 + 2c + rho^2
         power[s:e] *= gain
-        np.divide(1.0 + c, gain, out=residual[s:e])
+        c += 1.0
+        np.divide(c, gain, out=residual[s:e])
     return power, residual
 
 

@@ -103,7 +103,12 @@ def encode_offset_binary(v, length: int) -> np.ndarray:
 
 def _decode(r, zeta: float, signed: bool):
     """sum_l r_l w_l / zeta over the last axis, with w_l = 2^(l-1) and, when
-    signed, a negative top weight; integer input is reduced in int64."""
+    signed, a negative top weight; integer input is reduced in int64.
+
+    Float input is summed by a NumPy reduction, row by row in one fixed
+    order, not by a BLAS product, whose kernel and with it the order of the
+    sum depend on the CPU and on the number of rows: the bits of a decoded
+    row depend only on that row."""
     arr = np.asarray(r)
     length = arr.shape[-1]
     w = np.ones(length, dtype=np.int64) << np.arange(length, dtype=np.int64)
@@ -111,7 +116,7 @@ def _decode(r, zeta: float, signed: bool):
         w[-1] = -w[-1]
     if np.issubdtype(arr.dtype, np.integer):
         return arr.astype(np.int64) @ w / zeta
-    return arr @ w.astype(np.float64) / zeta
+    return (arr * w.astype(np.float64)).sum(axis=-1) / zeta
 
 
 def decode(r, zeta: float):

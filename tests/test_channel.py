@@ -130,14 +130,16 @@ def test_taps_that_share_a_delay_add_together(mimo):
     assert _same_bits(fast.standard_normal(64), slow.standard_normal(64))
 
 
-def _scatter_taps_by_fancy_index(taps_re, taps_im, delays, num_subcarriers, scale):
-    """The delay-domain scatter as a loop over paths with fancy-index +=: the
-    oracle that channel._scatter_taps must match bit for bit."""
+def _scatter_taps_by_fancy_index(taps_re, taps_im, delays, num_subcarriers, scale, out, *_):
+    """The delay-domain scatter as a loop over paths with fancy-index +=,
+    into out (it needs no bins or weights buffers): the oracle that
+    channel._scatter_taps must match bit for bit."""
     n, K, M = delays.shape
     A = taps_re[0, 0, 0].size
     L = num_subcarriers
     taps = ((taps_re + 1j * taps_im) * scale).reshape(n * K, M, A)
-    x = np.zeros((A, n * K * L), dtype=np.complex128)
+    x = out.reshape(A, n * K * L)
+    x[...] = 0
     first_bin = np.arange(0, n * K * L, L)
     for m in range(M):
         x[:, first_bin + delays[:, :, m].ravel()] += taps[:, m].T
@@ -211,6 +213,26 @@ def test_csi_error_chunks_match_the_whole_batch_draw(monkeypatch, n_trials):
     assert _same_bits(power_est, power_ref)
     assert _same_bits(residual, residual_ref)
     assert _same_bits(fast.random(64), slow.random(64))
+
+
+@pytest.mark.parametrize(
+    "mimo, first, last",
+    [(MimoParams(n_tx=2, n_rx=2), 102, 184), (MimoParams(n_tx=2, n_rx=3), 68, 116)],
+    ids=["2x2", "3x2"],
+)
+def test_antenna_array_chunks_match_the_whole_batch_draw(monkeypatch, mimo, first, last):
+    # at the default chunk size, 1000 trials of the closed-form (2x2) and the
+    # eigh (3x2) beam end in a chunk longer than the first, and every chunk
+    # works in views of arrays sized for the longest: against one chunk
+    params = ChannelParams(num_devices=20, num_subcarriers=8, csi_error_radius=0.2)
+    spans = channel._spans(1000, mimo.n_rx * mimo.n_tx * 20 * 8)
+    assert (spans[0][1] - spans[0][0], spans[-1][1] - spans[-1][0]) == (first, last)
+    power_est, residual, next_value = _draw_and_next(params, 1000, mimo)
+    monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", 1 << 40)
+    power_ref, residual_ref, next_ref = _draw_and_next(params, 1000, mimo)
+    assert _same_bits(power_est, power_ref)
+    assert _same_bits(residual, residual_ref)
+    assert next_value == next_ref
 
 
 @pytest.mark.parametrize("n, size", [(0, 4), (3, 4), (4, 4), (7, 4), (8, 4), (11, 4), (5, 1)])

@@ -108,6 +108,23 @@ def test_summed_codewords_decode_to_summed_values():
         assert decode(bit_sums, 1.0) == float(values.sum())
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 409])
+def test_decoded_bits_do_not_depend_on_how_many_rows_are_decoded_together(chunk):
+    # a sweep decodes its rows in chunks of any size: half-integer rows, as
+    # the ML detector gives, and real ones, as LMMSE gives, must decode to
+    # the same bits one chunk at a time as all at once.  A BLAS product picks
+    # its kernel, and with it the order of the sum, by the row count
+    rng = np.random.default_rng(28)
+    half_integers = rng.integers(-40, 41, size=(4096, 8)) / 2
+    lmmse = rng.normal(10.0, 6.0, size=(4096, 8))
+    rows = rng.permutation(np.concatenate([half_integers, lmmse]))
+    zeta = QuantizerSpec(8).zeta
+    for decoder in (lambda r: decode(r, zeta), lambda r: decode_offset_binary(r, zeta, 20)):
+        whole = decoder(rows)
+        chunked = np.concatenate([decoder(rows[s : s + chunk]) for s in range(0, len(rows), chunk)])
+        assert np.array_equal(whole.view(np.uint64), chunked.view(np.uint64))
+
+
 def test_decode_scales_by_quantizer_step():
     spec = QuantizerSpec(8)
     values = np.array([-128, -1, 0, 1, 127])
