@@ -1,15 +1,10 @@
 """Command-line front end: experiment configs, sweeps, self-checks, demo.
 
 Config files are flat INI-style text, one ``[section]`` per experiment with
-``key = value`` lines (``#`` starts a comment).  An optional ``[global]``
-section holds the output options ``out`` and ``verbose``, checked like any
-other section.  An empty file describes one default experiment.  Parse errors
-carry the offending line number.
-
-Environment variables with the ``AIRCOMP_`` prefix mirror the command-line
-flags (``AIRCOMP_SEED``, ``AIRCOMP_TRIALS``, ``AIRCOMP_OUT``,
-``AIRCOMP_QUICK``) and are parsed like config values; explicit flags win over
-the environment, which wins over the config file.
+``key = value`` lines (``#`` starts a comment).  An empty file describes one
+default experiment.  Parse errors carry the offending line number.  The
+config file sets the experiments; the command-line flags set everything
+else, and ``--seed``, ``--trials`` and ``--quick`` override every section.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import os
 import re
 import sys
 import typing
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,60 +35,46 @@ from .simulator import (
 )
 from .transceiver import lmmse_coefficients, mse_closed_form
 
-ENV_PREFIX = "AIRCOMP_"
-
 
 class ConfigError(ValueError):
     """Configuration text rejected; the message carries the line number."""
 
 
-@dataclass
-class ExperimentSpec:
-    """Parsed config file: named experiments plus global output options."""
-
-    experiments: dict[str, SimConfig] = field(default_factory=dict)
-    out: str | None = None
-    verbose: bool = False
-
-
 _FIELD_TYPES = typing.get_type_hints(SimConfig)
-_GLOBAL_TYPES = {"out": str, "verbose": bool}
 _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
-def _parse_value(kind, value: str, where: str):
-    """Parse one config or environment value as a value of type kind: int,
+def _parse_value(kind, value: str, lineno: int):
+    """Parse the config value on line lineno as a value of type kind: int,
     float, str or bool, or a tuple of floats (separated by commas or spaces).
-    An error starts with where, the value's line (``line 3``) or variable
-    (``AIRCOMP_SEED``).  Ranges and choices are left to SimConfig.validate."""
+    Ranges and choices are left to SimConfig.validate."""
     if typing.get_origin(kind) is tuple:
         try:
             return tuple(float(p) for p in value.replace(",", " ").split())
         except ValueError:
-            raise ConfigError(f"{where}: expected numbers, got {value!r}") from None
+            raise ConfigError(f"line {lineno}: expected numbers, got {value!r}") from None
     if kind is bool:
         lowered = value.lower()
         if lowered in ("true", "yes", "on", "1"):
             return True
         if lowered in ("false", "no", "off", "0"):
             return False
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        raise ConfigError(f"line {lineno}: expected true or false, got {value!r}")
     try:
         return kind(value)
     except ValueError:
-        raise ConfigError(f"{where}: expected {_TYPE_NAMES[kind]}, got {value!r}") from None
+        raise ConfigError(f"line {lineno}: expected {_TYPE_NAMES[kind]}, got {value!r}") from None
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse config text into an ExperimentSpec.
+def parse_config(text: str) -> dict[str, SimConfig]:
+    """Parse config text into one SimConfig per section, by section name.
 
-    Each key is parsed by its type: a SimConfig field's, or in ``[global]``
-    that of ``out`` (str) or ``verbose`` (bool).  Raises ConfigError (with a
-    line number) on unknown keys or sections, malformed values, duplicates,
-    and experiments that SimConfig.validate rejects: such an error carries
-    the line of the section's last key that the message names, or the
-    section header's line if it names none.  Input without experiment
-    sections yields one default experiment.
+    Each key is parsed by its SimConfig field's type.  Raises ConfigError
+    (with a line number) on unknown keys, malformed values, duplicates, and
+    experiments that SimConfig.validate rejects: such an error carries the
+    line of the section's last key that the message names, or the section
+    header's line if it names none.  Input without sections yields one
+    default experiment.
     """
     raw: dict[str, dict[str, tuple]] = {}  # section -> key -> (value, line)
     section_lines: dict[str, int] = {}
@@ -124,17 +104,15 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(
                 f"line {lineno}: key {key!r} appears before any [section] header"
             )
-        types = _GLOBAL_TYPES if current == "global" else _FIELD_TYPES
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r} in [{current}] "
-                f"(valid keys: {', '.join(sorted(types))})"
+                f"(valid keys: {', '.join(sorted(_FIELD_TYPES))})"
             )
         if key in raw[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        raw[current][key] = (_parse_value(types[key], value, f"line {lineno}"), lineno)
+        raw[current][key] = (_parse_value(_FIELD_TYPES[key], value, lineno), lineno)
 
-    options = {key: value for key, (value, _) in raw.pop("global", {}).items()}
     if not raw:
         raw = {"default": {}}
         section_lines["default"] = 0
@@ -154,7 +132,7 @@ def parse_config(text: str) -> ExperimentSpec:
             ]
             line = max(named, default=section_lines[name])
             raise ConfigError(f"experiment [{name}] (line {line}): {exc}") from exc
-    return ExperimentSpec(experiments=experiments, **options)
+    return experiments
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +241,6 @@ ORACLES = (
 # commands
 
 
-def _env(name: str, kind=str):
-    """Environment variable AIRCOMP_<name> parsed as a config value of type
-    kind, or None when it is unset or empty."""
-    value = os.environ.get(ENV_PREFIX + name)
-    return _parse_value(kind, value, ENV_PREFIX + name) if value else None
-
-
 def _output_path(out: str, name: str, multiple: bool) -> Path:
     if out.endswith(".csv"):
         path = Path(out)
@@ -306,24 +277,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"config file {path} is not UTF-8 text (byte {exc.start})") from None
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-        spec = parse_config(text)
+        experiments = parse_config(text)
     else:
-        spec = ExperimentSpec(experiments={"default": SimConfig()})
-
-    # each variable is parsed even under its flag, so a bad value always fails
-    env_seed, env_trials, env_quick = _env("SEED", int), _env("TRIALS", int), _env("QUICK", bool)
-    seed = env_seed if args.seed is None else args.seed
-    trials = env_trials if args.trials is None else args.trials
-    quick = args.quick or bool(env_quick)
-    out = args.out or _env("OUT") or spec.out or "."
-    verbose = args.verbose or spec.verbose
+        experiments = {"default": SimConfig()}
 
     # apply and validate every section's overrides before the first sweep,
     # so a bad override ends the command before any CSV is written
+    flags = {"seed": args.seed, "trials": args.trials}
     configs: dict[str, SimConfig] = {}
-    for name, config in spec.experiments.items():
-        updates = {k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None}
-        if quick:
+    for name, config in experiments.items():
+        updates = {k: v for k, v in flags.items() if v is not None}
+        if args.quick:
             updates["trials"] = min(updates.get("trials", config.trials), 2000)
         if updates:
             try:
@@ -334,7 +298,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # create and check every output directory before the first sweep, so a
     # bad output path, too, ends the command before any sweep runs
-    targets = {name: _output_path(out, name, len(configs) > 1) for name in configs}
+    targets = {name: _output_path(args.out, name, len(configs) > 1) for name in configs}
     for target in targets.values():
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -357,7 +321,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         result = sweep(config, shared=shared)
         sweep_to_csv(result, targets[name])
         lines = [f"    snr {pt.snr_db:+6.1f} dB done in {pt.runtime:.1f}s" for pt in result.points]
-        lines = (lines if verbose else []) + [
+        lines = (lines if args.verbose else []) + [
             f"  snr {pt.snr_db:+7.1f} dB   nmse {pt.nmse:.6e}   "
             f"stderr {pt.stderr:.2e}   active {pt.mean_active:6.2f}   "
             f"p {pt.mean_p:.4g}"
@@ -368,15 +332,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # each variable is parsed even under its flag, so a bad value always fails
-    env_seed, env_quick = _env("SEED", int), _env("QUICK", bool)
-    seed = next(s for s in (args.seed, env_seed, 1) if s is not None)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    quick = args.quick or bool(env_quick)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     all_ok = True
     for label, fn in ORACLES:
-        ok, detail = fn(seed=seed, quick=quick)
+        ok, detail = fn(seed=args.seed, quick=args.quick)
         print(f"{label}: {'PASS' if ok else 'FAIL'} ({detail})")
         all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -446,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run NMSE-versus-SNR experiments")
     p_sweep.add_argument("config", nargs="?", help="experiment config file")
-    p_sweep.add_argument("--out", help="output CSV file or directory")
+    p_sweep.add_argument("--out", default=".", help="output CSV file or directory")
     p_sweep.add_argument("--seed", type=int, default=None, help="override seed")
     p_sweep.add_argument("--trials", type=int, default=None, help="override trial count")
     p_sweep.add_argument(
@@ -455,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-v", "--verbose", action="store_true", help="per-point timing")
 
     p_verify = sub.add_parser("verify", help="run the built-in correctness oracles")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--quick", action="store_true", help="smaller oracle sizes")
 
     p_demo = sub.add_parser("demo", help="trace one aggregation trial end to end")

@@ -685,12 +685,16 @@ def quantization_nmse_floor(config: SimConfig) -> float:
     e = floor(zeta s)/zeta - s and
 
         NMSE = (K E[e^2] + K (K-1) E[e]^2) / (K E[s^2]).
+
+    A gaussian floor sums all 2^bit_depth cells, so it takes bit_depth <= 20.
     """
     spec = config.quantizer()
     K = config.num_devices
     if config.source == "uniform":
         mean_e, second_e = _uniform_truncation_moments(spec)
         source_power = 1.0 / 3.0
+    elif config.bit_depth > 20:
+        raise ValueError(f"gaussian floor: bit_depth must be <= 20, got {config.bit_depth}")
     else:
         mean_e, second_e = _gaussian_truncation_moments(spec, config.source_std)
         source_power = config.source_std**2

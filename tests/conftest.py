@@ -1,11 +1,10 @@
 """Shared test plumbing: collect acceptance-criterion verdicts and echo them
 in the terminal summary so they stay visible under output capture, render
-an ExperimentSpec back to config text for the round-trip tests, and build
+parsed experiments back to config text for the round-trip tests, and build
 the criterion-5 reference configs at any trial count."""
 
 import dataclasses
 
-from aircomp.cli import ExperimentSpec
 from aircomp.simulator import SimConfig
 
 ACCEPTANCE_LINES: list[str] = []
@@ -50,20 +49,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def serialize_config(spec: ExperimentSpec) -> str:
-    """Render an ExperimentSpec back to config text.
+def serialize_config(experiments: dict[str, SimConfig]) -> str:
+    """Render parsed experiments back to config text.
 
-    Every field is written explicitly, so parse(serialize(spec)) == spec.
+    Every field is written explicitly, so parse(serialize(experiments)) ==
+    experiments.
     """
     lines: list[str] = []
-    if spec.out is not None or spec.verbose:
-        lines.append("[global]")
-        if spec.out is not None:
-            lines.append(f"out = {spec.out}")
-        if spec.verbose:
-            lines.append("verbose = true")
-        lines.append("")
-    for name, config in spec.experiments.items():
+    for name, config in experiments.items():
         lines.append(f"[{name}]")
         for f in dataclasses.fields(SimConfig):
             lines.append(f"{f.name} = {_format_value(getattr(config, f.name))}")

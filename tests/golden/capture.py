@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -68,8 +67,6 @@ def outputs() -> dict[str, bytes]:
 
 
 def main() -> int:
-    for name in [name for name in os.environ if name.startswith("AIRCOMP_")]:
-        del os.environ[name]  # the outputs are those of the defaults
     files = outputs()
     for name, data in files.items():
         path = HERE / name

@@ -231,8 +231,8 @@ def test_criterion_7a_single_antenna_reduction_is_bit_identical(tmp_path):
     channel_ok = channel_ok and np.array_equal(a.residual, b.residual)
 
     base = "trials = 2000\nsnr_db_grid = 0 10\n"
-    cfg_plain = parse_config("[x]\n" + base).experiments["x"]
-    cfg_mimo = parse_config("[x]\n" + base + "n_tx = 1\nn_rx = 1\n").experiments["x"]
+    cfg_plain = parse_config("[x]\n" + base)["x"]
+    cfg_mimo = parse_config("[x]\n" + base + "n_tx = 1\nn_rx = 1\n")["x"]
     path_plain = tmp_path / "plain.csv"
     path_mimo = tmp_path / "mimo11.csv"
     sweep_to_csv(sweep(cfg_plain), path_plain)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from aircomp import cli
-from aircomp.cli import ConfigError, ExperimentSpec, main, parse_config
+from aircomp.cli import ConfigError, main, parse_config
 from aircomp.simulator import SCHEMES, UNREAD_FIELDS, SimConfig
 from conftest import serialize_config
 
@@ -19,18 +19,14 @@ WORKLOADS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "work
 
 def test_empty_config_yields_one_default_experiment():
     for text in ("", "\n\n", "# just a comment\n"):
-        spec = parse_config(text)
-        assert list(spec.experiments) == ["default"]
-        assert spec.experiments["default"] == SimConfig()
+        experiments = parse_config(text)
+        assert list(experiments) == ["default"]
+        assert experiments["default"] == SimConfig()
 
 
 def test_parse_reads_sections_keys_and_comments():
-    spec = parse_config(
+    experiments = parse_config(
         """
-        [global]
-        out = results  # directory for CSVs
-        verbose = true
-
         [low_snr]
         scheme = proposed
         trials = 500   # fast
@@ -38,9 +34,7 @@ def test_parse_reads_sections_keys_and_comments():
         seed = 9
         """
     )
-    assert spec.out == "results"
-    assert spec.verbose is True
-    config = spec.experiments["low_snr"]
+    config = experiments["low_snr"]
     assert config.trials == 500
     assert config.snr_db_grid == (-10.0, -5.0, 0.0)
     assert config.seed == 9
@@ -149,22 +143,13 @@ def test_parse_rejects_empty_snr_grid():
     assert "line 2" in str(err.value)
 
 
-def test_global_keys_are_checked_like_section_keys():
-    for key, value in (("out", "a"), ("verbose", "true")):
-        with pytest.raises(ConfigError) as err:
-            parse_config(f"[global]\n{key} = {value}\n{key} = {value}\n[x]\n")
-        assert str(err.value) == f"line 3: duplicate key {key!r} in [global]"
+def test_a_global_section_is_an_ordinary_experiment():
+    # the flags set the output options: a section named global holds
+    # SimConfig fields like any other
     with pytest.raises(ConfigError) as err:
-        parse_config("[global]\ntrials = 5\n")
-    assert str(err.value) == "line 2: unknown key 'trials' in [global] (valid keys: out, verbose)"
-    with pytest.raises(ConfigError, match=r"^line 2: expected true or false, got 'maybe'$"):
-        parse_config("[global]\nverbose = maybe\n")
-    with pytest.raises(ConfigError, match=r"^line 3: duplicate section \[global\]$"):
-        parse_config("[global]\nout = a\n[global]\n")
-    # output options alone still describe one default experiment
-    spec = parse_config("[global]\nverbose = yes\n")
-    assert spec.verbose is True and spec.out is None
-    assert spec.experiments == {"default": SimConfig()}
+        parse_config("[global]\nout = a\n")
+    assert str(err.value).startswith("line 2: unknown key 'out' in [global] (valid keys: ")
+    assert parse_config("[global]\ntrials = 5\n") == {"global": SimConfig(trials=5)}
 
 
 def test_parse_rejects_structural_mistakes():
@@ -181,39 +166,30 @@ def test_parse_rejects_structural_mistakes():
 
 
 def test_binary_ml_config_defaults_to_ml_detection():
-    spec = parse_config("[x]\nscheme = binary_ml\n")
-    assert spec.experiments["x"].detector == "ml"
+    assert parse_config("[x]\nscheme = binary_ml\n")["x"].detector == "ml"
     with pytest.raises(ConfigError):
         parse_config("[x]\nscheme = binary_ml\ndetector = lmmse\n")
 
 
 def test_serialize_parse_round_trip():
-    spec = ExperimentSpec(
-        experiments={
-            "a": SimConfig(trials=123, snr_db_grid=(0.0, 5.0)),
-            "b": SimConfig(
-                scheme="analog",
-                analog_threshold=0.02,
-                bit_depth=5,
-                trials=50,
-            ),
-        },
-        out="outdir",
-        verbose=True,
-    )
-    text = serialize_config(spec)
-    assert parse_config(text) == spec
+    experiments = {
+        "a": SimConfig(trials=123, snr_db_grid=(0.0, 5.0)),
+        "b": SimConfig(
+            scheme="analog",
+            analog_threshold=0.02,
+            bit_depth=5,
+            trials=50,
+        ),
+    }
+    text = serialize_config(experiments)
+    assert parse_config(text) == experiments
 
 
 def test_round_trip_covers_optional_fields():
-    spec = ExperimentSpec(
-        experiments={
-            "g": SimConfig(source="gaussian", source_std=0.25)
-        }
-    )
-    again = parse_config(serialize_config(spec))
-    assert again.experiments["g"].source_std == 0.25
-    assert again == spec
+    experiments = {"g": SimConfig(source="gaussian", source_std=0.25)}
+    again = parse_config(serialize_config(experiments))
+    assert again["g"].source_std == 0.25
+    assert again == experiments
 
 
 def test_sweep_command_reports_missing_config(capsys):
@@ -267,17 +243,15 @@ def test_sweep_command_writes_csv_per_experiment(tmp_path, capsys):
 @pytest.mark.parametrize("workload", WORKLOADS, ids=[w.stem for w in WORKLOADS])
 def test_sweep_runs_each_benchmark_workload(workload, tmp_path):
     # the benchmark's configs, read in place, at 64 trials per grid point
-    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRCOMP_")}
     proc = subprocess.run(
         [sys.executable, "-m", "aircomp", "sweep", str(workload), "--trials", "64",
          "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    experiments = parse_config(workload.read_text(encoding="utf-8")).experiments
+    experiments = parse_config(workload.read_text(encoding="utf-8"))
     assert sorted(p.stem for p in tmp_path.glob("*.csv")) == sorted(experiments)
     for name, config in experiments.items():
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
@@ -309,23 +283,23 @@ def test_sweep_flag_overrides_trials_and_seed(tmp_path):
     assert meta["seed"] == 7
 
 
-def test_environment_variables_mirror_flags(tmp_path, monkeypatch):
+def test_the_environment_sets_nothing(tmp_path, monkeypatch):
+    # the config file and the flags are a run's only inputs
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[only]\ntrials = 400\nsnr_db_grid = 0\n")
-    out_env = tmp_path / "env.csv"
-    monkeypatch.setenv("AIRCOMP_TRIALS", "150")
-    monkeypatch.setenv("AIRCOMP_SEED", "11")
-    monkeypatch.setenv("AIRCOMP_OUT", str(out_env))
-    assert main(["sweep", str(cfg)]) == 0
-    meta = json.loads(out_env.read_text().splitlines()[0][2:])
-    assert meta["trials"] == 150
-    assert meta["seed"] == 11
-    # explicit flags beat the environment
-    out_flag = tmp_path / "flag.csv"
-    assert main(["sweep", str(cfg), "--out", str(out_flag), "--trials", "60"]) == 0
-    meta = json.loads(out_flag.read_text().splitlines()[0][2:])
-    assert meta["trials"] == 60
-    assert meta["seed"] == 11
+    plain, with_env, env_out = tmp_path / "plain.csv", tmp_path / "env.csv", tmp_path / "env_out"
+    assert main(["sweep", str(cfg), "--out", str(plain)]) == 0
+    env_out.mkdir()
+    for key, value in (("SEED", "11"), ("TRIALS", "abc"), ("OUT", env_out), ("QUICK", "junk")):
+        monkeypatch.setenv(f"AIRCOMP_{key}", str(value))
+    assert main(["sweep", str(cfg), "--out", str(with_env)]) == 0
+    assert with_env.read_bytes() == plain.read_bytes()
+    assert list(env_out.iterdir()) == []
+    seen = []
+    monkeypatch.setattr(cli, "ORACLES", (("probe", lambda **kw: seen.append(kw) or (True, "")),))
+    monkeypatch.setenv("AIRCOMP_SEED", "x1")
+    assert main(["verify", "--quick"]) == 0
+    assert seen == [{"seed": 1, "quick": True}]
 
 
 def test_quick_flag_caps_trials(tmp_path):
@@ -399,100 +373,90 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
     assert bit_sums == [sum(int(w[-1 - l]) for w in words) for l in range(b)]
 
 
-# Every case names its own id, so inserting one renames no other.  The
-# first seven keep the ids they were first collected under; later ones name
-# the fault.  A case's files (None: a directory) are made in the working
-# directory first.
+# Every case names its own id, so inserting or deleting one renames no
+# other.  The first four keep the ids they were first collected under, when
+# the cases also took environment variables; later ones name the fault.  A
+# case's files (None: a directory) are made in the working directory first.
 @pytest.mark.parametrize(
-    "argv, env, expected, files",
+    "argv, expected, files",
     [
         pytest.param(
-            ["sweep", "--trials", "0"], {}, "trials must be >= 1", {},
+            ["sweep", "--trials", "0"], "trials must be >= 1", {},
             id="argv0-env0-trials must be >= 1",
         ),
         pytest.param(
-            ["sweep"], {"AIRCOMP_TRIALS": "abc"}, "AIRCOMP_TRIALS", {},
-            id="argv1-env1-AIRCOMP_TRIALS",
-        ),
-        pytest.param(
-            ["verify", "--quick"], {"AIRCOMP_SEED": "x1"}, "AIRCOMP_SEED", {},
-            id="argv2-env2-AIRCOMP_SEED",
-        ),
-        pytest.param(
-            ["verify", "--quick", "--seed", "-1"], {}, "seed must be >= 0", {},
+            ["verify", "--quick", "--seed", "-1"], "seed must be >= 0", {},
             id="argv3-env3-seed must be >= 0",
         ),
         pytest.param(
-            ["demo", "--k", "0"], {}, "num_devices must be >= 1", {},
+            ["demo", "--k", "0"], "num_devices must be >= 1", {},
             id="argv4-env4-num_devices must be >= 1",
         ),
         pytest.param(
-            ["demo", "--snr-db", "nan"], {}, "snr_db_grid", {},
+            ["demo", "--snr-db", "nan"], "snr_db_grid", {},
             id="argv5-env5-snr_db_grid",
-        ),
-        pytest.param(
-            ["verify", "--quick"], {"AIRCOMP_QUICK": "junk"}, "AIRCOMP_QUICK", {},
-            id="argv7-env7-AIRCOMP_QUICK",
         ),
         # each of these three once ended in a traceback, the last after the
         # first sweep had run
         pytest.param(
-            ["sweep", "configs"], {}, "cannot read config file configs: Is a directory",
+            ["sweep", "configs"], "cannot read config file configs: Is a directory",
             {"configs": None}, id="config path is a directory",
         ),
         pytest.param(
-            ["sweep", "latin1.ini"], {}, "config file latin1.ini is not UTF-8 text (byte 6)",
+            ["sweep", "latin1.ini"], "config file latin1.ini is not UTF-8 text (byte 6)",
             {"latin1.ini": "[x]\n# \xe9t\xe9\n".encode("latin-1")}, id="config not UTF-8",
         ),
         pytest.param(
-            ["sweep", "--trials", "10", "--out", "afile/sub"], {},
+            ["sweep", "--trials", "10", "--out", "afile/sub"],
             "cannot create output directory afile/sub: Not a directory",
             {"afile": b""}, id="out directory cannot be created",
         ),
         pytest.param(
-            ["sweep", "--trials", "10", "--out", "taken.csv"], {},
+            ["sweep", "--trials", "10", "--out", "taken.csv"],
             "output file taken.csv is a directory",
             {"taken.csv": None}, id="out file is a directory",
         ),
         pytest.param(
-            ["sweep", "old.ini"], {}, "line 2: unknown key 'clamp' in [x]",
+            ["sweep", "old.ini"], "line 2: unknown key 'clamp' in [x]",
             {"old.ini": b"[x]\nclamp = true\n"}, id="removed key clamp",
         ),
         pytest.param(
-            ["sweep", "old.ini"], {}, "line 2: unknown key 'p_max' in [x]",
+            ["sweep", "old.ini"], "line 2: unknown key 'p_max' in [x]",
             {"old.ini": b"[x]\np_max = 1.0\n"}, id="removed key p_max",
         ),
         pytest.param(
-            ["sweep", "old.ini"], {}, "line 3: unknown key 's_max' in [x]",
+            ["sweep", "old.ini"], "line 3: unknown key 's_max' in [x]",
             {"old.ini": b"[x]\ntrials = 10\ns_max = 2.0\n"}, id="removed key s_max",
         ),
         pytest.param(
-            ["sweep", "old.ini"], {}, "line 3: unknown key 'num_subcarriers' in [x]",
+            ["sweep", "old.ini"], "line 3: unknown key 'num_subcarriers' in [x]",
             {"old.ini": b"[x]\nbit_depth = 6\nnum_subcarriers = 6\n"},
             id="removed key num_subcarriers",
         ),
         pytest.param(
-            ["sweep", "old.ini"], {}, "line 2: unknown key 'round_estimates' in [x]",
+            ["sweep", "old.ini"], "line 2: unknown key 'round_estimates' in [x]",
             {"old.ini": b"[x]\nround_estimates = false\n"}, id="removed key round_estimates",
         ),
         pytest.param(
-            ["sweep", "none.ini"], {}, "line 3: expected a number, got 'none'",
+            ["sweep", "old.ini"], "line 2: unknown key 'out' in [global]",
+            {"old.ini": b"[global]\nout = a\n"}, id="global out is an unknown key",
+        ),
+        pytest.param(
+            ["sweep", "none.ini"], "line 3: expected a number, got 'none'",
             {"none.ini": b"[x]\nsource = gaussian\nsource_std = none\n"}, id="source_std none",
         ),
         # the bit depth is also the subcarrier count, which must not take the blame
-        pytest.param(["demo", "--b", "0"], {}, "error: bit_depth must be >= 1", {}, id="demo b 0"),
+        pytest.param(["demo", "--b", "0"], "error: bit_depth must be >= 1", {}, id="demo b 0"),
         pytest.param(
-            ["demo", "--b", "49"], {}, "error: bit_depth must be >= 1 and <= 48, got 49", {},
+            ["demo", "--b", "49"], "error: bit_depth must be >= 1 and <= 48, got 49", {},
             id="demo b 49",
         ),
     ],
 )
 def test_bad_input_is_one_error_line_and_status_1(
-    argv, env, expected, files, tmp_path, monkeypatch, capsys
+    argv, expected, files, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     for name, data in files.items():
         if data is None:
             (tmp_path / name).mkdir()
@@ -535,8 +499,7 @@ def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback(
     argv, tmp_path, capsys
 ):
     # as `aircomp ... | head -1` does; unbuffered, so each line is its own write
-    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRCOMP_")}
-    env["PYTHONUNBUFFERED"] = "1"
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
     cfg = tmp_path / "two.ini"
     if argv[0] == "sweep":
         cfg.write_text("[a]\nsnr_db_grid = 0 10\n[b]\ndetector = ml\nsnr_db_grid = 5\n")
@@ -626,22 +589,16 @@ def test_verbose_sweep_prints_each_point_before_the_rows_and_writes_the_same_csv
 
 
 @pytest.mark.parametrize(
-    "value, quick", [("off", False), ("no", False), ("0", False), ("on", True), ("YES", True)]
+    "value, expected",
+    [("off", False), ("no", False), ("0", False), ("on", True), ("YES", True)],
 )
-def test_quick_from_the_environment_takes_the_config_spellings(value, quick, monkeypatch):
-    seen = []
-
-    def probe(seed, quick):
-        seen.append(quick)
-        return True, "probe"
-
-    monkeypatch.setattr(cli, "ORACLES", (("probe", probe),))
-    monkeypatch.setenv("AIRCOMP_QUICK", value)
-    assert main(["verify"]) == 0
-    assert seen == [quick]
+def test_a_section_bool_takes_every_spelling(value, expected):
+    assert parse_config(f"[x]\nreallocate = {value}\n")["x"].reallocate is expected
+    with pytest.raises(ConfigError, match=r"^line 2: expected true or false, got 'maybe'$"):
+        parse_config("[x]\nreallocate = maybe\n")
 
 
-def test_verify_honours_seed_zero_from_the_environment(monkeypatch):
+def test_verify_honours_seed_zero(monkeypatch):
     seeds = []
 
     def probe(seed, quick):
@@ -649,9 +606,7 @@ def test_verify_honours_seed_zero_from_the_environment(monkeypatch):
         return True, "probe"
 
     monkeypatch.setattr(cli, "ORACLES", (("probe", probe),))
-    monkeypatch.setenv("AIRCOMP_SEED", "0")
-    assert main(["verify"]) == 0
-    monkeypatch.delenv("AIRCOMP_SEED")
+    assert main(["verify", "--seed", "0"]) == 0
     assert main(["verify"]) == 0
     assert seeds == [0, 1]
 

@@ -220,6 +220,14 @@ def test_quantization_floor_gaussian_matches_monte_carlo():
     assert emp == pytest.approx(floor, abs=3.0 * se)
 
 
+def test_the_gaussian_floor_refuses_more_cells_than_it_can_sum():
+    # one Python step per lattice cell: 2^21 of them would take seconds, and
+    # the 2^48 that SimConfig accepts would take decades
+    config = SimConfig(source="gaussian", bit_depth=21)
+    with pytest.raises(ValueError, match=r"bit_depth must be <= 20, got 21$"):
+        quantization_nmse_floor(config)
+
+
 def test_sweep_is_deterministic_across_runs():
     config = SimConfig(trials=10_000, snr_db_grid=(0.0,))
     a = sweep(config).points[0]
