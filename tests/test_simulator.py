@@ -445,8 +445,8 @@ def _analog_batch_oracle(config, sources, power_est, residual, noise, sigma2):
 def _simulate_oracle(config, sources, power_est, residual, noise, sigma2):
     """The whole-batch pipeline that _front's chunks replaced: it forms the
     superposition, with the complex noise, over (T, K, L) arrays in one
-    piece.  _back on _front must return the same bits, with Re{y} as its
-    received output."""
+    piece.  The pass, _front with _back inside, must return the same bits,
+    with Re{y} as its received output."""
     args = (sources, power_est, residual, noise, sigma2)
     if config.scheme == "analog":
         return _analog_batch_oracle(config, *args)
@@ -472,9 +472,27 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+FRONT_KEYS = ("lattice", "n_active", "p", "noiseless")
+ALL_KEYS = FRONT_KEYS + ("received", "estimates", "s_hat")
+
+
+def _pass_outputs(config, batch, sigma2s, keep=ALL_KEYS) -> list[dict]:
+    """One pass of config over batch with a point at each noise power, each
+    config's own back end, as a sweep forms it: coded schemes select per
+    noise power, analog once for all.  Per point, a dict of the batch's
+    shared values and the point's whole-batch outputs named in keep."""
+    if config.scheme == "analog":
+        selections = [(None, [(config, sigma2) for sigma2 in sigma2s])]
+    else:
+        selections = [(sigma2, [(config, sigma2)]) for sigma2 in sigma2s]
+    shared, fronts = simulator._front(config, batch, selections, keep)
+    outs = [out for front in fronts for out in front["points"]]
+    return [shared | {key: out[key] for key in keep if key in out} for out in outs]
+
+
 def _assert_matches_oracle(configs, trials):
-    """_back on _front against the oracle on every batch of each draw key, at a
-    low SNR (where allow_empty silences subcarriers), a high one and without
+    """The pass against the oracle on every batch of each draw key, at a low
+    SNR (where allow_empty silences subcarriers), a high one and without
     noise."""
     groups: dict[tuple, list[SimConfig]] = {}
     for config in configs:
@@ -483,8 +501,7 @@ def _assert_matches_oracle(configs, trials):
         for batch in _batches(replace(members[0], trials=trials)):
             for config in members:
                 for sigma2 in (config.sigma2(-10.0), config.sigma2(20.0), 0.0):
-                    (front,) = simulator._front(config, *batch[:3], [sigma2])
-                    out = simulator._back(config, front, batch[3], sigma2)
+                    (out,) = _pass_outputs(config, batch, [sigma2])
                     ref = _simulate_oracle(config, *batch, sigma2)
                     where = (config, trials, sigma2)
                     for key in ("s_true", "s_quant", "s_hat", "estimates", "p"):
@@ -531,9 +548,10 @@ def test_simulate_matches_the_oracle_at_100_devices():
 
 @pytest.mark.parametrize("trials", [1, 2 * CHUNK + 1])
 def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
-    # front j of a block is bit for bit the front end at its noise power
-    # alone, for every scheme and receiver option of the oracle configs;
-    # analog's one front end is that of each noise power alone
+    # point j of a pass over several noise powers is bit for bit the pass at
+    # its noise power alone, front end and back end, for every scheme and
+    # receiver option of the oracle configs; analog's one front end is that
+    # of each noise power alone
     groups: dict[tuple, list[SimConfig]] = {}
     for config in _oracle_configs():
         groups.setdefault(_draw_key(replace(config, trials=trials)), []).append(config)
@@ -541,12 +559,10 @@ def test_a_block_of_noise_powers_matches_one_front_end_each(trials):
         batch = next(_batches(replace(members[0], trials=trials)))
         for config in members:
             sigma2s = [config.sigma2(-10.0), config.sigma2(20.0), config.sigma2(5.0)]
-            fronts = simulator._front(config, *batch[:3], sigma2s)
-            if config.scheme == "analog":
-                fronts *= len(sigma2s)
+            fronts = _pass_outputs(config, batch, sigma2s)
             assert len(fronts) == len(sigma2s)
             for sigma2, front in zip(sigma2s, fronts):
-                (alone,) = simulator._front(config, *batch[:3], [sigma2])
+                (alone,) = _pass_outputs(config, batch, [sigma2])
                 assert front.keys() == alone.keys(), config
                 for key, value in alone.items():
                     if value is None:
@@ -566,9 +582,10 @@ def test_the_counted_superposition_is_the_device_order_sum_up_to_rounding():
     for config in _oracle_configs():
         if config.scheme == "analog" or config.csi_error_radius:
             continue
-        sources, power_est, residual, _ = next(_batches(replace(config, trials=3_000)))
+        batch = next(_batches(replace(config, trials=3_000)))
+        sources, power_est, residual, _ = batch
         sigma2s = [config.sigma2(-10.0), config.sigma2(20.0), 0.0]
-        fronts = simulator._front(config, sources, power_est, residual, sigma2s)
+        fronts = _pass_outputs(config, batch, sigma2s, FRONT_KEYS)
         a2 = np.ascontiguousarray(power_est.transpose(1, 0, 2))
         active = simulator._select(config, a2, sigma2s)[2]
         symbols = 2.0 * codec.encode(fronts[0]["lattice"].T, config.bit_depth) - 1.0
@@ -585,10 +602,9 @@ def test_the_counted_superposition_is_the_device_order_sum_up_to_rounding():
 def test_exact_cancellations_stay_positive_zeros_without_noise():
     # sqrt(p) * 0 is +0.0, and binary_ml's top plane 0.0 - x keeps it so
     config = SimConfig(scheme="binary_ml", detector="ml")
-    sources, power_est, residual, noise = next(_batches(replace(config, trials=3_000)))
-    (front,) = simulator._front(config, sources, power_est, residual, [0.0])
-    received = simulator._back(config, front, noise, 0.0)["received"]
-    for y in (front["noiseless"], received):
+    batch = next(_batches(replace(config, trials=3_000)))
+    (out,) = _pass_outputs(config, batch, [0.0])
+    for y in (out["noiseless"], out["received"]):
         zero = y == 0.0
         assert zero[:, -1].any() and not np.signbit(y[zero]).any()
 
@@ -598,12 +614,12 @@ def test_simulate_peak_memory_is_a_fraction_of_the_channel():
     config = SimConfig(
         num_devices=100, trials=BATCH, csi_error_radius=0.2, reallocate=True, allow_empty=True
     )
-    sources, power_est, residual, noise = next(_batches(config))
+    batch = next(_batches(config))
+    power_est = batch[1]
     sigma2 = config.sigma2(0.0)
     tracemalloc.start()
     try:
-        (front,) = simulator._front(config, sources, power_est, residual, [sigma2])
-        simulator._back(config, front, noise, sigma2)
+        _pass_outputs(config, batch, [sigma2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -645,6 +661,23 @@ def test_a_sweep_peak_does_not_grow_with_the_grid():
     config = SimConfig(trials=BATCH, snr_db_grid=(0.0,))
     grid = tuple(np.linspace(-10.0, 75.0, 18))
     power_est_bytes = BATCH * K * L * 8
+    assert _sweep_peak(replace(config, snr_db_grid=grid)) <= (
+        _sweep_peak(config) + power_est_bytes
+    )
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize(
+    "grid", [(0.0,) * 96, tuple(np.linspace(-10.0, 75.0, 48))], ids=["points", "selections"]
+)
+def test_the_pass_budget_bounds_a_sweep_peak(grid):
+    # at K = 2 a pass holds 8 L bytes per trial for each selection's p and 8
+    # for each point's s_hat, within the 8 K L of the batch's power_est: so
+    # 96 points at 0 dB run in 12 passes of 8, and 48 noise powers in 48
+    # passes.  In one pass their s_hat would take 6 times, and their p 24
+    # times, the power_est bytes, beyond what the draw's own peak hides
+    config = SimConfig(num_devices=2, trials=BATCH, snr_db_grid=(0.0,))
+    power_est_bytes = BATCH * 2 * L * 8
     assert _sweep_peak(replace(config, snr_db_grid=grid)) <= (
         _sweep_peak(config) + power_est_bytes
     )
@@ -705,11 +738,11 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
         draws[drawn[0]] += 1
         return draw_channel_batch(params, n, rng, mimo=mimo)
 
-    def counted_front(config, sources, power_est, residual, sigma2s):
+    def counted_front(config, batch, selections, *keep):
         fronts[drawn[0]] += 1
-        for sigma2 in sigma2s:  # one None for an analog key: no noise power
+        for sigma2, _ in selections:  # one None for an analog key: no noise power
             front_keys[drawn[0], _front_key(config), sigma2] += 1
-        return front(config, sources, power_est, residual, sigma2s)
+        return front(config, batch, selections, *keep)
 
     front = simulator._front
     monkeypatch.setattr(simulator, "draw_channel_batch", counted)
@@ -744,31 +777,52 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
     assert front_keys and set(front_keys.values()) == {1}
     per_draw = Counter(key[0] for key in front_keys)
     assert per_draw == Counter({one: 15, mimo: 2, csi: 1, two[0]: 7, two[1]: 7})
-    # with at most K // 3 = 6 noise powers per block, one _front call per
-    # front key serves all its noise powers: 7 front keys on the first draw
-    # key, and 3 on the gaussian one
+    # a pass holds a front key's G selections and P points while L G + P <=
+    # K L = 160, so one pass (_front call) per front key serves all its
+    # noise powers: 7 front keys on the first draw key, and 3 on the
+    # gaussian one
     assert fronts == Counter({one: 7, mimo: 1, csi: 1, two[0]: 3, two[1]: 3})
+
+
+@pytest.mark.parametrize("elements", [1 << 11, 1 << 40])
+def test_the_chunk_size_does_not_change_a_csv(elements, tmp_path, monkeypatch):
+    # the chunks of the draw and of each pass, and the pass's back-end
+    # spans, follow channel._CHUNK_ELEMENTS; every tally sum runs over whole
+    # batches, so no CSV depends on it: 1 << 11 gives chunks of 12 trials at
+    # K = 20, 1 << 40 one chunk per batch
+    def shared_csvs(tag):
+        configs = _mixed_configs()
+        shared = SharedSweeps(configs.values())
+        for name, config in configs.items():
+            sweep_to_csv(sweep(config, shared=shared), tmp_path / f"{name}-{tag}.csv")
+
+    shared_csvs("default")
+    monkeypatch.setattr(channel, "_CHUNK_ELEMENTS", elements)
+    shared_csvs("resized")
+    for name in _mixed_configs():
+        resized = (tmp_path / f"{name}-resized.csv").read_bytes()
+        assert resized == (tmp_path / f"{name}-default.csv").read_bytes(), name
 
 
 def test_the_reference_sweeps_run_one_coded_front_end_for_both_schemes(monkeypatch):
     # per batch, the criterion-5 configs select at 17 (front key, noise power)
-    # pairs in 5 _front calls of at most K // 3 = 6 noise powers: proposed
-    # LMMSE and ML and binary_ml share one front key over 9 noise powers (2
-    # calls), geometric has 7 (2) and analog one front end (1).  A binary_ml
-    # key of its own would add its 7 noise powers in 2 more calls
+    # pairs in 3 passes (_front calls), one per front key: proposed LMMSE and
+    # ML and binary_ml share one front key over 9 noise powers and 23 points
+    # (L G + P = 95 <= K L = 160), geometric has 7 and analog one front end.
+    # A binary_ml key of its own would add a pass over its 7 noise powers
     calls = []
     front = simulator._front
 
-    def counted_front(config, sources, power_est, residual, sigma2s):
-        calls.append(len(sigma2s))
-        return front(config, sources, power_est, residual, sigma2s)
+    def counted_front(config, batch, selections, *keep):
+        calls.append(len(selections))
+        return front(config, batch, selections, *keep)
 
     monkeypatch.setattr(simulator, "_front", counted_front)
     configs = reference_configs(3_000)  # one batch
     shared = SharedSweeps(configs.values())
     for config in configs.values():
         sweep(config, shared=shared)
-    assert (len(calls), sum(calls)) == (5, 17)
+    assert (len(calls), sum(calls)) == (3, 17)
 
 
 def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
@@ -789,8 +843,8 @@ def test_shared_runtimes_add_up_to_the_group_wall_time(monkeypatch):
     assert all(t > 0.0 for t in runtimes)
     # the first call ran the whole group; the others only returned results
     assert 0.8 * wall < sum(runtimes) <= wall
-    # lmmse and ml share one block of four noise powers over their six
-    # points and split its time; analog's block serves its two points
+    # lmmse and ml share one pass of four noise powers over their six
+    # points and split its front-end time; analog's pass serves its two points
     lmmse, ml, analog = (r.points for r in results)
     for i in range(2):
         assert lmmse[i].runtime >= pause / 6 and ml[i].runtime >= pause / 6
@@ -828,12 +882,13 @@ def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, 
         assert forward[i] == backward[-1 - i] == alone[0], snr_db
 
     # the two orders share each SNR's front end across grid indices: at
-    # K = 6, blocks of at most 2 noise powers, split evenly, 1 + 2
+    # K = 6, one pass per batch serves the 3 noise powers and 6 points
+    # (L G + P = 30 <= K L = 48)
     fronts = Counter()
     front = simulator._front
 
     def counted_front(*args):
-        fronts[len(args[1]), len(args[4])] += 1
+        fronts[len(args[1][0]), len(args[2])] += 1
         return front(*args)
 
     monkeypatch.setattr(simulator, "_front", counted_front)
@@ -843,7 +898,7 @@ def test_a_grid_point_does_not_depend_on_the_rest_of_the_grid(config, tmp_path, 
     untimed = [[replace(pt, runtime=0.0) for pt in r.points] for r in results]
     assert untimed[1][::-1] == untimed[0]
     batches = [len(sources) for sources, *_ in _batches(config)]
-    assert fronts == Counter({(n, size): 1 for n in batches for size in (1, 2)})
+    assert fronts == Counter({(n, 3): 1 for n in batches})
 
 
 def test_runtimes_share_the_draw_over_every_point_of_the_group(monkeypatch):
@@ -982,10 +1037,10 @@ def test_a_field_outside_the_front_key_leaves_every_front_end_bit_identical():
     for field, base, changed in _one_field_changes():
         if (_draw_key(changed), _front_key(changed)) != (_draw_key(base), _front_key(base)):
             continue
-        batch = next(_batches(base))[:3]
+        batch = next(_batches(base))
         sigma2s = [base.sigma2(-10.0), base.sigma2(20.0), 0.0]
-        ours = simulator._front(base, *batch, sigma2s)
-        assert _same_fronts(ours, simulator._front(changed, *batch, sigma2s)), changed
+        ours = _pass_outputs(base, batch, sigma2s, FRONT_KEYS)
+        assert _same_fronts(ours, _pass_outputs(changed, batch, sigma2s, FRONT_KEYS)), changed
         checked.add((base.scheme, field))
     assert checked == {
         ("proposed", "detector"),
@@ -1008,10 +1063,10 @@ def test_unread_fields_lists_every_field_whose_change_leaves_the_csv_rows(tmp_pa
 def _batch_with_a_dead_subcarrier(config):
     """The first batch of config, with every estimated gain on subcarrier 0
     set to 0: only there does allow_empty change a selection."""
-    sources, power_est, residual, _ = next(_batches(config))
+    sources, power_est, residual, noise = next(_batches(config))
     power_est = power_est.copy()
     power_est[:, :, 0] = 0.0
-    return sources, power_est, residual
+    return sources, power_est, residual, noise
 
 
 def test_a_field_inside_a_key_changes_that_stage_for_some_base():
@@ -1027,9 +1082,9 @@ def test_a_field_inside_a_key_changes_that_stage_for_some_base():
         elif _front_key(changed) != _front_key(base):
             in_front.add(field)
             sigma2s = [base.sigma2(-10.0), base.sigma2(20.0)]
-            for batch in (next(_batches(base))[:3], _batch_with_a_dead_subcarrier(base)):
-                ours = simulator._front(base, *batch, sigma2s)
-                if not _same_fronts(ours, simulator._front(changed, *batch, sigma2s)):
+            for batch in (next(_batches(base)), _batch_with_a_dead_subcarrier(base)):
+                ours = _pass_outputs(base, batch, sigma2s, FRONT_KEYS)
+                if not _same_fronts(ours, _pass_outputs(changed, batch, sigma2s, FRONT_KEYS)):
                     fronted.add(field)
     assert drawn == in_draw == {
         "seed", "trials", "source", "source_std", "num_devices",
@@ -1041,12 +1096,16 @@ def test_a_field_inside_a_key_changes_that_stage_for_some_base():
 
 
 def test_an_analog_front_end_does_not_depend_on_the_noise_power():
+    # one selection serves both points of a pass, with the front end of
+    # either noise power alone
     config = KEY_BASES["analog"]
-    batch = next(_batches(config))[:3]
+    batch = next(_batches(config))
     noisy, quiet = config.sigma2(-10.0), config.sigma2(20.0)
-    fronts = [simulator._front(config, *batch, s) for s in ([noisy], [quiet], [noisy, quiet])]
-    assert len(fronts[2]) == 1
-    assert _same_fronts(fronts[0], fronts[1]) and _same_fronts(fronts[0], fronts[2])
+    fronts = [
+        _pass_outputs(config, batch, sigma2s, FRONT_KEYS)
+        for sigma2s in ([noisy], [quiet], [noisy, quiet])
+    ]
+    assert _same_fronts(fronts[0], fronts[1]) and _same_fronts(fronts[0] * 2, fronts[2])
 
 
 def test_sigma2_follows_snr_definition():

@@ -106,7 +106,11 @@ def test_transmit_power_check_boundary():
         batch = next(_batches(config))
         power_est = batch[1]
         sigma2s = [config.sigma2(-10.0), config.sigma2(20.0)]
-        fronts = _front(config, *batch[:3], sigma2s)  # analog: one front end
+        if config.scheme == "analog":  # one front end for both noise powers
+            selections = [(None, [(config, sigma2) for sigma2 in sigma2s])]
+        else:
+            selections = [(sigma2, [(config, sigma2)]) for sigma2 in sigma2s]
+        _, fronts = _front(config, batch, selections)
         for sigma2, front in zip(sigma2s, fronts):
             mask = _select(config, power_est.transpose(1, 0, 2), [sigma2])[2][0]
             active, p = mask.transpose(1, 0, 2), front["p"]
