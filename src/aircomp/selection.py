@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .transceiver import mse_closed_form, mse_factors, mse_from_factors
+from .transceiver import mse_closed_form
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,60 +63,75 @@ def greedy_select_batch(
 
     Returns (n_active, p, active mask), of shapes noise_power.shape + (T, L),
     + (T, L) and + (T, K, L).  Prefix n of the devices sorted by gain
-    transmits at p = the n-th largest gain and costs the closed-form MSE; the
-    first prefix attaining the minimum wins, so ties resolve to the smaller
-    set.  The gains are sorted once, along the last axis of a contiguous
-    (T, L, K) copy, for all noise powers; sorted values do not depend on how
-    ties are ordered, so no permutation is kept.  The MSE's noise-free
-    factors (``mse_factors``) are formed once on that sort, and each noise
-    power only adds its terms and divides, in two reused buffers.
+    transmits at p = the n-th largest gain.  At noise power x its closed-form
+    MSE is K/4 - n c / (4 (c + x)) with c = 2 n p, so its selection gain
+    K/4 - MSE is 1 / (4 h) for the line h = 1/n + x / (2 n^2 p), and the
+    scan minimizes h; a prefix with p = +-0 has h = +inf.  The first prefix
+    attaining the minimum wins, so ties resolve to the smaller set.  The gains
+    are sorted once, along the device axis of one contiguous (K, T, L) copy,
+    for all noise powers; sorted values do not depend on how ties are
+    ordered, so no permutation is kept.  The slopes 1 / (2 n^2 |p|) are
+    formed once on that sort, and each noise power multiplies and adds in one
+    reused buffer.  At x = 0, where 0 * inf is NaN, h is 1/n for p != 0.
 
     The active set is every device with gain >= p, except where the next
     sorted gain ties at p as well: there the lowest indices enter, as many as
-    the prefix needs.  With allow_empty=True a prefix no better than the
-    no-transmission MSE K/4 yields an empty set.  The masks are built
-    device-major, on one contiguous (K, T, L) copy of the gains (no copy when
-    effective_gains is a (T, K, L) view of one), and the mask comes back as a
-    (T, K, L)-shaped view of that (G, K, T, L) array.  The temporaries are a
-    few copies of the gains, so a caller bounds memory by the trials it
-    passes.  A negative, NaN or infinite noise power raises ValueError (an
-    O(G) check; the gains are not read for it).
+    the prefix needs.  With allow_empty=True a subcarrier whose gains are all
+    +-0, so that every set scores the no-transmission MSE K/4, gets the empty
+    set at every noise power; any gain > 0 beats K/4.  The masks are built
+    device-major, on the contiguous copy (no copy when effective_gains is a
+    (T, K, L) view of one), and the mask comes back as a (T, K, L)-shaped
+    view of that (G, K, T, L) array.  The temporaries are a few copies of the
+    gains, so a caller bounds memory by the trials it passes.  A negative,
+    NaN or infinite noise power raises ValueError (an O(G) check; the gains
+    are not read for it).
     """
     shape = np.shape(noise_power)
     noise_powers = np.asarray(noise_power, dtype=np.float64).reshape(-1).tolist()
     _check_noise_powers(noise_powers)
     T, K, L = effective_gains.shape
     gains = np.ascontiguousarray(effective_gains.transpose(1, 0, 2))  # (K, T, L)
-    ascending = gains.transpose(1, 2, 0).copy()  # (T, L, K), sorted in place
-    ascending.sort(axis=-1)
-    sorted_g = ascending[..., ::-1]
-    last = np.arange(K - 1, T * L * K, K).reshape(T, L)  # flat index of each largest
-    factors = mse_factors(sorted_g, np.arange(1, K + 1), K)
-    buffers = np.empty(sorted_g.shape), np.empty(sorted_g.shape)
+    ascending = np.sort(gains, axis=0)
+    sorted_g = ascending[::-1]  # rank-major: sorted_g[n - 1] is prefix n's p
+    sizes = np.arange(1.0, K + 1.0).reshape(K, 1, 1)
+    slopes = np.abs(sorted_g)  # a -0.0 gain's slope is +inf too
+    slopes *= 2.0 * sizes**2
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, slopes, out=slopes)
+    weights = np.arange(K, 0, -1, dtype=np.min_scalar_type(K)).reshape(K, 1, 1)
+    h = np.empty(slopes.shape)
+    first = np.empty(slopes.shape, dtype=weights.dtype)
+    slots = np.arange(T * L).reshape(T, L)  # flat index of each slot's rank 0
     n = np.empty((len(noise_powers), T, L), dtype=np.intp)
     p = np.empty(n.shape)
     active = np.empty((len(noise_powers), K, T, L), dtype=bool)
     for j, sigma2 in enumerate(noise_powers):
-        mse = mse_from_factors(*factors, K, sigma2, out=buffers)
-        i = np.argmin(mse, axis=-1)  # first minimum: smaller set on ties
-        n[j] = i + 1
-        at = last - i  # sorted_g[..., i] as a flat index into ascending
+        if sigma2 > 0:
+            np.multiply(slopes, sigma2, out=h)
+            h += 1.0 / sizes
+        else:
+            h[...] = np.where(sorted_g != 0, 1.0 / sizes, np.inf)
+        # the first minimum: weight K + 1 - n, largest at the smallest n
+        np.equal(h, np.minimum.reduce(h, axis=0), out=first)
+        first *= weights
+        rank = np.maximum.reduce(first, axis=0).astype(np.intp) - 1  # p's, in ascending
+        n[j] = K - rank
+        at = rank * (T * L) + slots  # sorted_g[n - 1] as a flat index into ascending
         ascending.take(at, out=p[j])
         np.greater_equal(gains, p[j], out=active[j])
         # more than n gains reach p exactly where the next sorted one ties
-        tie = ascending.take(np.maximum(at - 1, last - (K - 1))) == p[j]
-        t, l = np.nonzero(tie & (i + 1 < K))
+        tie = ascending.take(np.maximum(at - T * L, slots)) == p[j]
+        t, l = np.nonzero(tie & (rank > 0))
         if t.size:
             rows = gains[:, t, l]  # (K, rows)
             above = rows > p[j, t, l]
             tied = rows == p[j, t, l]
             need = n[j, t, l] - above.sum(axis=0)
             active[j][:, t, l] = above | (tied & (np.cumsum(tied, axis=0) <= need))
-        if allow_empty:
-            best = np.take_along_axis(mse, i[..., None], axis=-1)[..., 0]
-            fallback = best >= K / 4.0
-            n[j][fallback] = 0
-            p[j][fallback] = 0.0
-            active[j] &= ~fallback
+    if allow_empty:
+        dead = ~gains.any(axis=0)
+        n[:, dead] = 0
+        p[:, dead] = 0.0
+        active[:, :, dead] = False
     active = active.transpose(0, 2, 1, 3)
     return tuple(a.reshape(shape + a.shape[1:]) for a in (n, p, active))

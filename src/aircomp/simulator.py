@@ -152,10 +152,12 @@ class SimConfig:
             raise ValueError("snr_db_grid must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # every noise power is a normal float, and so is the MSE's product of
-        # one with up to K^2 / 2, with 2^16 to spare for the gains; the budgets
-        # sum to 1, and the smallest is 1 / L or, over L <= 48 planes, above
-        # 2^-1010
+        # every noise power x is a normal float, and so is its product with
+        # up to K^2 / 2, with 2^16 to spare for the gains.  The scan's
+        # x / (2 n^2 p) exceeds the float range, and reads +inf, only where
+        # p < 2^-17 / (K n)^2, a prefix whose selection gain is below
+        # 1 / (4 M) for M the largest float; the budgets sum to 1, and the
+        # smallest is 1 / L or, over L <= 48 planes, above 2^-1010
         tiny, top = sys.float_info.min, sys.float_info.max / 2.0**16 / self.num_devices**2
         for snr_db in self.snr_db_grid:
             try:

@@ -97,50 +97,26 @@ def ml_lattice_estimate(re_y, p, n_active):
     return np.clip(r, 0.0, n)
 
 
-def mse_factors(p, n_active, num_devices):
-    """The noise-free parts of the closed-form MSE's numerator and
-    denominator, p 2n(K - n) and 8 p n, for gains p >= 0.  A selection scan
-    forms them once and finishes them at every noise power
-    (``mse_from_factors``)."""
-    p = np.asarray(p, dtype=np.float64)
-    n = np.asarray(n_active, dtype=np.float64)
-    return p * (2.0 * n * (num_devices - n)), p * (8.0 * n)
-
-
-def mse_from_factors(num, denom, num_devices, noise_power: float, out=None):
-    """The closed-form MSE from ``mse_factors`` at a scalar noise power:
-    (num + K sigma^2) / (denom + 4 sigma^2).
-
-    With sigma^2 > 0 the denominator is at least 4 sigma^2 > 0 and the
-    divide is unmasked; at sigma^2 = 0, p n = 0 gives 0/0 and the prior
-    variance K/4 is returned there.  out, a pair of float64 arrays of the
-    factors' shape, receives the MSE and the denominator (default: new ones).
-    """
-    K = num_devices
-    if out is None:
-        out = np.empty(np.shape(num)), np.empty(np.shape(denom))
-    mse, den = out
-    np.add(num, K * noise_power, out=mse)
-    np.add(denom, 4.0 * noise_power, out=den)
-    if noise_power > 0:
-        np.divide(mse, den, out=mse)
-    else:
-        positive = den > 0
-        np.divide(mse, den, out=mse, where=positive)
-        mse[~positive] = K / 4.0
-    if mse.ndim == 0:
-        return float(mse)
-    return mse
-
-
 def mse_closed_form(p, n_active, num_devices, noise_power: float):
     """Residual MSE of the affine-MMSE detector for the bit-position sum:
 
         e = (2 p n (K - n) + K sigma^2) / (8 p n + 4 sigma^2)
 
     with n active devices out of K.  p = 0 (or n = 0) degenerates to the
-    prior variance K/4.  Vectorized over broadcastable p and n_active, at a
-    scalar noise power.
+    prior variance K/4: with sigma^2 > 0 the divide is unmasked, and at
+    sigma^2 = 0 the 0/0 of p n = 0 is set to K/4.  Vectorized over
+    broadcastable p >= 0 and n_active, at a scalar noise power.
     """
-    num, denom = mse_factors(p, n_active, num_devices)
-    return mse_from_factors(num, denom, num_devices, noise_power)
+    K = num_devices
+    p = np.asarray(p, dtype=np.float64)
+    n = np.asarray(n_active, dtype=np.float64)
+    num = p * (2.0 * n * (K - n)) + K * noise_power
+    denom = p * (8.0 * n) + 4.0 * noise_power
+    if noise_power > 0:
+        mse = num / denom
+    else:
+        mse = np.full(denom.shape, K / 4.0)
+        np.divide(num, denom, out=mse, where=denom > 0)
+    if mse.ndim == 0:
+        return float(mse)
+    return mse

@@ -1,6 +1,6 @@
 """Property tests: the receive beam's optimality, the two's-complement codec,
-batch device selection against subset enumeration and the config text round
-trip.
+batch device selection against subset enumeration and over a noise grid, and
+the config text round trip.
 
 They need hypothesis, which is not a declared dependency; without it the
 module is skipped.
@@ -118,6 +118,25 @@ def test_batch_selection_matches_subset_enumeration(gains, noise_exp, allow_empt
             else:
                 assert np.flatnonzero(active[t, :, l]).tolist() == best.tolist()
                 assert (n[t, l], p[t, l]) == (best.size, best_p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 3)),
+        elements=st.one_of(st.just(0.0), st.floats(2.0**-10, 2.0**10)),
+    ),
+    st.sets(st.integers(-10, 10), min_size=2, max_size=8),
+)
+def test_more_noise_never_selects_more_devices(gains, noise_exps):
+    # the scan minimizes the line 1/n + x / (2 n^2 p), whose intercept falls
+    # strictly with n: where prefix n beats a larger m at noise power x, it
+    # beats m at every larger x.  Noise powers a factor 2 apart keep every
+    # crossing far from rounding at these gains
+    noise_powers = 2.0 ** np.array(sorted(noise_exps))
+    n, _, _ = greedy_select_batch(gains, noise_powers)
+    assert (np.diff(n, axis=0) <= 0).all()
 
 
 _names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)

@@ -655,11 +655,13 @@ def test_a_sweep_holds_one_batch_at_a_time():
 
 @pytest.mark.memory
 def test_a_sweep_peak_does_not_grow_with_the_grid():
-    # at K = 20 an 18-point grid runs in three blocks of 6 noise powers, whose
-    # whole-batch outputs take no more bytes than one batch's power_est; in
-    # one block they would exceed it, beyond what the draw's own peak hides
+    # at K = 20 a pass holds 8 L + 8 bytes per trial for each noise power
+    # within the 8 K L of power_est, so a 36-point grid runs in passes of 17,
+    # 17 and 2, whose whole-batch outputs take no more bytes than one batch's
+    # power_est; in one pass they would exceed it by about 12 MiB, beyond
+    # what the draw's own peak hides
     config = SimConfig(trials=BATCH, snr_db_grid=(0.0,))
-    grid = tuple(np.linspace(-10.0, 75.0, 18))
+    grid = tuple(np.linspace(-10.0, 75.0, 36))
     power_est_bytes = BATCH * K * L * 8
     assert _sweep_peak(replace(config, snr_db_grid=grid)) <= (
         _sweep_peak(config) + power_est_bytes
