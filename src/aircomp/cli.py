@@ -27,7 +27,6 @@ from .simulator import (
     SCHEMES,
     SharedSweeps,
     SimConfig,
-    codewords,
     default_detector,
     run_trial,
     sweep,
@@ -368,7 +367,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"device values:    {np.array2string(record.sources, precision=4)}")
     if record.lattice is not None:
         print(f"lattice integers: {record.lattice}")
-        rendered = " ".join(codec.format_codeword(w) for w in codewords(config, record.lattice))
+        encode = codec.encode_offset_binary if args.scheme == "binary_ml" else codec.encode
+        rendered = " ".join(codec.format_codeword(w) for w in encode(record.lattice, args.b))
         print(f"codewords (MSB first): {rendered}")
         print("subcarrier   budget     active   p          r_true   re_y      r_hat")
         budgets = config.budgets()

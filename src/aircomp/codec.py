@@ -8,7 +8,8 @@ two's-complement weight vector is fixed, the decoder is a linear map from
 per-position sums back to the sum of the quantized values, and adding
 codewords element-wise recovers the exact integer sum with codeword length
 equal to the bit depth.  Offset-binary variants of the same machinery back
-the conventional-coding baseline.
+the conventional-coding baseline's test oracle and its ``aircomp demo``
+codewords; the simulator runs that baseline in two's complement.
 """
 
 from __future__ import annotations

@@ -7,8 +7,12 @@ air.  The receiver detects every per-plane device sum with an affine-MMSE or
 lattice-ML detector and applies the linear decoder to recover the sum of
 quantized values.  An analog amplitude-modulation baseline and an
 offset-binary + ML baseline ride exactly the same random draws, so scheme
-comparisons at a common seed are trial-paired; the latter's offset binary is
-two's complement with the top bit flipped, so it shares the proposed front end.
+comparisons at a common seed are trial-paired.  Offset binary flips the top
+bit of two's complement, which negates the top plane's noiseless Re{y}, and
+ML rounding, its silent-device prior and the decoder are symmetric under the
+flip (up to ties, of probability 0): the latter baseline is the proposed ML
+receiver with its top plane's noise negated, and runs as that.  So the
+proposed LMMSE receiver's gain over it is the detector's, not the code's.
 """
 
 from __future__ import annotations
@@ -249,14 +253,6 @@ def _draw_sources(config: SimConfig, n: int, rng: np.random.Generator) -> np.nda
     return config.source_std * rng.standard_normal((n, config.num_devices))
 
 
-def codewords(config: SimConfig, lattice) -> np.ndarray:
-    """The bits (LSB first, on a new last axis) that a coded config sends for
-    lattice integers: offset binary for binary_ml, two's complement
-    otherwise (which ``_front`` sends for both, see ``_back``)."""
-    encode = codec.encode_offset_binary if config.scheme == "binary_ml" else codec.encode
-    return encode(lattice, config.bit_depth)
-
-
 def _received_sum(residual, active, p, weights) -> np.ndarray:
     """Re{sum_k sqrt(p) (h_k / h_est_k) weights_k} over the active devices.
 
@@ -324,9 +320,9 @@ def _front(config, batch, selections, keep=("s_hat",)) -> tuple[dict, list[dict]
     power; config is any config of the points' front key (``_front_key``).
 
     Coded schemes quantize and encode each device's value in two's complement
-    (binary_ml too: ``_back`` flips its top plane) and select the active
-    devices per subcarrier (``_select``); the analog baseline repeats the
-    amplitude-scaled value on all subcarriers.  The (T, K, L) steps run over
+    (binary_ml too: ``_back`` negates its top plane's noise) and select the
+    active devices per subcarrier (``_select``); the analog baseline repeats
+    the amplitude-scaled value on all subcarriers.  The (T, K, L) steps run over
     chunks of trials (``_spans`` of K L elements per trial): per chunk, the
     quantization, the encoding and the gain sort run once, and the scan, the
     reallocation and the noiseless sum once per selection.  Consecutive
@@ -422,15 +418,15 @@ def _back(config, front, noise, sigma2) -> dict:
     config's detector and decoder turn into estimates and s_hat.  The analog
     baseline averages the per-subcarrier sums (silent devices are compensated
     by the symmetric-source mean, zero).  Reads the front end without
-    changing it.  binary_ml flips the top bit, so before the noise (ML rounds
-    ties down) its top plane's noiseless x becomes 0.0 - x, which keeps +0.0
-    where -x would not."""
+    changing it.  binary_ml is this two's-complement ML receiver with its top
+    plane's noise negated (see the module docstring); ``run_trial`` reports
+    that plane in offset binary."""
     K = config.num_devices
     p, n_act = front["p"], front["n_active"]
     y = front["noiseless"]
-    if config.scheme == "binary_ml":
-        y = np.concatenate((y[:, :-1], 0.0 - y[:, -1:]), axis=1)
     received = y + np.sqrt(sigma2 / 2.0) * noise
+    if config.scheme == "binary_ml":
+        received[:, -1] = y[:, -1] - np.sqrt(sigma2 / 2.0) * noise[:, -1]
     front = front | {"received": received}
     if config.scheme == "analog":
         scaled = np.zeros_like(p)
@@ -442,11 +438,7 @@ def _back(config, front, noise, sigma2) -> dict:
     else:
         lam, mu = lmmse_coefficients(p, n_act, K, sigma2)
         r_hat = lam * received + mu
-    zeta = config.quantizer().zeta
-    if config.scheme == "binary_ml":
-        s_hat = codec.decode_offset_binary(r_hat, zeta, K)
-    else:
-        s_hat = codec.decode(r_hat, zeta)
+    s_hat = codec.decode(r_hat, config.quantizer().zeta)
     return front | {"s_hat": s_hat, "estimates": r_hat}
 
 
@@ -477,7 +469,12 @@ def run_trial(
         lattice, bit_sums = None, np.full(L, np.nan)
     else:
         lattice = shared["lattice"][0]
-        bit_sums = codewords(config, lattice).sum(axis=0).astype(np.float64)
+        bit_sums = codec.encode(lattice, L).sum(axis=0).astype(np.float64)
+    estimates, received = out["estimates"][0], out["received"][0]
+    if config.scheme == "binary_ml":  # its top plane in offset binary; 0.0 - x keeps +0.0
+        bit_sums[-1] = K - bit_sums[-1]
+        estimates[-1] = K - estimates[-1]
+        received[-1] = 0.0 - received[-1]
     s_true = float(shared["s_true"][0])
     s_quant = float(shared["s_quant"][0])
     s_hat = float(out["s_hat"][0])
@@ -490,8 +487,8 @@ def run_trial(
         active_counts=out["n_active"][0],
         scalings=out["p"][0],
         bit_sums=bit_sums,
-        estimates=out["estimates"][0],
-        received=out["received"][0],
+        estimates=estimates,
+        received=received,
         active=active,
         squared_error_total=(s_hat - s_true) ** 2,
         squared_error_quantization=(s_quant - s_true) ** 2,

@@ -103,20 +103,17 @@ def mse_closed_form(p, n_active, num_devices, noise_power: float):
         e = (2 p n (K - n) + K sigma^2) / (8 p n + 4 sigma^2)
 
     with n active devices out of K.  p = 0 (or n = 0) degenerates to the
-    prior variance K/4: with sigma^2 > 0 the divide is unmasked, and at
-    sigma^2 = 0 the 0/0 of p n = 0 is set to K/4.  Vectorized over
-    broadcastable p >= 0 and n_active, at a scalar noise power.
+    prior variance K/4, which sigma^2 > 0 gives by the divide and which
+    fills the 0/0 of p n = 0 at sigma^2 = 0.  Vectorized over broadcastable
+    p >= 0 and n_active, at a scalar noise power.
     """
     K = num_devices
     p = np.asarray(p, dtype=np.float64)
     n = np.asarray(n_active, dtype=np.float64)
     num = p * (2.0 * n * (K - n)) + K * noise_power
     denom = p * (8.0 * n) + 4.0 * noise_power
-    if noise_power > 0:
-        mse = num / denom
-    else:
-        mse = np.full(denom.shape, K / 4.0)
-        np.divide(num, denom, out=mse, where=denom > 0)
+    mse = np.full(denom.shape, K / 4.0)
+    np.divide(num, denom, out=mse, where=denom > 0)
     if mse.ndim == 0:
         return float(mse)
     return mse

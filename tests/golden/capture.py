@@ -2,7 +2,7 @@
 
 The set is every CSV of perfbench/workloads/*.ini and of gaussian.ini, which
 pins the clamped gaussian sources, at seeds 5 and 77 with 2000 trials
-(metadata lines included), the stdout of four ``aircomp demo``
+(metadata lines included), the stdout of five ``aircomp demo``
 runs and of ``aircomp verify --quick``, and manifest.json, which names the
 NumPy version the files were made under and lists them.  Run it from the
 repository root on a commit whose outputs are the accepted reference:
@@ -33,6 +33,10 @@ COMMANDS = {  # golden file -> aircomp arguments whose stdout it holds
     "demo-default.txt": ["demo"],
     "demo-analog.txt": ["demo", "--scheme", "analog"],
     "demo-binary_ml.txt": ["demo", "--scheme", "binary_ml"],
+    "demo-binary_ml-csi.txt": [
+        "demo", "--scheme", "binary_ml", "--k", "5", "--b", "6", "--snr-db", "-3",
+        "--csi-error", "0.3", "--seed", "4",
+    ],
     "demo-k5-b6.txt": [
         "demo", "--k", "5", "--b", "6", "--snr-db", "-3", "--csi-error", "0.3", "--seed", "4"
     ],

@@ -1,7 +1,7 @@
 """Every golden output of tests/golden/ is reproduced byte for byte.
 
 The set (see tests/golden/capture.py) covers the three benchmark workloads'
-CSVs and two gaussian-source sweeps at two seeds, four demos and
+CSVs and two gaussian-source sweeps at two seeds, five demos and
 ``verify --quick``.  Rounding can differ
 between NumPy versions, so the comparison holds only under the version the
 manifest names; under another one the test fails and names both, and never

@@ -459,6 +459,7 @@ def _oracle_configs() -> list[SimConfig]:
         SimConfig(),
         SimConfig(detector="ml"),
         SimConfig(scheme="binary_ml", detector="ml"),
+        SimConfig(scheme="binary_ml", detector="ml", csi_error_radius=0.2),
         SimConfig(scheme="analog", analog_threshold=0.02),
         SimConfig(power_mode="geometric", varpi=2.0),
         SimConfig(reallocate=True, allow_empty=True),
@@ -503,6 +504,10 @@ def _assert_matches_oracle(configs, trials):
                 for sigma2 in (config.sigma2(-10.0), config.sigma2(20.0), 0.0):
                     (out,) = _pass_outputs(config, batch, [sigma2])
                     ref = _simulate_oracle(config, *batch, sigma2)
+                    if config.scheme == "binary_ml":  # the pass's top plane: two's complement
+                        ref["received"] = ref["received"].real.copy()
+                        ref["received"][:, -1] = 0.0 - ref["received"][:, -1]
+                        ref["estimates"][:, -1] = config.num_devices - ref["estimates"][:, -1]
                     where = (config, trials, sigma2)
                     for key in ("s_true", "s_quant", "s_hat", "estimates", "p"):
                         assert np.array_equal(_bits(out[key]), _bits(ref[key])), where
@@ -599,8 +604,38 @@ def test_the_counted_superposition_is_the_device_order_sum_up_to_rounding():
     assert differ  # the two forms do part in the last bits
 
 
+@pytest.mark.parametrize("reallocate", [False, True])
+@pytest.mark.parametrize("source", ["uniform", "gaussian"])
+@pytest.mark.parametrize("radius", [0.0, 0.2])
+def test_binary_ml_is_proposed_ml_with_the_top_plane_noise_negated(radius, source, reallocate):
+    # offset binary flips the top bit, which negates the top plane's noiseless
+    # Re{y}, and ML and the decoder are symmetric under the flip: on one batch,
+    # the offset-binary oracle's s_hat, binary_ml's pass and proposed + ML's
+    # pass with the top plane's noise negated agree bit for bit.  Proposed +
+    # ML on the unnegated noise parts from them, so the sign is pinned
+    base = SimConfig(
+        detector="ml", csi_error_radius=radius, source=source, reallocate=reallocate,
+        trials=BATCH,
+    )
+    binary = replace(base, scheme="binary_ml")
+    batch = next(_batches(base))
+    flipped = batch[3].copy()
+    flipped[:, -1] = -flipped[:, -1]
+    sigma2s = [base.sigma2(snr_db) for snr_db in (-10.0, 0.0, 20.0)]
+    ours = _pass_outputs(binary, batch, sigma2s, ("s_hat",))
+    negated = _pass_outputs(base, batch[:3] + (flipped,), sigma2s, ("s_hat",))
+    unnegated = _pass_outputs(base, batch, sigma2s, ("s_hat",))
+    differ = 0
+    for sigma2, a, b, c in zip(sigma2s, ours, negated, unnegated):
+        ref = _coded_batch_oracle(binary, *batch, sigma2)["s_hat"]
+        assert a["s_hat"].tobytes() == b["s_hat"].tobytes() == ref.tobytes()
+        differ += int((a["s_hat"] != c["s_hat"]).sum())
+    assert differ
+
+
 def test_exact_cancellations_stay_positive_zeros_without_noise():
-    # sqrt(p) * 0 is +0.0, and binary_ml's top plane 0.0 - x keeps it so
+    # sqrt(p) * 0 is +0.0, and binary_ml's top plane y - 0 * noise keeps it
+    # so whatever the noise's sign
     config = SimConfig(scheme="binary_ml", detector="ml")
     batch = next(_batches(replace(config, trials=3_000)))
     (out,) = _pass_outputs(config, batch, [0.0])
