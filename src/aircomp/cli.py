@@ -24,6 +24,8 @@ from . import codec
 from .channel import ChannelParams, draw_channel, draw_channel_batch
 from .selection import brute_force_select, greedy_select_batch
 from .simulator import (
+    _FIELD_TYPES,
+    _TYPE_NAMES,
     SCHEMES,
     SharedSweeps,
     SimConfig,
@@ -37,10 +39,6 @@ from .transceiver import lmmse_coefficients, mse_closed_form
 
 class ConfigError(ValueError):
     """Configuration text rejected; the message carries the line number."""
-
-
-_FIELD_TYPES = typing.get_type_hints(SimConfig)
-_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def _parse_value(kind, value: str, lineno: int):

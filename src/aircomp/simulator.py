@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -100,13 +101,18 @@ class SimConfig:
     allow_empty: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "snr_db_grid", tuple(float(x) for x in self.snr_db_grid)
-        )
+        if not isinstance(self.snr_db_grid, str):  # a str stays one, for validate to reject
+            object.__setattr__(self, "snr_db_grid", tuple(float(x) for x in self.snr_db_grid))
         self.validate()
 
     def validate(self) -> None:
-        # first, as it is also the subcarrier count; the quantizer's own bound
+        # first, so that no range check meets a wrong type; a bool, though an int, fits bool alone
+        for name, kind in _FIELD_TYPES.items():
+            value, kind = getattr(self, name), typing.get_origin(kind) or kind
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        # the first range, as it is also the subcarrier count; the quantizer's own bound
         if not 1 <= self.bit_depth <= codec.MAX_BIT_DEPTH:
             raise ValueError(
                 f"bit_depth must be >= 1 and <= {codec.MAX_BIT_DEPTH}, got {self.bit_depth}"
@@ -203,6 +209,13 @@ class SimConfig:
             num_taps=self.num_taps,
             csi_error_radius=self.csi_error_radius,
         )
+
+
+_FIELD_TYPES = typing.get_type_hints(SimConfig)  # field -> type; cli parses config text by it
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "true or false", str: "a string",
+    tuple: "a sequence of numbers",
+}
 
 
 @dataclass
@@ -325,14 +338,11 @@ def _front(config, batch, selections, keep=("s_hat",)) -> tuple[dict, list[dict]
     the amplitude-scaled value on all subcarriers.  The (T, K, L) steps run over
     chunks of trials (``_spans`` of K L elements per trial): per chunk, the
     quantization, the encoding and the gain sort run once, and the scan, the
-    reallocation and the noiseless sum once per selection.  Consecutive
-    chunks form spans of K // G chunks (at least 1) for G selections, so a
-    span's n_active and noiseless Re{y}, held for every selection, take about
-    as many elements as one chunk's (K, chunk, L) arrays; at large K the back
-    ends thus run on more trials than a chunk.  Per span, each point's back
-    end adds its noise and detects and decodes the span's rows.  Only p,
-    s_true, s_quant and what keep names outlive their span; no (T, K, L)
-    mask is kept.
+    reallocation and the noiseless sum once per selection, after which each of
+    the selection's points runs its back end on the chunk's rows: it adds its
+    noise and detects and decodes them.  Every back-end step works row by
+    row, so the chunking changes no output.  Only p, s_true, s_quant and what
+    keep names outlive their chunk; no (T, K, L) mask is kept.
 
     At radius 0 a coded front end counts: its noiseless Re{y} is sqrt(p) (2r -
     n), r the active devices sending a 1; analog and drawn residuals take
@@ -363,57 +373,46 @@ def _front(config, batch, selections, keep=("s_hat",)) -> tuple[dict, list[dict]
         {"p": p[j], "n_total": 0, "points": [{"seconds": 0.0} for _ in points]}
         for j, (_, points) in enumerate(selections)
     ]
-    chunks = _spans(T, K * L)
-    per = max(1, K // len(sigma2s))  # chunks per span
-    spans = [chunks[i : i + per] for i in range(0, len(chunks), per)]
-    longest = max(span[-1][1] - span[0][0] for span in spans)
-    n_act = np.empty((len(sigma2s), longest, L), dtype=np.intp)
-    noiseless = np.empty(n_act.shape)  # both reused by every span
-    for span in spans:
-        s0, e0 = span[0][0], span[-1][1]
-        for s, e in span:
-            a, b = s - s0, e - s0
-            if coded:
-                lattice = codec.quantize(sources[s:e], spec, clamp=config.source == "gaussian")
-                shared["s_quant"][s:e] = lattice.sum(axis=1) / spec.zeta
-                if shared["lattice"] is not None:
-                    shared["lattice"][s:e] = lattice
-                w = codec.encode(np.ascontiguousarray(lattice.T), L) == 1
-            else:
-                w = sources.T[:, s:e, None]
-            a2 = np.ascontiguousarray(power_est[s:e].transpose(1, 0, 2))
-            ratio = residual[s:e].transpose(1, 0, 2)
-            counted = coded and not ratio.strides[0]
-            if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
-                ratio = np.ascontiguousarray(ratio)
-                w = 2.0 * w - 1.0 if coded else w  # coded: +-1, once per chunk
-            n, pc, act = _select(config, a2, sigma2s)
-            n_act[:, a:b], p[:, s:e] = n, pc
-            for j, act_j in enumerate(act):
-                if counted:  # exact CSI: every active term is +-sqrt(p)
-                    r = np.count_nonzero(act_j & w, axis=0)
-                    noiseless[j, a:b] = np.sqrt(pc[j]) * (2 * r - n[j])
-                else:
-                    noiseless[j, a:b] = _received_sum(ratio, act_j, pc[j], w)
-            del w, a2, ratio, n, pc, act, act_j  # freed before the next chunk allocates
+    for s, e in _spans(T, K * L):
+        if coded:
+            lattice = codec.quantize(sources[s:e], spec, clamp=config.source == "gaussian")
+            shared["s_quant"][s:e] = lattice.sum(axis=1) / spec.zeta
+            if shared["lattice"] is not None:
+                shared["lattice"][s:e] = lattice
+            w = codec.encode(np.ascontiguousarray(lattice.T), L) == 1
+        else:
+            w = sources.T[:, s:e, None]
+        a2 = np.ascontiguousarray(power_est[s:e].transpose(1, 0, 2))
+        ratio = residual[s:e].transpose(1, 0, 2)
+        counted = coded and not ratio.strides[0]
+        if ratio.strides[0]:  # a drawn residual, not the radius-0 broadcast
+            ratio = np.ascontiguousarray(ratio)
+            w = 2.0 * w - 1.0 if coded else w  # coded: +-1, once per chunk
+        n, pc, act = _select(config, a2, sigma2s)
+        p[:, s:e] = pc
         for j, ((_, points), front) in enumerate(zip(selections, fronts)):
-            rows = {"n_active": n_act[j, : e0 - s0], "p": p[j, s0:e0]}
-            rows["noiseless"] = noiseless[j, : e0 - s0]
-            front["n_total"] += int(rows["n_active"].sum())
+            if counted:  # exact CSI: every active term is +-sqrt(p)
+                r = np.count_nonzero(act[j] & w, axis=0)
+                noiseless = np.sqrt(pc[j]) * (2 * r - n[j])
+            else:
+                noiseless = _received_sum(ratio, act[j], pc[j], w)
+            rows = {"n_active": n[j], "p": pc[j], "noiseless": noiseless}
+            front["n_total"] += int(n[j].sum())
             for (point_config, sigma2), kept in zip(points, front["points"]):
                 t = time.perf_counter()
-                out = _back(point_config, rows, noise[s0:e0], sigma2)
+                out = _back(point_config, rows, noise[s:e], sigma2)
                 for key in out.keys() & keep:
                     if key not in kept:
                         kept[key] = np.empty((T,) + out[key].shape[1:], out[key].dtype)
-                    kept[key][s0:e0] = out[key]
+                    kept[key][s:e] = out[key]
                 kept["seconds"] += time.perf_counter() - t
+        del w, a2, ratio, n, pc, act  # freed before the next chunk allocates
     return shared, fronts
 
 
 def _back(config, front, noise, sigma2) -> dict:
     """The receiver on the rows of a front end (n_active, p and the noiseless
-    Re{y} of one selection, a span of ``_front``'s): its received Re{y} is
+    Re{y} of one selection, a chunk of ``_front``'s): its received Re{y} is
     the noiseless one plus the unit-power noise scaled to sigma2, which the
     config's detector and decoder turn into estimates and s_hat.  The analog
     baseline averages the per-subcarrier sums (silent devices are compensated
@@ -615,7 +614,7 @@ def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     and 8 for each point's s_hat, takes no more than the batch's 8 K L of
     power_est, whatever the grid length; in practice one pass per front key.
     Per batch, each pass is one ``_front`` call, which runs the back ends of
-    its points inside its chunk loop, each adding the batch's noise at its
+    its points on each of its chunks, each adding the chunk's noise at its
     own noise power; the tallies then add the pass's whole-batch sums, and
     it is freed.  A point's runtime is its own back-end time plus equal
     shares of its pass's front-end time and of the draw time over all

@@ -504,16 +504,16 @@ def test_a_reader_that_closes_stdout_early_gets_status_1_and_no_traceback(
     if argv[0] == "sweep":
         cfg.write_text("[a]\nsnr_db_grid = 0 10\n[b]\ndetector = ml\nsnr_db_grid = 5\n")
         argv = [*argv, str(tmp_path / "out"), str(cfg)]
-    proc = subprocess.Popen(
+    with subprocess.Popen(  # on leaving, closes both pipes and waits
         [sys.executable, "-m", "aircomp", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=300) == 1
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == 1
     assert "Traceback" not in stderr and "Error" not in stderr, stderr
     if cfg.exists():
         # the sweeps go on without a reader: both CSVs are those of a full run

@@ -823,8 +823,8 @@ def test_shared_sweeps_match_separate_sweeps_byte_for_byte(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("elements", [1 << 11, 1 << 40])
 def test_the_chunk_size_does_not_change_a_csv(elements, tmp_path, monkeypatch):
-    # the chunks of the draw and of each pass, and the pass's back-end
-    # spans, follow channel._CHUNK_ELEMENTS; every tally sum runs over whole
+    # the chunks of the draw and of each pass, on which the pass's back ends
+    # run, follow channel._CHUNK_ELEMENTS; every tally sum runs over whole
     # batches, so no CSV depends on it: 1 << 11 gives chunks of 12 trials at
     # K = 20, 1 << 40 one chunk per batch
     def shared_csvs(tag):
@@ -1191,6 +1191,15 @@ def test_budget_helpers():
         {"source_std": 0.0},
         {"seed": -1},
         {"bit_depth": 49},  # 1 + 2^-53 rounds to 1
+        {"trials": 1.5},  # a value of the wrong type fails at construction
+        {"num_devices": 2.5},
+        {"seed": 1.5},
+        {"n_tx": 1.5},
+        {"num_taps": 2.5},
+        {"bit_depth": 8.0},
+        {"reallocate": "no"},
+        {"snr_db_grid": "10"},  # not the grid (1.0, 0.0)
+        {"trials": np.int64(10)},  # which the CSV's JSON metadata cannot hold
     ],
 )
 def test_config_validation_rejects_bad_values(kwargs):
