@@ -101,8 +101,11 @@ class SimConfig:
     allow_empty: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.snr_db_grid, str):  # a str stays one, for validate to reject
-            object.__setattr__(self, "snr_db_grid", tuple(float(x) for x in self.snr_db_grid))
+        grid = self.snr_db_grid  # any other grid stays as it is, for validate to reject
+        if isinstance(grid, (list, tuple)) and all(
+            isinstance(x, float) or type(x) is int for x in grid  # a bool's type is bool
+        ):
+            object.__setattr__(self, "snr_db_grid", tuple(float(x) for x in grid))
         self.validate()
 
     def validate(self) -> None:
@@ -110,7 +113,9 @@ class SimConfig:
         for name, kind in _FIELD_TYPES.items():
             value, kind = getattr(self, name), typing.get_origin(kind) or kind
             accepted = (int, float) if kind is float else kind
-            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool) or (
+                kind is tuple and not all(isinstance(x, float) for x in value)
+            ):
                 raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
         # the first range, as it is also the subcarrier count; the quantizer's own bound
         if not 1 <= self.bit_depth <= codec.MAX_BIT_DEPTH:
@@ -240,6 +245,9 @@ class TrialRecord:
 
 @dataclass
 class SweepPoint:
+    """One grid point.  runtime is an equal share of its draw group's wall
+    time (``_sweep_group``), not its own cost; the CSV holds neither it nor mse_*."""
+
     scheme: str
     snr_db: float
     nmse: float
@@ -357,8 +365,8 @@ def _front(config, batch, selections, keep=("s_hat",)) -> tuple[dict, list[dict]
     and its lattice where keep names "lattice" (else, and for analog, None).
     fronts[j] holds selection j's whole-batch p, its exact count of active
     (trial, device, subcarrier) slots, "n_total", and "points": per point,
-    "seconds" of its back end and the whole-batch outputs that keep names
-    (any of n_active, p, noiseless, received, estimates and s_hat).
+    the whole-batch outputs that keep names (any of n_active, p, noiseless,
+    received, estimates and s_hat).
     """
     sources, power_est, residual, noise = batch
     T, K, L = power_est.shape
@@ -370,7 +378,7 @@ def _front(config, batch, selections, keep=("s_hat",)) -> tuple[dict, list[dict]
     sigma2s = [sigma2 for sigma2, _ in selections]
     p = np.empty((len(sigma2s), T, L))
     fronts = [
-        {"p": p[j], "n_total": 0, "points": [{"seconds": 0.0} for _ in points]}
+        {"p": p[j], "n_total": 0, "points": [{} for _ in points]}
         for j, (_, points) in enumerate(selections)
     ]
     for s, e in _spans(T, K * L):
@@ -399,13 +407,11 @@ def _front(config, batch, selections, keep=("s_hat",)) -> tuple[dict, list[dict]
             rows = {"n_active": n[j], "p": pc[j], "noiseless": noiseless}
             front["n_total"] += int(n[j].sum())
             for (point_config, sigma2), kept in zip(points, front["points"]):
-                t = time.perf_counter()
                 out = _back(point_config, rows, noise[s:e], sigma2)
                 for key in out.keys() & keep:
                     if key not in kept:
                         kept[key] = np.empty((T,) + out[key].shape[1:], out[key].dtype)
                     kept[key][s:e] = out[key]
-                kept["seconds"] += time.perf_counter() - t
         del w, a2, ratio, n, pc, act  # freed before the next chunk allocates
     return shared, fronts
 
@@ -547,7 +553,6 @@ class _Tally:
     s2: float = 0.0
     n: float = 0.0
     p: float = 0.0
-    busy: float = 0.0  # seconds of this point's back end and its pass's front-end share
 
     def add(self, shared: dict, front: dict, s_hat: np.ndarray) -> None:
         """One batch: ``_front``'s shared values, the point's selection and
@@ -562,7 +567,7 @@ class _Tally:
         self.n += front["n_total"]
         self.p += front["p"].sum()
 
-    def point(self, config: SimConfig, snr_db: float, draw_share: float) -> SweepPoint:
+    def point(self, config: SimConfig, snr_db: float, runtime: float) -> SweepPoint:
         T = config.trials
         mean_sq = self.total / T
         var_sq = max(self.total_sq / T - mean_sq**2, 0.0)
@@ -575,7 +580,7 @@ class _Tally:
             mean_p=self.p / (T * config.bit_depth),
             trials=T,
             seed=config.seed,
-            runtime=self.busy + draw_share,
+            runtime=runtime,
             mse_total=mean_sq,
             mse_quantization=self.quant / T,
             mse_transmission=self.tx / T,
@@ -616,9 +621,8 @@ def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     Per batch, each pass is one ``_front`` call, which runs the back ends of
     its points on each of its chunks, each adding the chunk's noise at its
     own noise power; the tallies then add the pass's whole-batch sums, and
-    it is freed.  A point's runtime is its own back-end time plus equal
-    shares of its pass's front-end time and of the draw time over all
-    points, so the runtimes of the group add up to its wall time.
+    it is freed.  Every point's runtime is an equal share of the group's
+    wall time over its batches, so the runtimes of the group add up to it.
     """
     tallies: dict[tuple[int, int], _Tally] = {}
     # front key -> selection (the noise power; None for analog) -> the
@@ -642,22 +646,16 @@ def _sweep_group(configs: list[SimConfig]) -> list[SweepResult]:
     t0 = time.perf_counter()
     for batch in _batches(configs[0]):
         for config, selections, users in passes:
-            t = time.perf_counter()
             shared, fronts = _front(config, batch, selections)
             outs = [(front, out) for front in fronts for out in front["points"]]
-            backs = sum(out["seconds"] for _, out in outs)
-            share = (time.perf_counter() - t - backs) / len(outs)
             for (front, out), tally in zip(outs, users):
-                t = time.perf_counter()
                 tally.add(shared, front, out["s_hat"])
-                tally.busy += share + out["seconds"] + time.perf_counter() - t
             del shared, fronts, outs, front, out  # freed before the next pass or draw allocates
         del batch  # freed before the next draw allocates
-    busy = sum(tally.busy for tally in tallies.values())
-    draw_share = (time.perf_counter() - t0 - busy) / len(tallies)
+    runtime = (time.perf_counter() - t0) / len(tallies)
     return [
         SweepResult(
-            c, [tallies[m, i].point(c, snr, draw_share) for i, snr in enumerate(c.snr_db_grid)]
+            c, [tallies[m, i].point(c, snr, runtime) for i, snr in enumerate(c.snr_db_grid)]
         )
         for m, c in enumerate(configs)
     ]
