@@ -297,12 +297,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # bad output path, too, ends the command before any sweep runs
     targets = {name: _output_path(args.out, name, len(configs) > 1) for name in configs}
     for target in targets.values():
+        if "\0" in str(target):
+            raise ConfigError(f"output file {str(target)!r} holds a NUL byte")
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             message = f"cannot create output directory {target.parent}: {exc.strerror}"
             raise ConfigError(message) from None
-        if target.is_dir():
+        try:
+            is_dir = target.is_dir()
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {target}: {exc.strerror}") from None
+        if is_dir:
             raise ConfigError(f"output file {target} is a directory")
 
     # a reader that closes stdout early stops the printing, not the sweeps:
@@ -317,8 +323,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ])
         result = sweep(config, shared=shared)
         sweep_to_csv(result, targets[name])
-        lines = [f"    snr {pt.snr_db:+6.1f} dB done in {pt.runtime:.1f}s" for pt in result.points]
-        lines = (lines if args.verbose else []) + [
+        runtime = sum(pt.runtime for pt in result.points)
+        lines = [f"    grid of {len(result.points)} done in {runtime:.1f}s"] if args.verbose else []
+        lines += [
             f"  snr {pt.snr_db:+7.1f} dB   nmse {pt.nmse:.6e}   "
             f"stderr {pt.stderr:.2e}   active {pt.mean_active:6.2f}   "
             f"p {pt.mean_p:.4g}"

@@ -41,14 +41,6 @@ class QuantizerSpec:
             raise ValueError(f"bit depth must lie in [1, {MAX_BIT_DEPTH}], got {self.b}")
         object.__setattr__(self, "zeta", 2.0 ** (self.b - 1) / (1.0 + 2.0 ** (-self.b - 4)))
 
-    @property
-    def lattice_min(self) -> int:
-        return -(2 ** (self.b - 1))
-
-    @property
-    def lattice_max(self) -> int:
-        return 2 ** (self.b - 1) - 1
-
 
 def quantize(s, spec: QuantizerSpec, clamp: bool = False):
     """Map source values to lattice integers floor(zeta * s).

@@ -744,27 +744,20 @@ def sweep_to_csv(result: SweepResult, path) -> None:
 
 def quantization_nmse_floor(config: SimConfig) -> float:
     """NMSE remaining when transmission is error-free, from the quantizer
-    geometry alone (no Monte Carlo).
+    geometry alone (no Monte Carlo), for a coded scheme on uniform sources.
 
     The decoded value then equals the sum of the K quantized values exactly,
     so the error is a sum of independent per-device truncation errors
     e = floor(zeta s)/zeta - s and
 
         NMSE = (K E[e^2] + K (K-1) E[e]^2) / (K E[s^2]).
-
-    A gaussian floor sums all 2^bit_depth cells, so it takes bit_depth <= 20.
     """
-    spec = config.quantizer()
+    if config.scheme not in CODED_SCHEMES or config.source != "uniform":
+        got = f"{config.scheme} on {config.source}"
+        raise ValueError(f"the floor is for coded schemes on uniform sources, got {got}")
     K = config.num_devices
-    if config.source == "uniform":
-        mean_e, second_e = _uniform_truncation_moments(spec)
-        source_power = 1.0 / 3.0
-    elif config.bit_depth > 20:
-        raise ValueError(f"gaussian floor: bit_depth must be <= 20, got {config.bit_depth}")
-    else:
-        mean_e, second_e = _gaussian_truncation_moments(spec, config.source_std)
-        source_power = config.source_std**2
-    return (K * second_e + K * (K - 1) * mean_e**2) / (K * source_power)
+    mean_e, second_e = _uniform_truncation_moments(config.quantizer())
+    return (K * second_e + K * (K - 1) * mean_e**2) / (K * (1.0 / 3.0))
 
 
 def _uniform_truncation_moments(spec: QuantizerSpec) -> tuple[float, float]:
@@ -781,41 +774,3 @@ def _uniform_truncation_moments(spec: QuantizerSpec) -> tuple[float, float]:
     mean_lattice = -0.5
     second_lattice = (2 * n_full + f**3 + 1 - (1 - f) ** 3) / (6 * c)
     return mean_lattice / spec.zeta, second_lattice / spec.zeta**2
-
-
-def _gaussian_truncation_moments(spec: QuantizerSpec, std: float) -> tuple[float, float]:
-    """E[e], E[e^2] for a clamped gaussian source via per-cell partial moments.
-
-    Cell m holds s in [m/zeta, (m+1)/zeta) and maps to m/zeta; the edge cells
-    absorb the clipped tails, so the bottom cell extends to -inf and the top
-    cell to +inf.  Within a cell e = m/zeta - s, so the contributions follow
-    from the cell's mass and first partial moment; the second ones sum to std^2.
-    """
-    zeta = spec.zeta
-    mean_e = 0.0
-    second_e = 0.0
-    for m in range(spec.lattice_min, spec.lattice_max + 1):
-        lo = -math.inf if m == spec.lattice_min else m / zeta
-        hi = math.inf if m == spec.lattice_max else (m + 1) / zeta
-        prob, m1 = _gaussian_cell_moments(std, lo, hi)
-        q = m / zeta
-        mean_e += q * prob - m1
-        second_e += q**2 * prob - 2.0 * q * m1
-    return mean_e, second_e + std**2
-
-
-def _gaussian_cell_moments(std: float, lo: float, hi: float) -> tuple[float, float]:
-    """(P, M1): probability and first partial moment of N(0, std^2) over [lo, hi)."""
-    sqrt2 = math.sqrt(2.0)
-
-    def cdf(x: float) -> float:
-        return 0.5 * (1.0 + math.erf(x / (std * sqrt2)))
-
-    def pdf(x: float) -> float:
-        return math.exp(-0.5 * (x / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
-
-    f_lo = 0.0 if math.isinf(lo) else pdf(lo)
-    f_hi = 0.0 if math.isinf(hi) else pdf(hi)
-    c_lo = 0.0 if lo == -math.inf else cdf(lo)
-    c_hi = 1.0 if hi == math.inf else cdf(hi)
-    return c_hi - c_lo, std**2 * (f_lo - f_hi)

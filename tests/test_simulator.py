@@ -205,27 +205,37 @@ def test_quantization_floor_uniform_matches_monte_carlo():
     assert floor == pytest.approx(9.31e-4, rel=0.01)
 
 
-def test_quantization_floor_gaussian_matches_monte_carlo():
-    config = SimConfig(source="gaussian", num_devices=5)
-    floor = quantization_nmse_floor(config)
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_quantization_floor_uniform_matches_the_per_cell_integrals(b):
+    # a slip in the partial edge cells' terms moves the default b = 8 floor by
+    # under 1e-4 of it, inside the Monte Carlo bound above, and a b <= 3 floor
+    # by 1e-3 or more; so each cell [m/zeta, (m+1)/zeta), clipped to [-1, 1],
+    # is integrated exactly here
+    config = SimConfig(num_devices=3, bit_depth=b)
     zeta = config.quantizer().zeta
-    std = config.source_std
-    rng = np.random.default_rng(99)
-    groups = 100_000
-    s = std * rng.standard_normal((groups, 5))
-    v = np.floor(zeta * np.clip(s, -1.0, 1.0))
-    err = (v.sum(axis=1) / zeta - s.sum(axis=1)) ** 2
-    emp = err.sum() / (s.sum(axis=1) ** 2).sum()
-    se = err.std(ddof=1) / math.sqrt(groups) / np.mean(s.sum(axis=1) ** 2)
-    assert emp == pytest.approx(floor, abs=3.0 * se)
+    mean_e = second_e = 0.0
+    for m in range(-(2 ** (b - 1)), 2 ** (b - 1)):
+        lo, hi = max(m / zeta, -1.0), min((m + 1) / zeta, 1.0)
+        if lo < hi:  # e = q - s over s ~ U[-1, 1], density 1/2
+            q = m / zeta
+            mean_e += (hi - lo) * (q - (lo + hi) / 2) / 2
+            second_e += ((q - lo) ** 3 - (q - hi) ** 3) / 6
+    expected = (3 * second_e + 3 * 2 * mean_e**2) / (3 * (1.0 / 3.0))
+    assert quantization_nmse_floor(config) == pytest.approx(expected, rel=1e-12)
 
 
-def test_the_gaussian_floor_refuses_more_cells_than_it_can_sum():
-    # one Python step per lattice cell: 2^21 of them would take seconds, and
-    # the 2^48 that SimConfig accepts would take decades
-    config = SimConfig(source="gaussian", bit_depth=21)
-    with pytest.raises(ValueError, match=r"bit_depth must be <= 20, got 21$"):
-        quantization_nmse_floor(config)
+@pytest.mark.parametrize(
+    "changes, got",
+    [
+        pytest.param({"source": "gaussian"}, "proposed on gaussian", id="gaussian"),
+        pytest.param({"scheme": "analog"}, "analog on uniform", id="analog"),
+    ],
+)
+def test_the_floor_refuses_what_has_no_uniform_quantizer_floor(changes, got):
+    # a gaussian source clips, and analog has no quantizer: neither has this floor
+    with pytest.raises(ValueError) as info:
+        quantization_nmse_floor(SimConfig(**changes))
+    assert str(info.value) == f"the floor is for coded schemes on uniform sources, got {got}"
 
 
 def test_sweep_is_deterministic_across_runs():
