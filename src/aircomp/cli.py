@@ -43,8 +43,10 @@ class ConfigError(ValueError):
 
 def _parse_value(kind, value: str, lineno: int):
     """Parse the config value on line lineno as a value of type kind: int,
-    float, str or bool, or a tuple of floats (separated by commas or spaces).
-    Ranges and choices are left to SimConfig.validate."""
+    float or bool, a tuple of floats (separated by commas or spaces), or a
+    Literal's text as it is.  Ranges and choices are left to SimConfig.validate."""
+    if typing.get_origin(kind) is typing.Literal:
+        return value
     if typing.get_origin(kind) is tuple:
         try:
             return tuple(float(p) for p in value.replace(",", " ").split())
@@ -295,6 +297,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # create and check every output directory before the first sweep, so a
     # bad output path, too, ends the command before any sweep runs
+    for name in configs:  # a separator would lead the name's CSV out of --out
+        if {"/", os.sep, os.altsep} & set(name):
+            raise ConfigError(f"section name [{name}] holds a path separator")
     targets = {name: _output_path(args.out, name, len(configs) > 1) for name in configs}
     for target in targets.values():
         if "\0" in str(target):
@@ -417,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--quick", action="store_true", help="cap trials at 2000 for a fast pass"
     )
-    p_sweep.add_argument("-v", "--verbose", action="store_true", help="per-point timing")
+    p_sweep.add_argument("-v", "--verbose", action="store_true", help="per-section timing")
 
     p_verify = sub.add_parser("verify", help="run the built-in correctness oracles")
     p_verify.add_argument("--seed", type=int, default=1)

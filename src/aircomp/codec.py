@@ -38,7 +38,7 @@ class QuantizerSpec:
 
     def __post_init__(self):
         if not 1 <= self.b <= MAX_BIT_DEPTH:
-            raise ValueError(f"bit depth must lie in [1, {MAX_BIT_DEPTH}], got {self.b}")
+            raise ValueError(f"bit_depth must be >= 1 and <= {MAX_BIT_DEPTH}, got {self.b}")
         object.__setattr__(self, "zeta", 2.0 ** (self.b - 1) / (1.0 + 2.0 ** (-self.b - 4)))
 
 

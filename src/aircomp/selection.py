@@ -74,17 +74,20 @@ def greedy_select_batch(
     formed once on that sort, and each noise power multiplies and adds in one
     reused buffer.  At x = 0, where 0 * inf is NaN, h is 1/n for p != 0.
 
-    The active set is every device with gain >= p, except where the next
-    sorted gain ties at p as well: there the lowest indices enter, as many as
-    the prefix needs.  With allow_empty=True a subcarrier whose gains are all
-    +-0, so that every set scores the no-transmission MSE K/4, gets the empty
-    set at every noise power; any gain > 0 beats K/4.  The masks are built
-    device-major, on the contiguous copy (no copy when effective_gains is a
-    (T, K, L) view of one), and the mask comes back as a (T, K, L)-shaped
-    view of that (G, K, T, L) array.  The temporaries are a few copies of the
-    gains, so a caller bounds memory by the trials it passes.  A negative,
-    NaN or infinite noise power raises ValueError (an O(G) check; the gains
-    are not read for it).
+    The active set is every device with gain >= p, except where every line
+    is +inf (p = +-0, or x / (2 n^2 p) overflows): there the first minimum is
+    n = 1 at the largest gain, and only its lowest-index holder enters.  No
+    other slot has more than n gains at p or above: at p > 0 the line falls
+    strictly with n along a run of equal gains, so a finite first minimum
+    never stops inside one.  With allow_empty=True a subcarrier whose gains
+    are all +-0, so that every set scores the no-transmission MSE K/4, gets
+    the empty set at every noise power; any gain > 0 beats K/4.  The masks
+    are built device-major, on the contiguous copy (no copy when
+    effective_gains is a (T, K, L) view of one), and the mask comes back as a
+    (T, K, L)-shaped view of that (G, K, T, L) array.  The temporaries are a
+    few copies of the gains, so a caller bounds memory by the trials it
+    passes.  A negative, NaN or infinite noise power raises ValueError (an
+    O(G) check; the gains are not read for it).
     """
     shape = np.shape(noise_power)
     noise_powers = np.asarray(noise_power, dtype=np.float64).reshape(-1).tolist()
@@ -95,8 +98,8 @@ def greedy_select_batch(
     sorted_g = ascending[::-1]  # rank-major: sorted_g[n - 1] is prefix n's p
     sizes = np.arange(1.0, K + 1.0).reshape(K, 1, 1)
     slopes = np.abs(sorted_g)  # a -0.0 gain's slope is +inf too
-    slopes *= 2.0 * sizes**2
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a slope past the float range is +inf
+        slopes *= 2.0 * sizes**2
         np.divide(1.0, slopes, out=slopes)
     weights = np.arange(K, 0, -1, dtype=np.min_scalar_type(K)).reshape(K, 1, 1)
     h = np.empty(slopes.shape)
@@ -107,27 +110,23 @@ def greedy_select_batch(
     active = np.empty((len(noise_powers), K, T, L), dtype=bool)
     for j, sigma2 in enumerate(noise_powers):
         if sigma2 > 0:
-            np.multiply(slopes, sigma2, out=h)
+            with np.errstate(over="ignore"):  # a line past the float range is +inf
+                np.multiply(slopes, sigma2, out=h)
             h += 1.0 / sizes
         else:
             h[...] = np.where(sorted_g != 0, 1.0 / sizes, np.inf)
         # the first minimum: weight K + 1 - n, largest at the smallest n
-        np.equal(h, np.minimum.reduce(h, axis=0), out=first)
+        lowest = np.minimum.reduce(h, axis=0)
+        np.equal(h, lowest, out=first)
         first *= weights
         rank = np.maximum.reduce(first, axis=0).astype(np.intp) - 1  # p's, in ascending
         n[j] = K - rank
         at = rank * (T * L) + slots  # sorted_g[n - 1] as a flat index into ascending
         ascending.take(at, out=p[j])
         np.greater_equal(gains, p[j], out=active[j])
-        # more than n gains reach p exactly where the next sorted one ties
-        tie = ascending.take(np.maximum(at - T * L, slots)) == p[j]
-        t, l = np.nonzero(tie & (rank > 0))
+        t, l = np.nonzero(np.isinf(lowest))  # n = 1: one holder of the largest gain
         if t.size:
-            rows = gains[:, t, l]  # (K, rows)
-            above = rows > p[j, t, l]
-            tied = rows == p[j, t, l]
-            need = n[j, t, l] - above.sum(axis=0)
-            active[j][:, t, l] = above | (tied & (np.cumsum(tied, axis=0) <= need))
+            active[j][:, t, l] = np.arange(K)[:, None] == gains[:, t, l].argmax(axis=0)
     if allow_empty:
         dead = ~gains.any(axis=0)
         n[:, dead] = 0

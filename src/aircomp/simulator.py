@@ -84,12 +84,12 @@ class SimConfig:
     num_devices: int = 20
     bit_depth: int = 8
     num_taps: int = 4
-    source: str = "uniform"
+    source: typing.Literal[SOURCES] = "uniform"
     source_std: float = 1.0 / 3.0  # gaussian only
-    scheme: str = "proposed"
-    power_mode: str = "uniform"
+    scheme: typing.Literal[SCHEMES] = "proposed"
+    power_mode: typing.Literal[POWER_MODES] = "uniform"
     varpi: float = 1.0
-    detector: str = "lmmse"
+    detector: typing.Literal[DETECTORS] = "lmmse"
     snr_db_grid: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     trials: int = 100_000
     csi_error_radius: float = 0.0
@@ -111,17 +111,18 @@ class SimConfig:
     def validate(self) -> None:
         # first, so that no range check meets a wrong type; a bool, though an int, fits bool alone
         for name, kind in _FIELD_TYPES.items():
-            value, kind = getattr(self, name), typing.get_origin(kind) or kind
+            value, choices = getattr(self, name), typing.get_args(kind)
+            kind = typing.get_origin(kind) or kind
+            if kind is typing.Literal:
+                if not isinstance(value, str) or value not in choices:
+                    raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+                continue
             accepted = (int, float) if kind is float else kind
             if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool) or (
                 kind is tuple and not all(isinstance(x, float) for x in value)
             ):
                 raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
-        # the first range, as it is also the subcarrier count; the quantizer's own bound
-        if not 1 <= self.bit_depth <= codec.MAX_BIT_DEPTH:
-            raise ValueError(
-                f"bit_depth must be >= 1 and <= {codec.MAX_BIT_DEPTH}, got {self.bit_depth}"
-            )
+        self.quantizer()  # bit_depth, the first range, as it is also the subcarrier count
         self.channel_params()  # num_devices, num_taps, csi_error_radius
         self.mimo()  # n_tx, n_rx
         if self.num_devices * 2**self.bit_depth > 2**63:
@@ -130,8 +131,6 @@ class SimConfig:
                 "num_devices * 2^bit_depth must not exceed 2^63 (int64 decode), "
                 f"got num_devices={self.num_devices}, bit_depth={self.bit_depth}"
             )
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not 0 < self.source_std < math.inf:
             raise ValueError(f"source_std must be > 0 and finite, got {self.source_std}")
         # The tally sums fourth powers of errors from about a lattice step,
@@ -144,21 +143,11 @@ class SimConfig:
                 f"source_std = {self.source_std!r} must lie in [{lo!r}, {hi!r}] "
                 f"at num_devices = {self.num_devices} and bit_depth = {self.bit_depth}"
             )
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.power_mode not in POWER_MODES:
-            raise ValueError(
-                f"power_mode must be one of {POWER_MODES}, got {self.power_mode!r}"
-            )
         # rejects varpi < 1; called through its module, as perfbench times
         # calls of this module's allocate_power as sweep work
         transceiver.allocate_power(self.bit_depth, self.varpi)
         if self.power_mode == "uniform" and self.varpi != 1.0:
             raise ValueError("varpi > 1 requires power_mode = geometric")
-        if self.detector not in DETECTORS:
-            raise ValueError(
-                f"detector must be one of {DETECTORS}, got {self.detector!r}"
-            )
         if default_detector(self.scheme) == "ml" != self.detector:
             raise ValueError(
                 f"scheme {self.scheme} is defined with lattice-ML detection; set detector = ml"
@@ -218,8 +207,7 @@ class SimConfig:
 
 _FIELD_TYPES = typing.get_type_hints(SimConfig)  # field -> type; cli parses config text by it
 _TYPE_NAMES = {
-    int: "an integer", float: "a number", bool: "true or false", str: "a string",
-    tuple: "a sequence of numbers",
+    int: "an integer", float: "a number", bool: "true or false", tuple: "a sequence of numbers",
 }
 
 

@@ -427,6 +427,18 @@ def test_demo_binary_ml_prints_offset_binary_codewords(capsys):
             ["sweep", "nul.ini", "--trials", "10"], "output file 'a\\x00b.csv' holds a NUL byte",
             {"nul.ini": b"[a\0b]\n"}, id="section name with a NUL byte",
         ),
+        # a section name with a path separator: once written outside --out,
+        # or, as one of two with --out naming a file, a traceback
+        pytest.param(
+            ["sweep", "esc.ini", "--trials", "10", "--out", "out"],
+            "section name [../esc] holds a path separator",
+            {"esc.ini": b"[../esc]\n"}, id="section name leaving the out directory",
+        ),
+        pytest.param(
+            ["sweep", "two.ini", "--trials", "10", "--out", "r.csv"],
+            "section name [a/b] holds a path separator",
+            {"two.ini": b"[a/b]\n[c]\n"}, id="section name with a slash, out a file",
+        ),
         pytest.param(
             ["sweep", "old.ini"], "line 2: unknown key 'clamp' in [x]",
             {"old.ini": b"[x]\nclamp = true\n"}, id="removed key clamp",

@@ -31,7 +31,7 @@ def _greedy_select_batch_argsort(effective_gains, noise_power, allow_empty=False
     sorted_g = np.take_along_axis(effective_gains, order, axis=1)
     sizes = np.arange(1.0, K + 1.0).reshape(1, K, 1)
     if noise_power > 0:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             h = 1.0 / (2.0 * sizes**2 * np.abs(sorted_g)) * noise_power + 1.0 / sizes
     else:
         h = np.where(sorted_g != 0, 1.0 / sizes, np.inf)
@@ -69,7 +69,8 @@ def _gain_cases():
         "tied": np.round(faded, 1),
         # the line 1/n + x / (2 n^2 p) falls strictly with n at a fixed p > 0,
         # so a device tied at p is left out only where every prefix scores
-        # +inf: all gains of the slot zero
+        # +inf: all gains of the slot zero, or x / (2 n^2 p) past the float
+        # range (test_slots_whose_every_line_overflows_..., kept apart)
         "zero": np.zeros((5, 7, 3)),
         "dead": np.where(rng.random((300, 1, 8)) < 0.1, 0.0, np.round(faded, 1)),
         "tiny_tied": np.round(faded, 1) * 1e-20,
@@ -157,6 +158,26 @@ def test_batch_selection_is_bit_identical_to_argsort_oracle(case, noise_power, a
     assert n.dtype == n_ref.dtype and np.array_equal(n, n_ref)
     assert np.array_equal(p.view(np.uint64), p_ref.view(np.uint64))
     assert active.shape == active_ref.shape and np.array_equal(active, active_ref)
+
+
+@pytest.mark.parametrize(
+    "scale, noise_power", [(1e-320, 0.02), (1e-320, 1.0), (1e-320, 30.0), (1e-300, 1e12)]
+)
+def test_slots_whose_every_line_overflows_take_one_holder_of_the_largest_gain(scale, noise_power):
+    # every x / (2 n^2 p) leaves the float range, at 1e-320 in the slope
+    # 1 / (2 n^2 p) and at 1e-300 in its product with x, so every line is +inf
+    # and the scan takes n = 1 at the largest gain, p > 0; where devices tie
+    # at it, only the lowest-index one enters.  Not one of _gain_cases: the
+    # first prefix's selection gain is not the exact best
+    gains = np.round(_gain_cases()["faded"], 1) * scale
+    n, p, active = greedy_select_batch(gains, noise_power)
+    n_ref, p_ref, active_ref = _greedy_select_batch_argsort(gains, noise_power)
+    assert np.array_equal(n, n_ref) and np.array_equal(p.view(np.uint64), p_ref.view(np.uint64))
+    assert np.array_equal(active, active_ref)
+    t, l = np.nonzero((gains >= p[:, None, :]).sum(axis=1) > n)  # ties beyond the prefix
+    assert t.size == 105 and (p[t, l] > 0).all() and (n[t, l] == 1).all()
+    K = gains.shape[1]
+    assert np.array_equal(active[t, :, l], np.arange(K) == gains[t, :, l].argmax(axis=1)[:, None])
 
 
 @pytest.mark.parametrize("noise_power", [0.02, 1.0, 30.0])

@@ -1222,6 +1222,27 @@ def test_config_validation_rejects_bad_values(kwargs):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"scheme": 1}, "scheme must be one of ('proposed', 'binary_ml', 'analog'), got 1"),
+        ({"detector": None}, "detector must be one of ('lmmse', 'ml'), got None"),
+        ({"source": b"uniform"}, "source must be one of ('uniform', 'gaussian'), got b'uniform'"),
+        (  # an array would compare elementwise, and one entry would pass
+            {"power_mode": np.array(["uniform"])},
+            "power_mode must be one of ('uniform', 'geometric'), "
+            "got array(['uniform'], dtype='<U7')",
+        ),
+    ],
+)
+def test_a_choice_field_names_its_choices_whatever_the_value(kwargs, message):
+    # a choice field's type is its choice set, so a value of another type
+    # gets the line a string outside the set gets, not "must be a string"
+    with pytest.raises(ValueError) as err:
+        SimConfig(**kwargs)
+    assert str(err.value) == message
+
+
 def test_config_accepts_the_largest_exact_bit_depth():
     # from 49 bits on the quantizer's guard term rounds away (QuantizerSpec);
     # 2^15 * 2^48 = 2^63: every int64 decoder sum still fits
